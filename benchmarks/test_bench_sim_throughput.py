@@ -165,8 +165,8 @@ def test_bench_parallel_sweep_speedup(benchmark, bench_config):
             f"workers on {cpus} CPUs")
 
 
-#: Where the vectorized-engine perf record lands (repo root, next to the
-#: other ``BENCH_*`` archives the docstring describes).
+#: Where the engine perf record lands (repo root, next to the other
+#: ``BENCH_*`` archives the docstring describes).
 BENCH_RECORD_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                  "BENCH_vectorized.json")
 
@@ -180,14 +180,15 @@ BENCH_RECORD_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 #: Version 3: added the wave-batched offload-decision A/B
 #: (``reference_offload_sweep_s``, ``batched_over_reference_speedup``,
 #: ``pr8_landing_vs_reference``) and the default-engine floor asserts.
-BENCH_RECORD_SCHEMA_VERSION = 3
+#: Version 4: the vectorized movement engine was deleted, so the object
+#: movement sweep and ``vectorized_over_object_speedup`` are gone and
+#: ``vectorized_sweep_s`` became ``default_sweep_s``.
+BENCH_RECORD_SCHEMA_VERSION = 4
 
 #: Fail-loud floor for "the default engine must not lose to its golden
 #: reference".  Single-round wall-clock on a shared 1-CPU runner swings
 #: by tens of percent, so the floor is a noise allowance, not a target:
-#: a genuine regression (like the archived 0.85x object-vs-vectorized
-#: reading at scale 1.0, since fixed by the single-page fast path)
-#: trips it, while scheduler jitter does not.
+#: a genuine regression trips it, while scheduler jitter does not.
 DEFAULT_ENGINE_FLOOR = 0.70
 
 
@@ -242,51 +243,45 @@ PR8_LANDING_RECORD = {
 }
 
 
+@pytest.mark.slow
 def test_bench_vectorized_engine_record(benchmark, bench_config):
-    """Time the default engine against both golden references; archive.
+    """Time the default engine against its golden reference; archive.
 
-    Three Fig. 7 sweeps in one timed round: the default configuration
-    (vectorized movement + batched offload decisions), the object
-    movement engine, and the per-instruction reference decision path.
-    The live ratios track the current machine; the archived JSON also
-    carries the pinned PR 6 and PR 8 landing measurements so the perf
-    trajectory is recorded even as hardware changes underneath CI.
-    Fails loudly (``DEFAULT_ENGINE_FLOOR``) when the default engine
-    loses to either reference beyond single-round noise.
+    Two Fig. 7 sweeps in one timed round: the default configuration
+    (batched offload decisions) and the per-instruction reference
+    decision path.  The live ratio tracks the current machine; the
+    archived JSON also carries the pinned PR 6 and PR 8 landing
+    measurements so the perf trajectory is recorded even as hardware
+    changes underneath CI.  Fails loudly (``DEFAULT_ENGINE_FLOOR``) when
+    the default engine loses to the reference beyond single-round noise.
+
+    ``slow``-marked: it rewrites the tracked ``BENCH_vectorized.json``,
+    so run it on purpose with ``pytest -m slow benchmarks``.
     """
-    object_config = dataclasses.replace(
-        bench_config,
-        platform=dataclasses.replace(bench_config.platform,
-                                     vectorized_movement=False))
     reference_config = dataclasses.replace(
         bench_config,
         platform=dataclasses.replace(bench_config.platform,
                                      batched_offload=False))
 
-    def all_engines():
-        vec_results, vec_s = _full_sweep(bench_config)
-        obj_results, obj_s = _full_sweep(object_config)
+    def both_engines():
+        default_results, default_s = _full_sweep(bench_config)
         ref_results, ref_s = _full_sweep(reference_config)
-        return vec_results, vec_s, obj_results, obj_s, ref_results, ref_s
+        return default_results, default_s, ref_results, ref_s
 
-    (vec_results, vec_s, obj_results, obj_s,
-     ref_results, ref_s) = run_once(benchmark, all_engines)
+    default_results, default_s, ref_results, ref_s = run_once(
+        benchmark, both_engines)
     # Bit-equality is the engines' contract; a perf benchmark that
     # silently compared different answers would be meaningless.
-    _assert_identical(vec_results, obj_results)
-    _assert_identical(vec_results, ref_results)
-    movement_ratio = obj_s / vec_s if vec_s else float("inf")
-    decision_ratio = ref_s / vec_s if vec_s else float("inf")
+    _assert_identical(default_results, ref_results)
+    decision_ratio = ref_s / default_s if default_s else float("inf")
     record = {
         "schema_version": BENCH_RECORD_SCHEMA_VERSION,
         "bench_scale": BENCH_SCALE,
         "host": _host_metadata(),
         "recorded_unix": round(time.time(), 3),
-        "sweep_pairs": len(vec_results),
-        "vectorized_sweep_s": vec_s,
-        "object_sweep_s": obj_s,
+        "sweep_pairs": len(default_results),
+        "default_sweep_s": default_s,
         "reference_offload_sweep_s": ref_s,
-        "vectorized_over_object_speedup": movement_ratio,
         "batched_over_reference_speedup": decision_ratio,
         "pr6_landing_vs_pr5": PR6_LANDING_RECORD,
         "pr8_landing_vs_reference": PR8_LANDING_RECORD,
@@ -295,18 +290,10 @@ def test_bench_vectorized_engine_record(benchmark, bench_config):
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     benchmark.extra_info.update(record)
-    print(f"\nDefault engine: {vec_s:.2f} s vs object movement "
-          f"{obj_s:.2f} s ({movement_ratio:.2f}x) vs reference decisions "
+    print(f"\nDefault engine: {default_s:.2f} s vs reference decisions "
           f"{ref_s:.2f} s ({decision_ratio:.2f}x) at scale {BENCH_SCALE} "
           f"(record: {os.path.abspath(BENCH_RECORD_PATH)})")
-    assert vec_s > 0 and obj_s > 0 and ref_s > 0
-    # The default engine must not *lose* to its golden references: the
-    # archived 0.85x era (object engine beating the vectorized one at
-    # scale 1.0) is exactly the regression class this guards against.
-    assert movement_ratio >= DEFAULT_ENGINE_FLOOR, (
-        f"vectorized movement engine lost to the object reference "
-        f"({movement_ratio:.2f}x < {DEFAULT_ENGINE_FLOOR}x floor) at "
-        f"scale {BENCH_SCALE}")
+    assert default_s > 0 and ref_s > 0
     assert decision_ratio >= DEFAULT_ENGINE_FLOOR, (
         f"batched offload engine lost to the per-instruction reference "
         f"({decision_ratio:.2f}x < {DEFAULT_ENGINE_FLOOR}x floor) at "

@@ -1,8 +1,6 @@
 """``python -m repro`` -- the unified experiment CLI.
 
-One entry point for the whole evaluation, replacing the per-figure
-``python -m repro.experiments.<module>`` invocations (which remain as
-deprecation shims that forward here):
+One entry point for the whole evaluation:
 
 * ``python -m repro list`` -- registered experiments and platform variants;
 * ``python -m repro run <experiment>`` -- run one registry entry, with
@@ -322,13 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "compare":
         return _cmd_compare(args)
     return _cmd_run(args)
-
-
-def run_module_shim(experiment: str) -> None:
-    """Back-compat entry for ``python -m repro.experiments.<module>``."""
-    print(f"note: `python -m repro.experiments.…` is deprecated; use "
-          f"`python -m repro run {experiment}`", file=sys.stderr)
-    sys.exit(main(["run", experiment]))
 
 
 if __name__ == "__main__":

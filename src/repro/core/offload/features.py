@@ -29,7 +29,7 @@ import numpy as np
 from repro.common import DataLocation, OpType, ResourceLike, US
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
-from repro.core.platform import CODE_LOCATIONS, SSDPlatform
+from repro.core.platform import SSDPlatform
 
 #: Fixed per-component collection latencies from Section 4.5.
 L2P_DRAM_LOOKUP_NS = 100.0
@@ -239,45 +239,8 @@ class FeatureCollector:
         locations_get = locations.get
         l2p_hits = 0
         l2p_misses = 0
-        # Under the vectorized engine the flat code array mirrors the
-        # residence dict, so a uniform run (the common case) resolves its
-        # histogram entry with one C-level byte count; mixed runs keep the
-        # page-ordered walk so the histogram's first-occurrence insertion
-        # order -- and with it the movement sum's accumulation order -- is
-        # untouched.
-        codes_bytes = platform._codes_bytes
         for base, run_pages in runs:
-            end = base + run_pages
-            if codes_bytes is not None:
-                if len(codes_bytes) < end:
-                    platform._codes_for(end)
-                    codes_bytes = platform._codes_bytes
-                # Single-page runs (the dominant case at the paper's
-                # 16 KiB page / 16 KiB vector shape) index the code byte
-                # directly: no slice allocation, no count.
-                if run_pages == 1:
-                    location = CODE_LOCATIONS[codes_bytes[base]]
-                    locations[location] = locations_get(location, 0) + 1
-                    if base in entries:
-                        move_to_end(base)
-                        l2p_hits += 1
-                    else:
-                        l2p_misses += 1
-                    continue
-                run_codes = codes_bytes[base:end]
-                first = run_codes[0]
-                if run_codes.count(first) == run_pages:
-                    location = CODE_LOCATIONS[first]
-                    locations[location] = (locations_get(location, 0)
-                                           + run_pages)
-                    for lpa in range(base, end):
-                        if lpa in entries:
-                            move_to_end(lpa)
-                            l2p_hits += 1
-                        else:
-                            l2p_misses += 1
-                    continue
-            for lpa in range(base, end):
+            for lpa in range(base, base + run_pages):
                 location = residence_get(lpa, flash)
                 locations[location] = locations_get(location, 0) + 1
                 if lpa in entries:
@@ -392,7 +355,6 @@ class FeatureCollector:
         platform = self.platform
         entries = platform.ssd.ftl.cache._entries
         residence_get = platform.residence.get
-        codes_bytes = platform._codes_bytes
         flash = DataLocation.FLASH
         move_table = platform._move_table
         include_movement = self.config.include_data_movement
@@ -415,32 +377,7 @@ class FeatureCollector:
             hits_append = hits.append
             misses = 0
             for base, run_pages in source_runs[pos]:
-                end = base + run_pages
-                if codes_bytes is not None:
-                    if len(codes_bytes) < end:
-                        platform._codes_for(end)
-                        codes_bytes = platform._codes_bytes
-                    if run_pages == 1:
-                        location = CODE_LOCATIONS[codes_bytes[base]]
-                        locations[location] = locations_get(location, 0) + 1
-                        if base in entries:
-                            hits_append(base)
-                        else:
-                            misses += 1
-                        continue
-                    run_codes = codes_bytes[base:end]
-                    first = run_codes[0]
-                    if run_codes.count(first) == run_pages:
-                        location = CODE_LOCATIONS[first]
-                        locations[location] = (locations_get(location, 0)
-                                               + run_pages)
-                        for lpa in range(base, end):
-                            if lpa in entries:
-                                hits_append(lpa)
-                            else:
-                                misses += 1
-                        continue
-                for lpa in range(base, end):
+                for lpa in range(base, base + run_pages):
                     location = residence_get(lpa, flash)
                     locations[location] = locations_get(location, 0) + 1
                     if lpa in entries:

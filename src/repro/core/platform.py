@@ -40,8 +40,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common import (BackendId, DataLocation, MIB, OpType, Resource,
                           ResourceLike, SimulationError)
 from repro.core.backends import BackendRegistry
@@ -58,7 +56,7 @@ from repro.host.gpu import HostGPU, HostGPUBackend
 from repro.ifp.unit import IFPBackend, IFPUnit
 from repro.isp.core import EmbeddedCoreComplex, ISPBackend
 from repro.ssd.config import SSDConfig
-from repro.ssd.events import Server, sequential_sum
+from repro.ssd.events import Server
 from repro.ssd.lifetime import (BackgroundFlashEngine, LifetimeConfig,
                                 MaintenanceStats, apply_drive_age)
 from repro.ssd.queues import ResourceQueueSet
@@ -119,15 +117,6 @@ class PlatformConfig:
     #: for the golden-equivalence test of the batched engine.
     batched_movement: bool = True
 
-    #: Drive the run-batched movement engine through numpy flat-array
-    #: timelines: residence/segmentation as int-code arrays, reservation
-    #: chains as sequential-accumulate array ops, DRAM bank / flash
-    #: channel / PCIe legs and energy settled on whole arrays.  Builds on
-    #: ``batched_movement`` (ignored when that is off) and is bit-exact
-    #: with the object engine by construction -- the object engine remains
-    #: the golden reference, mirroring the ``batched_movement`` pattern.
-    vectorized_movement: bool = True
-
     #: Drive offload decisions wave-by-wave: a dependency slicer groups
     #: the compiled IR into ready waves (page-disjoint, dependence-free
     #: program-order blocks), the feature collector precollects each
@@ -140,7 +129,7 @@ class PlatformConfig:
     #: member's decision time, and any mid-wave residence or
     #: mapping-cache hazard falls back to the reference path.  The
     #: per-instruction engine remains the golden reference, mirroring
-    #: the ``batched_movement`` / ``vectorized_movement`` pattern.
+    #: the ``batched_movement`` pattern.
     batched_offload: bool = True
 
     # -- Backend roster (the platform's compute shape is data, not code) ----
@@ -165,43 +154,6 @@ class PlatformConfig:
     #: channels.  The default (engine off, no profile) is bit-identical
     #: to the fresh-drive seed behavior.
     lifetime: LifetimeConfig = field(default_factory=LifetimeConfig)
-
-
-#: Integer location codes of the vectorized movement engine's flat
-#: residence array.  Flash is 0 so the lazily-grown array's zero-fill
-#: means "on flash", exactly like absence from the residence dict.
-LOCATION_CODES: Dict[DataLocation, int] = {
-    DataLocation.FLASH: 0,
-    DataLocation.SSD_DRAM: 1,
-    DataLocation.CTRL_SRAM: 2,
-    DataLocation.HOST: 3,
-}
-
-#: Inverse of :data:`LOCATION_CODES` (code -> location).
-CODE_LOCATIONS: Tuple[DataLocation, ...] = tuple(
-    sorted(LOCATION_CODES, key=LOCATION_CODES.get))
-
-#: Runs shorter than this keep the scalar dict/loop bookkeeping even when
-#: the vectorized engine is on: a numpy kernel launch costs roughly a
-#: microsecond, so flat-array segmentation only pays off once a run spans
-#: enough pages to amortise it.
-_VECTOR_MIN_RUN = 64
-
-#: Same crossover for one moving segment's bus/flash/DRAM leg: below this
-#: the object engine's per-page loop beats the array path's fixed setup.
-_VECTOR_MIN_SEGMENT = 16
-
-#: Memoized uniform byte runs (one per location code and short-run length)
-#: used to compare and overwrite code-array slices in one C-level call.
-_CODE_RUN_CACHE: Dict[Tuple[int, int], bytes] = {}
-
-
-def _code_run(code: int, count: int) -> bytes:
-    key = (code, count)
-    run = _CODE_RUN_CACHE.get(key)
-    if run is None:
-        run = _CODE_RUN_CACHE[key] = bytes([code]) * count
-    return run
 
 
 class _LocationWindow:
@@ -279,16 +231,6 @@ class _LocationWindow:
         pop = self._pages.pop
         for lpa in lpas:
             pop(lpa, None)
-
-    def extend_new(self, lpas: Iterable[int]) -> None:
-        """:meth:`add_many` for pages known absent and fitting in capacity.
-
-        Callers must have established that no page is resident and that the
-        batch fits in :attr:`free_capacity`; the insertion then reduces to
-        appending at the MRU end in order, which a single C-level dict
-        update performs with the same final LRU order as the per-page loop.
-        """
-        self._pages.update(dict.fromkeys(lpas, True))
 
 
 @dataclass
@@ -402,21 +344,6 @@ class SSDPlatform:
         self.contention = LinkContentionMonitor(
             self.config.contention_ewma_alpha, self.config.contention_gain,
             decay=self.config.contention_decay)
-        #: The vectorized engine needs batched runs to vectorize over.
-        self._vectorized = (self.config.vectorized_movement
-                            and self.config.batched_movement)
-        #: Flat residence mirror for the vectorized engine: one int8
-        #: location code per LPA (0 = flash), grown lazily to the touched
-        #: LPA range and kept in sync with ``_residence`` on every
-        #: mutation.  ``None`` when the vectorized engine is off.  The
-        #: ndarray is a zero-copy view over ``_codes_bytes`` so large runs
-        #: get numpy kernels while short runs use C-level ``bytes``
-        #: slicing/counting without a kernel launch.
-        self._codes_bytes: Optional[bytearray] = (
-            bytearray(1024) if self._vectorized else None)
-        self._codes: Optional[np.ndarray] = (
-            np.frombuffer(self._codes_bytes, dtype=np.int8)
-            if self._vectorized else None)
 
     # ------------------------------------------------------------------------
     # Backend registry (the platform's compute shape, grown from config)
@@ -507,32 +434,6 @@ class SSDPlatform:
         return self._windows.get(location)
 
     # ------------------------------------------------------------------------
-    # Flat residence codes (vectorized movement engine)
-    # ------------------------------------------------------------------------
-
-    def _codes_for(self, end_lpa: int) -> np.ndarray:
-        """The residence-code array, grown (by doubling) to cover ``end_lpa``.
-
-        New cells are zero-filled: code 0 is flash, exactly the meaning of
-        absence from the residence dict.
-        """
-        codes = self._codes
-        if end_lpa > len(codes):
-            size = len(codes)
-            while size < end_lpa:
-                size *= 2
-            grown = bytearray(size)
-            grown[:len(codes)] = self._codes_bytes
-            self._codes_bytes = grown
-            self._codes = codes = np.frombuffer(grown, dtype=np.int8)
-        return codes
-
-    def _set_code(self, lpa: int, location: DataLocation) -> None:
-        """Mirror one residence-dict write into the flat code array."""
-        if self._codes is not None:
-            self._codes_for(lpa + 1)[lpa] = LOCATION_CODES[location]
-
-    # ------------------------------------------------------------------------
     # Precomputed data-movement latency table (Section 4.5)
     # ------------------------------------------------------------------------
 
@@ -615,8 +516,6 @@ class SSDPlatform:
                 finish = max(finish, self.ensure_pages_at(
                     now, range(base, base + count), destination))
             return finish
-        if self._vectorized:
-            return self._ensure_runs_at_vectorized(now, runs, destination)
         finish = now
         get = self._residence.get
         flash = DataLocation.FLASH
@@ -638,85 +537,6 @@ class SSDPlatform:
                         destination_window)
                     if segment_end > finish:
                         finish = segment_end
-                index = stop
-        return finish
-
-    def _ensure_runs_at_vectorized(self, now: float,
-                                   runs: Iterable[Tuple[int, int]],
-                                   destination: DataLocation) -> float:
-        """:meth:`ensure_runs_at` segmented over the flat code array.
-
-        Same lazy maximal-segment walk as the object engine -- the codes
-        are re-read after every transferred segment because a fallback
-        segment's evictions can push later pages of the same run back to
-        flash -- but each segment boundary is found with one vectorized
-        comparison instead of a per-page dict probe.
-        """
-        finish = now
-        dest_code = LOCATION_CODES[destination]
-        destination_window = self._window_for(destination)
-        for base, count in runs:
-            end = base + count
-            index = base
-            if count < _VECTOR_MIN_RUN:
-                # Tiny runs: a numpy kernel launch per segment costs more
-                # than it saves; instead compare the run's byte slice
-                # against a memoized uniform run (one C call resolves the
-                # everything-already-resident steady state) and walk the
-                # bytes scalar-wise otherwise.  Same segmentation, same
-                # transfers as the object engine's dict walk.
-                self._codes_for(end)
-                codes_bytes = self._codes_bytes
-                run_codes = codes_bytes[base:end]
-                if run_codes == _code_run(dest_code, count):
-                    if destination_window is not None:
-                        destination_window.touch_many(range(base, end))
-                    continue
-                offset = 0
-                while offset < count:
-                    source_code = run_codes[offset]
-                    stop = offset + 1
-                    while (stop < count
-                           and run_codes[stop] == source_code):
-                        stop += 1
-                    if source_code == dest_code:
-                        if destination_window is not None:
-                            destination_window.touch_many(
-                                range(base + offset, base + stop))
-                    else:
-                        segment_end = self._transfer_segment(
-                            now, base + offset, stop - offset,
-                            CODE_LOCATIONS[source_code], destination,
-                            destination_window)
-                        if segment_end > finish:
-                            finish = segment_end
-                        # The transfer (or its eviction fallback) may have
-                        # rewritten later codes of this run -- and growing
-                        # may have replaced the buffer -- so re-slice
-                        # before the next boundary search.
-                        codes_bytes = self._codes_bytes
-                        run_codes = codes_bytes[base:end]
-                    offset = stop
-                continue
-            codes = self._codes_for(end)
-            while index < end:
-                segment = codes[index:end]
-                source_code = segment[0]
-                breaks = np.flatnonzero(segment != source_code)
-                stop = end if len(breaks) == 0 else index + int(breaks[0])
-                if source_code == dest_code:
-                    if destination_window is not None:
-                        destination_window.touch_many(range(index, stop))
-                else:
-                    segment_end = self._transfer_segment(
-                        now, index, stop - index,
-                        CODE_LOCATIONS[int(source_code)], destination,
-                        destination_window)
-                    if segment_end > finish:
-                        finish = segment_end
-                    # The segment (or its eviction fallback) may have grown
-                    # or replaced the code array; re-fetch before re-slicing.
-                    codes = self._codes_for(end)
                 index = stop
         return finish
 
@@ -748,18 +568,8 @@ class SSDPlatform:
         if source_window is not None:
             source_window.remove_many(range(base, base + count))
         residence = self._residence
-        if self._vectorized:
-            residence.update(dict.fromkeys(range(base, base + count),
-                                           destination))
-            self._codes_for(base + count)
-            if count < _VECTOR_MIN_SEGMENT:
-                self._codes_bytes[base:base + count] = _code_run(
-                    LOCATION_CODES[destination], count)
-            else:
-                self._codes[base:base + count] = LOCATION_CODES[destination]
-        else:
-            for lpa in range(base, base + count):
-                residence[lpa] = destination
+        for lpa in range(base, base + count):
+            residence[lpa] = destination
         if destination_window is not None:
             victims = destination_window.add_many(range(base, base + count))
             # The free-capacity guard above makes batch insertion
@@ -777,9 +587,6 @@ class SSDPlatform:
         destination leg (DRAM bus or PCIe) is reserved once for the run,
         and energy is settled with one bulk charge.
         """
-        if self._vectorized and count >= _VECTOR_MIN_SEGMENT:
-            return self._transfer_run_from_flash_vectorized(now, base, count,
-                                                            destination)
         stats = self.movement
         page = self._page_size
         timings = self.ssd.read_run(now, base, count, transfer_out=True)
@@ -822,56 +629,10 @@ class SSDPlatform:
         stats.host_latency_ns += host_latency
         return ends[-1]
 
-    def _transfer_run_from_flash_vectorized(self, now: float, base: int,
-                                            count: int,
-                                            destination: DataLocation
-                                            ) -> float:
-        """Array-timeline variant of :meth:`_transfer_run_from_flash`.
-
-        Same reservations, energy and statistics bit-exactly: the per-page
-        flash timings arrive as one ndarray, the destination leg books on
-        whole arrays, and the sequentially accumulated latency counters use
-        :func:`repro.ssd.events.sequential_sum` (element-by-element
-        accumulation, not pairwise reduction) to match the object engine's
-        running ``+=`` loops to the last ULP.
-        """
-        stats = self.movement
-        page = self._page_size
-        flash_ends = self.ssd.read_run_array(now, base, count,
-                                             transfer_out=True)
-        flash_latency = sequential_sum(0.0, flash_ends - now)
-        stats.flash_read_latency_ns += flash_latency
-        if destination is DataLocation.SSD_DRAM:
-            ends = self.dram.access_run_array(
-                flash_ends, self._dram_addresses(base, count), page,
-                is_write=True)
-            self.energy.charge_run(flash_read_pages=count, dma_pages=count,
-                                   dram_bytes=page * count)
-            stats.flash_to_dram_pages += count
-            stats.internal_latency_ns += sequential_sum(0.0, ends - now)
-            return float(ends[-1])
-        if destination is DataLocation.CTRL_SRAM:
-            self.energy.charge_run(flash_read_pages=count, dma_pages=count)
-            stats.flash_to_sram_pages += count
-            stats.internal_latency_ns += flash_latency
-            return max(float(np.max(flash_ends)), now)
-        # destination is HOST
-        ends = self.ssd.nvme.host_transfer_run_array(flash_ends, page,
-                                                     "ssd-to-host")
-        self.energy.charge_run(flash_read_pages=count, dma_pages=count,
-                               pcie_bytes=page * count,
-                               host_dram_bytes=page * count)
-        stats.host_pages += count
-        stats.host_latency_ns += sequential_sum(0.0, ends - now)
-        return float(ends[-1])
-
     def _transfer_run_internal(self, now: float, base: int, count: int,
                                source: DataLocation,
                                destination: DataLocation) -> float:
         """Move a run between DRAM, SRAM and the host (no flash involved)."""
-        if self._vectorized and count >= _VECTOR_MIN_SEGMENT:
-            return self._transfer_run_internal_vectorized(
-                now, base, count, source, destination)
         stats = self.movement
         page = self._page_size
         if DataLocation.HOST in (source, destination):
@@ -901,32 +662,6 @@ class SSDPlatform:
         stats.internal_latency_ns += internal
         return ends[-1]
 
-    def _transfer_run_internal_vectorized(self, now: float, base: int,
-                                          count: int, source: DataLocation,
-                                          destination: DataLocation) -> float:
-        """Array-timeline variant of :meth:`_transfer_run_internal`."""
-        stats = self.movement
-        page = self._page_size
-        arrivals = np.full(count, now, dtype=np.float64)
-        if DataLocation.HOST in (source, destination):
-            direction = ("ssd-to-host" if destination is DataLocation.HOST
-                         else "host-to-ssd")
-            ends = self.ssd.nvme.host_transfer_run_array(arrivals, page,
-                                                         direction)
-            self.energy.charge_run(pcie_bytes=page * count)
-            stats.host_pages += count
-            stats.host_latency_ns += sequential_sum(0.0, ends - now)
-            return float(ends[-1])
-        ends = self.dram.access_run_array(
-            arrivals, self._dram_addresses(base, count), page, is_write=False)
-        self.energy.charge_run(dram_bytes=page * count)
-        if destination is DataLocation.CTRL_SRAM:
-            stats.dram_to_sram_pages += count
-        else:
-            stats.sram_to_dram_pages += count
-        stats.internal_latency_ns += sequential_sum(0.0, ends - now)
-        return float(ends[-1])
-
     def _move_page(self, now: float, lpa: int,
                    destination: DataLocation) -> float:
         source = self.location_of(lpa)
@@ -945,7 +680,6 @@ class SSDPlatform:
         if source_window is not None:
             source_window.remove(lpa)
         self._residence[lpa] = destination
-        self._set_code(lpa, destination)
         destination_window = self._window_for(destination)
         if destination_window is None:
             return
@@ -967,7 +701,6 @@ class SSDPlatform:
             if source_window is not None and source_window is not window:
                 source_window.remove(lpa)
             self._residence[lpa] = location
-            self._set_code(lpa, location)
             if window is not None:
                 for victim in window.add(lpa):
                     self._evict_page(now, victim)
@@ -984,9 +717,6 @@ class SSDPlatform:
         if not self.config.batched_movement:
             for base, count in runs:
                 self.mark_produced(now, range(base, base + count), location)
-            return
-        if self._vectorized:
-            self._mark_produced_run_vectorized(now, runs, location)
             return
         window = self._window_for(location)
         residence = self._residence
@@ -1008,104 +738,6 @@ class SSDPlatform:
                 # Guarded by the new_pages <= free_capacity check above.
                 assert not victims, "batched mark_produced evicted pages"
 
-    def _mark_produced_run_vectorized(self, now: float,
-                                      runs: Iterable[Tuple[int, int]],
-                                      location: DataLocation) -> None:
-        """:meth:`mark_produced_run` over the flat code array.
-
-        Windows and the residence dict are kept consistent by every
-        mutation path, so window membership equals residence equality and
-        the occupancy guard reduces to one vectorized histogram of the
-        run's codes; runs of entirely-new pages append to the window with
-        one bulk insertion.
-        """
-        window = self._window_for(location)
-        location_code = LOCATION_CODES[location]
-        residence = self._residence
-        windows_get = self._windows.get
-        for base, count in runs:
-            end = base + count
-            lpas = range(base, end)
-            if count < _VECTOR_MIN_RUN:
-                # Window membership equals residence equality (the
-                # invariant the large-run branch already leans on), so the
-                # run's byte slice answers both the occupancy guard (one C
-                # count) and each page's source window.
-                self._codes_for(end)
-                codes_bytes = self._codes_bytes
-                run_codes = codes_bytes[base:end]
-                resident = run_codes.count(location_code)
-                if resident == count:
-                    # Steady state: every page already lives here; only
-                    # LRU recency changes.
-                    if window is not None:
-                        window.touch_many(lpas)
-                    continue
-                if window is not None:
-                    pages = window._pages
-                    free = window.capacity_pages - len(pages)
-                    if count - resident > free:
-                        # Insertion would evict: fall back before
-                        # mutating anything.
-                        self.mark_produced(now, lpas, location)
-                        continue
-                    # One fused pass: resident pages refresh LRU recency,
-                    # new pages leave their source window and append at
-                    # the MRU end -- identical final order to the
-                    # membership / source-removal / add_many three-pass
-                    # it replaces, and the occupancy guard above keeps
-                    # the eviction sweep empty.
-                    move = pages.move_to_end
-                    for offset in range(count):
-                        lpa = base + offset
-                        code = run_codes[offset]
-                        if code == location_code:
-                            move(lpa)
-                        else:
-                            source_window = windows_get(
-                                CODE_LOCATIONS[code])
-                            if source_window is not None:
-                                source_window.remove(lpa)
-                            pages[lpa] = True
-                        residence[lpa] = location
-                    assert len(pages) <= window.capacity_pages, \
-                        "batched mark_produced evicted pages"
-                else:
-                    # Producing to flash: only source windows and the
-                    # residence index change.
-                    for offset in range(count):
-                        code = run_codes[offset]
-                        if code != location_code:
-                            source_window = windows_get(
-                                CODE_LOCATIONS[code])
-                            if source_window is not None:
-                                source_window.remove(base + offset)
-                        residence[base + offset] = location
-                codes_bytes[base:end] = _code_run(location_code, count)
-                continue
-            segment = self._codes_for(end)[base:end]
-            resident = int(np.count_nonzero(segment == location_code))
-            if window is not None and count - resident > window.free_capacity:
-                self.mark_produced(now, lpas, location)
-                continue
-            for code, other in enumerate(CODE_LOCATIONS):
-                if other is location or other is DataLocation.FLASH:
-                    continue
-                positions = np.flatnonzero(segment == code)
-                if len(positions):
-                    self._window_for(other).remove_many(
-                        (base + positions).tolist())
-            residence.update(dict.fromkeys(lpas, location))
-            segment[:] = location_code
-            if window is not None:
-                if resident == 0:
-                    window.extend_new(lpas)
-                else:
-                    victims = window.add_many(lpas)
-                    # Guarded by the occupancy check above.
-                    assert not victims, \
-                        "batched mark_produced evicted pages"
-
     def _evict_page(self, now: float, lpa: int) -> None:
         """Evict a page from a temporary location back to flash."""
         location = self.location_of(lpa)
@@ -1118,19 +750,11 @@ class SSDPlatform:
             self._transfer_page(now, lpa, location, DataLocation.FLASH,
                                 writeback=True)
         self._residence[lpa] = DataLocation.FLASH
-        self._set_code(lpa, DataLocation.FLASH)
 
     def _dram_address(self, lpa: int) -> int:
         """Spread logical pages across DRAM banks for realistic parallelism."""
         span = self.config.dram.capacity_bytes - self._page_size
         return (lpa * self._page_size) % max(self._page_size, span)
-
-    def _dram_addresses(self, base: int, count: int) -> np.ndarray:
-        """Vectorized :meth:`_dram_address` over a contiguous run."""
-        page = self._page_size
-        span = self.config.dram.capacity_bytes - page
-        lpas = np.arange(base, base + count, dtype=np.int64)
-        return (lpas * page) % max(page, span)
 
     def _transfer_page(self, now: float, lpa: int, source: DataLocation,
                        destination: DataLocation, *,

@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.common import SimulationError
 from repro.dram.bank import DRAMBank
 from repro.dram.config import DRAMConfig
-from repro.ssd.events import SharedBus, chain_finish_times
+from repro.ssd.events import SharedBus
 
 
 @dataclass
@@ -120,85 +118,6 @@ class DRAMDevice:
             bank_ready.append(finish)
         ends = self.bus.transfer_batch(bank_ready, size_bytes_each)
         moved = size_bytes_each * len(ends)
-        if is_write:
-            self.bytes_written += moved
-        else:
-            self.bytes_read += moved
-        return ends
-
-    def access_run_array(self, arrivals: np.ndarray, addresses: np.ndarray,
-                         size_bytes_each: int, *,
-                         is_write: bool) -> np.ndarray:
-        """Vectorized :meth:`access_run`: ndarray in, ndarray out.
-
-        Bit-identical to the object path.  Accesses decompose by bank
-        (each access touches exactly one bank, and banks are independent):
-        per bank the row sequence -- and therefore the hit/miss latency of
-        every row activation -- is fully determined by the addresses and
-        the starting open row, so the whole bank timeline collapses into
-        one :func:`chain_finish_times` chain over precomputed latencies.
-        Rows after the first of an access chain off the previous row's
-        finish; encoding their arrival as ``-inf`` makes the shared
-        recurrence ``max(arrival, prev) + latency`` reproduce that exactly.
-        """
-        if size_bytes_each <= 0:
-            raise SimulationError("DRAM access size must be positive")
-        n = len(arrivals)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        config = self.config
-        if (addresses < 0).any() or (addresses + size_bytes_each
-                                     > config.capacity_bytes).any():
-            raise SimulationError("DRAM access out of range")
-        banks = config.banks
-        rows_per_bank = config.rows_per_bank
-        global_row = addresses // config.row_size_bytes
-        bank_index = global_row % banks
-        first_row = global_row // banks
-        last_row = (addresses + size_bytes_each - 1) // config.row_size_bytes \
-            // banks
-        row_counts = last_row - first_row + 1
-        # Latency constants with the same float association as DRAMBank.access.
-        t_ccd = config.t_ccd_ns
-        hot_miss = (0.0 + config.t_rp_ns) + (config.t_rcd_ns + config.t_ccd_ns)
-        cold_miss = 0.0 + (config.t_rcd_ns + config.t_ccd_ns)
-        bank_ready = np.empty(n, dtype=np.float64)
-        for b in np.unique(bank_index):
-            positions = np.flatnonzero(bank_index == b)
-            bank = self.banks[int(b)]
-            counts = row_counts[positions]
-            total = int(counts.sum())
-            ends_at = np.cumsum(counts)
-            starts_at = ends_at - counts
-            # Ragged expansion: global row number of every activation.
-            offsets = np.arange(total) - np.repeat(starts_at, counts)
-            rows = (np.repeat(first_row[positions], counts)
-                    + offsets) % rows_per_bank
-            row_arrivals = np.full(total, -np.inf)
-            row_arrivals[starts_at] = arrivals[positions]
-            hits = np.empty(total, dtype=bool)
-            hits[1:] = rows[1:] == rows[:-1]
-            hits[0] = bank.open_row == int(rows[0])
-            latencies = np.where(hits, t_ccd, hot_miss)
-            if bank.open_row is None:
-                latencies[0] = cold_miss
-            finishes, busy_until = chain_finish_times(
-                row_arrivals, latencies, bank.busy_until)
-            bank_ready[positions] = finishes[ends_at - 1]
-            hit_count = int(np.count_nonzero(hits))
-            miss_count = total - hit_count
-            stats = bank.stats
-            stats.row_hits += hit_count
-            stats.row_misses += miss_count
-            stats.activations += miss_count
-            # Every miss precharges except the very first activation of a
-            # bank whose row buffer started closed.
-            stats.precharges += miss_count - (
-                1 if bank.open_row is None else 0)
-            bank.open_row = int(rows[-1])
-            bank.busy_until = busy_until
-        ends = self.bus.transfer_batch_array(bank_ready, size_bytes_each)
-        moved = size_bytes_each * n
         if is_write:
             self.bytes_written += moved
         else:

@@ -129,8 +129,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
           "function")
     print(text)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run …
-    from repro.__main__ import run_module_shim
-    run_module_shim("backend_ablation")

@@ -158,8 +158,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
     for line in result.headline:
         print(line)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run …
-    from repro.__main__ import run_module_shim
-    run_module_shim("contention")

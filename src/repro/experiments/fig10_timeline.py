@@ -99,8 +99,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
           "(LLaMA2 Inference)")
     print(text)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run fig10
-    from repro.__main__ import run_module_shim
-    run_module_shim("fig10")

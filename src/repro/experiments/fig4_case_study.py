@@ -108,8 +108,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
     print("Fig. 4 -- execution time normalized to OSP (lower is better)")
     print(table)
     return table
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run fig4
-    from repro.__main__ import run_module_shim
-    run_module_shim("fig4")

@@ -78,8 +78,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
     print("Fig. 5 -- speedup over CPU (higher is better)")
     print(text)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run fig5
-    from repro.__main__ import run_module_shim
-    run_module_shim("fig5")

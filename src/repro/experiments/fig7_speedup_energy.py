@@ -142,8 +142,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
           f"{100 * results.conduit_energy_reduction_vs('DM-Offloading'):.1f}%"
           " (paper: 46.8%)")
     return speedup_text + "\n" + energy_text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run fig7
-    from repro.__main__ import run_module_shim
-    run_module_shim("fig7")

@@ -73,8 +73,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
     print("Fig. 8 -- per-instruction tail latencies (lower is better)")
     print(text)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run fig8
-    from repro.__main__ import run_module_shim
-    run_module_shim("fig8")

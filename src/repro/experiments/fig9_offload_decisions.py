@@ -76,8 +76,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
     print("Fig. 9 -- fraction of instructions per computation resource")
     print(text)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run fig9
-    from repro.__main__ import run_module_shim
-    run_module_shim("fig9")

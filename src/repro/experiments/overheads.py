@@ -74,8 +74,3 @@ def main(config: Optional[ExperimentConfig] = None) -> Dict[str, float]:
     for key, value in overheads.items():
         print(f"{key}: {value:.2f}")
     return overheads
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run overheads
-    from repro.__main__ import run_module_shim
-    run_module_shim("overheads")

@@ -110,8 +110,3 @@ def main(config=None) -> Dict[str, str]:
         print(text)
         print()
     return sections
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run report
-    from repro.__main__ import run_module_shim
-    run_module_shim("report")

@@ -197,17 +197,13 @@ def run_spec_key(spec: RunSpec) -> str:
     # pre-label caches stay valid).  The roster fold below already keys
     # every shape-changing knob.
     encoded.pop("platform_name", None)
-    # The movement-engine choice is an implementation detail, not
-    # semantics: the vectorized engine is bit-exact against the object
-    # engine by construction (and tested to be), so results computed by
-    # either must share cache entries.
+    # The decision-engine choice is an implementation detail, not
+    # semantics: the wave-batched engine is bit-exact against the
+    # per-instruction reference by construction (pinned by
+    # tests/test_batched_offload.py), so both flag states share cache
+    # entries.
     platform_encoded = encoded.get("platform")
     if isinstance(platform_encoded, dict):
-        platform_encoded.pop("vectorized_movement", None)
-        # Same contract for the wave-batched decision engine: bit-exact
-        # against the per-instruction reference by construction (pinned
-        # by tests/test_batched_offload.py), so both flag states share
-        # cache entries.
         platform_encoded.pop("batched_offload", None)
     payload = {"version": SWEEP_CACHE_VERSION, "spec": encoded,
                "backends": list(backend_roster(spec.platform))}

@@ -71,8 +71,3 @@ def main(config: Optional[ExperimentConfig] = None) -> str:
     print("Table 3 -- workload characteristics (measured vs. paper)")
     print(text)
     return text
-
-
-if __name__ == "__main__":  # deprecation shim -> python -m repro run table3
-    from repro.__main__ import run_module_shim
-    run_module_shim("table3")

@@ -24,115 +24,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from repro.common import SimulationError
 
 EventCallback = Callable[["Event"], None]
-
-#: Batch sizes below this run the plain scalar recurrence; numpy's
-#: fixed per-call overhead only pays off beyond a handful of elements.
-_VECTOR_MIN_BATCH = 16
-
-
-def chain_finish_times(arrivals: np.ndarray, durations,
-                       free: float) -> Tuple[np.ndarray, float]:
-    """Finish times of an FCFS reservation chain, vectorized bit-exactly.
-
-    Computes ``f[i] = max(arrivals[i], f[i-1]) + durations[i]`` with
-    ``f[-1] = free`` -- the exact recurrence :meth:`Server.reserve` applies
-    per job -- and returns ``(finish_times, new_free)``.
-
-    Bit-exactness with the scalar loop is non-negotiable (the vectorized
-    movement engine is validated by equality against the object engine), so
-    no closed form that re-associates floating-point additions is allowed
-    (``free + i * d`` differs from ``i`` repeated additions in ULPs).  Three
-    regimes cover the practical inputs:
-
-    * **saturated** (no bubbles: every arrival lands while the resource is
-      still busy): the chain is pure repeated addition, which
-      ``np.add.accumulate`` reproduces exactly because it accumulates
-      sequentially, element by element;
-    * **idle** (a bubble at every element: each arrival lands at or after
-      the previous finish): ``f[i] = arrivals[i] + durations[i]``
-      elementwise, the same single addition the scalar loop performs;
-    * **mixed**: fall back to the scalar recurrence.
-
-    Each vectorized candidate is only returned after a self-consistency
-    check proves it equals the scalar chain, so the result is bit-identical
-    to per-job :meth:`Server.reserve` calls in every case.
-    """
-    n = len(arrivals)
-    if n == 0:
-        return np.empty(0, dtype=np.float64), free
-    scalar_duration = not isinstance(durations, np.ndarray)
-    first_duration = durations if scalar_duration else durations[0]
-    a0 = arrivals[0]
-    head = (a0 if a0 > free else free) + first_duration
-    if n >= _VECTOR_MIN_BATCH:
-        # Saturated candidate: repeated addition via sequential accumulate.
-        buf = np.empty(n, dtype=np.float64)
-        buf[0] = head
-        if scalar_duration:
-            buf[1:] = durations
-        else:
-            buf[1:] = durations[1:]
-        cand = np.add.accumulate(buf)
-        if np.all(arrivals[1:] <= cand[:-1]):
-            return cand, float(cand[-1])
-        # Idle candidate: every job starts at its own arrival.
-        alt = arrivals + durations
-        if a0 >= free and np.all(arrivals[1:] >= alt[:-1]):
-            return alt, float(alt[-1])
-    ends = np.empty(n, dtype=np.float64)
-    prev = free
-    if scalar_duration:
-        for i in range(n):
-            a = arrivals[i]
-            prev = (a if a > prev else prev) + durations
-            ends[i] = prev
-    else:
-        for i in range(n):
-            a = arrivals[i]
-            prev = (a if a > prev else prev) + durations[i]
-            ends[i] = prev
-    return ends, float(prev)
-
-
-def sequential_sum(start: float, deltas) -> float:
-    """``start + d0 + d1 + ...`` accumulated strictly left to right.
-
-    Matches the running-counter updates of the scalar engine (e.g.
-    ``busy_time += duration`` per job): ``np.add.accumulate`` adds one
-    element at a time, unlike ``np.sum``'s pairwise reduction, so the
-    result is bit-identical to the Python loop.
-    """
-    n = len(deltas)
-    if n == 0:
-        return start
-    if n < _VECTOR_MIN_BATCH:
-        for delta in deltas:
-            start += delta
-        return start
-    buf = np.empty(n, dtype=np.float64)
-    buf[0] = start + deltas[0]
-    buf[1:] = deltas[1:]
-    return float(np.add.accumulate(buf)[-1])
-
-
-def repeat_sum(start: float, delta: float, count: int) -> float:
-    """``start`` plus ``count`` repeated additions of ``delta``, exactly."""
-    if count <= 0:
-        return start
-    if count < _VECTOR_MIN_BATCH:
-        for _ in range(count):
-            start += delta
-        return start
-    buf = np.full(count, delta, dtype=np.float64)
-    buf[0] = start + delta
-    return float(np.add.accumulate(buf)[-1])
 
 
 @dataclass(order=True)
@@ -347,23 +243,6 @@ class Server:
         self.jobs += len(ends)
         return ends
 
-    def reserve_batch_array(self, arrivals: np.ndarray,
-                            duration: float) -> np.ndarray:
-        """Vectorized :meth:`reserve_batch`: ndarray in, ndarray out.
-
-        Bit-identical to per-arrival :meth:`reserve` calls (finish chain,
-        busy time, job count); the fast path of the vectorized movement
-        engine (``PlatformConfig.vectorized_movement``).
-        """
-        if duration < 0:
-            raise SimulationError(
-                f"negative duration {duration} on server {self.name}")
-        ends, free = chain_finish_times(arrivals, duration, self._free_at)
-        self._free_at = free
-        self.busy_time = repeat_sum(self.busy_time, duration, len(ends))
-        self.jobs += len(ends)
-        return ends
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time this server spent busy."""
         if elapsed <= 0:
@@ -410,46 +289,6 @@ class MultiServer:
         self.busy_time += duration
         self.jobs += 1
         return Reservation(start, end, server_index, start - arrival)
-
-    def reserve_batch(self, arrivals: Sequence[float], duration: float,
-                      server_indices: Optional[Sequence[int]] = None
-                      ) -> np.ndarray:
-        """Reserve one equal-duration job per arrival; return finish times.
-
-        The batch entry point of the run-batched/vectorized movement
-        engine, bit-identical to per-arrival :meth:`reserve` calls.  With
-        explicit ``server_indices`` (data pinned to specific dies/banks)
-        each server's sub-sequence is an independent FCFS chain, so the
-        batch decomposes into one :func:`chain_finish_times` per touched
-        server; without, the least-loaded choice depends on the evolving
-        pool state and the booking loop stays scalar.
-        """
-        if duration < 0:
-            raise SimulationError(
-                f"negative duration {duration} on pool {self.name}")
-        n = len(arrivals)
-        ends = np.empty(n, dtype=np.float64)
-        free = self._free_at
-        if server_indices is None:
-            for i in range(n):
-                index = free.index(min(free))
-                a = arrivals[i]
-                f = free[index]
-                f = (a if a > f else f) + duration
-                free[index] = f
-                ends[i] = f
-        else:
-            arrivals = np.asarray(arrivals, dtype=np.float64)
-            indices = np.asarray(server_indices)
-            for index in np.unique(indices):
-                positions = np.flatnonzero(indices == index)
-                sub_ends, new_free = chain_finish_times(
-                    arrivals[positions], duration, free[index])
-                free[index] = new_free
-                ends[positions] = sub_ends
-        self.busy_time = repeat_sum(self.busy_time, duration, n)
-        self.jobs += n
-        return ends
 
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
@@ -504,14 +343,6 @@ class SharedBus:
         self.bytes_moved += size_bytes_each * len(ends)
         return ends
 
-    def transfer_batch_array(self, arrivals: np.ndarray,
-                             size_bytes_each: float) -> np.ndarray:
-        """Vectorized :meth:`transfer_batch`: ndarray in, ndarray out."""
-        duration = self.transfer_time(size_bytes_each)
-        ends = self._server.reserve_batch_array(arrivals, duration)
-        self.bytes_moved += size_bytes_each * len(ends)
-        return ends
-
     def utilization(self, elapsed: float) -> float:
         return self._server.utilization(elapsed)
 
@@ -551,38 +382,6 @@ class BusGroup:
         reservation = buses[channel].transfer(arrival, size_bytes)
         reservation.server_index = channel
         return reservation
-
-    def transfer_batch(self, arrivals: Sequence[float],
-                       size_bytes_each: float,
-                       channels: Optional[Sequence[int]] = None
-                       ) -> np.ndarray:
-        """Reserve one equal-sized transfer per arrival; return finish times.
-
-        The group-level batch entry point of the vectorized movement
-        engine, bit-identical to per-transfer :meth:`transfer` calls.
-        With explicit ``channels`` (striped data pinned to its channel) the
-        batch decomposes into one independent chain per touched bus;
-        without, the least-loaded choice evolves per transfer and the
-        booking loop stays scalar.
-        """
-        n = len(arrivals)
-        ends = np.empty(n, dtype=np.float64)
-        if channels is None:
-            buses = self.buses
-            for i in range(n):
-                channel = min(range(len(buses)),
-                              key=lambda b: buses[b].free_at)
-                reservation = buses[channel].transfer(arrivals[i],
-                                                      size_bytes_each)
-                ends[i] = reservation.end
-            return ends
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        indices = np.asarray(channels)
-        for channel in np.unique(indices):
-            positions = np.flatnonzero(indices == channel)
-            ends[positions] = self.buses[channel].transfer_batch_array(
-                arrivals[positions], size_bytes_each)
-        return ends
 
     @property
     def bytes_moved(self) -> float:

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common import SimulationError
 from repro.ssd.config import NANDConfig
 from repro.ssd.events import BusGroup, MultiServer, Reservation
@@ -88,85 +86,6 @@ class FlashChannelSubsystem:
         busy = (cmd.end - cmd.start) + (out.end - out.start)
         return FlashOperationTiming(start=now, die_done=sense.end, end=end,
                                     channel_busy_ns=busy)
-
-    def read_run_batch(self, arrivals: np.ndarray, channels: np.ndarray,
-                       dies: np.ndarray, *,
-                       transfer_out: bool = True) -> np.ndarray:
-        """Batched :meth:`read_page`: per-page end times as an ndarray.
-
-        The inner loop of the vectorized movement engine's flash leg.
-        Pages group by channel (a page only ever touches its own channel
-        bus and die pool, so channels are independent); within a channel
-        the exact command/sense/stream-out reservation sequence of
-        :meth:`read_page` is replayed on local floats and the bus/die
-        bookkeeping (free times, busy time, bytes moved, job counts) is
-        written back once.  Bit-identical to per-page calls in order.
-        """
-        n = len(arrivals)
-        ends = np.empty(n, dtype=np.float64)
-        config = self.config
-        cmd_bytes = (config.command_latency_ns *
-                     config.channel_bandwidth_bytes_per_ns)
-        page_bytes = config.page_size_bytes
-        t_read = config.read_latency_ns
-        t_dma = config.dma_latency_ns
-        ecc = self.ecc_latency_ns
-        for c in np.unique(channels):
-            channel = int(c)
-            self._check_channel(channel)
-            positions = np.flatnonzero(channels == c)
-            bus = self.channels.buses[channel]
-            pool = self.dies[channel]
-            server = bus._server
-            cmd_d = bus.transfer_time(cmd_bytes)
-            page_d = bus.transfer_time(page_bytes)
-            free = server._free_at
-            busy = server.busy_time
-            moved = bus.bytes_moved
-            die_free = pool._free_at
-            die_busy = pool.busy_time
-            sub_ends = []
-            append = sub_ends.append
-            pairs = zip(arrivals[positions].tolist(),
-                        dies[positions].tolist())
-            if transfer_out:
-                for arrival, die in pairs:
-                    moved += cmd_bytes
-                    cmd_end = (arrival if arrival > free else free) + cmd_d
-                    free = cmd_end
-                    busy += cmd_d
-                    die_at = die_free[die]
-                    sense_end = (cmd_end if cmd_end > die_at
-                                 else die_at) + t_read
-                    die_free[die] = sense_end
-                    die_busy += t_read
-                    dma_end = sense_end + t_dma
-                    moved += page_bytes
-                    out_end = (dma_end if dma_end > free else free) + page_d
-                    free = out_end
-                    busy += page_d
-                    append(out_end + ecc)
-                server.jobs += 2 * len(positions)
-            else:
-                for arrival, die in pairs:
-                    moved += cmd_bytes
-                    cmd_end = (arrival if arrival > free else free) + cmd_d
-                    free = cmd_end
-                    busy += cmd_d
-                    die_at = die_free[die]
-                    sense_end = (cmd_end if cmd_end > die_at
-                                 else die_at) + t_read
-                    die_free[die] = sense_end
-                    die_busy += t_read
-                    append(sense_end)
-                server.jobs += len(positions)
-            server._free_at = free
-            server.busy_time = busy
-            bus.bytes_moved = moved
-            pool.busy_time = die_busy
-            pool.jobs += len(positions)
-            ends[positions] = sub_ends
-        return ends
 
     def program_page(self, now: float, channel: int,
                      die: int) -> FlashOperationTiming:

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.common import SimulationError
 from repro.ssd.allocator import AllocationPolicy, PageAllocator
@@ -123,50 +121,6 @@ class FlashTranslationLayer:
                 self.cache.insert(lpa, ppa)
         self.stats.translation_latency_ns += latency
         return self.mapping.get(lpa), latency
-
-    def lookup_run(self, base_lpa: int, count: int
-                   ) -> Tuple[list, np.ndarray]:
-        """Bulk :meth:`lookup` over the contiguous run ``[base, base+count)``.
-
-        Returns ``(ppas, translation_ns)`` with one entry per page.  Side
-        effects (LRU touch order, demand-fill inserts and evictions, every
-        statistics counter including the sequentially accumulated
-        translation latency) are bit-identical to per-page :meth:`lookup`
-        calls in ascending order; the LRU bookkeeping is inlined to keep
-        the vectorized movement engine's hot loop tight.
-        """
-        stats = self.stats
-        cache = self.cache
-        entries = cache._entries
-        insert = cache.insert
-        mapping_get = self.mapping.get
-        hit_latency = self.config.l2p_dram_lookup_ns
-        miss_latency = self.config.l2p_flash_lookup_ns
-        translations = np.empty(count, dtype=np.float64)
-        ppas: List[object] = []
-        append = ppas.append
-        hits = 0
-        latency_total = stats.translation_latency_ns
-        for offset in range(count):
-            lpa = base_lpa + offset
-            if lpa in entries:
-                entries.move_to_end(lpa)
-                hits += 1
-                latency = hit_latency
-                ppa = mapping_get(lpa)
-            else:
-                latency = miss_latency
-                ppa = mapping_get(lpa)
-                if ppa is not None:
-                    insert(lpa, ppa)
-            latency_total += latency
-            translations[offset] = latency
-            append(ppa)
-        stats.lookups += count
-        stats.cache_hits += hits
-        stats.cache_misses += count - hits
-        stats.translation_latency_ns = latency_total
-        return ppas, translations
 
     # -- Write path --------------------------------------------------------------
 

@@ -18,8 +18,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.common import SimulationError
 from repro.ssd.config import HostInterfaceConfig
 from repro.ssd.events import SharedBus
@@ -120,22 +118,6 @@ class NVMeInterface:
                                         size_bytes_each)
         self.transfers.append(TransferRecord(
             start_ns=arrivals[0], end_ns=ends[-1],
-            size_bytes=size_bytes_each * len(ends), direction=direction))
-        return ends
-
-    def host_transfer_run_array(self, arrivals: "np.ndarray",
-                                size_bytes_each: int,
-                                direction: str) -> "np.ndarray":
-        """Vectorized :meth:`host_transfer_run`: ndarray in, ndarray out."""
-        if direction not in ("host-to-ssd", "ssd-to-host"):
-            raise SimulationError(f"unknown transfer direction {direction}")
-        if len(arrivals) == 0:
-            return np.empty(0, dtype=np.float64)
-        command = self.config.nvme_command_latency_ns
-        ends = self.pcie.transfer_batch_array(arrivals + command,
-                                              size_bytes_each)
-        self.transfers.append(TransferRecord(
-            start_ns=float(arrivals[0]), end_ns=float(ends[-1]),
             size_bytes=size_bytes_each * len(ends), direction=direction))
         return ends
 

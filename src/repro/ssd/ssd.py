@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.common import SimulationError
 from repro.ssd.allocator import AllocationPolicy
 from repro.ssd.config import SSDConfig
@@ -171,30 +169,6 @@ class SSD:
             # the engine's busy horizon.
             self.background.pulse(timings[-1].end_ns)
         return timings
-
-    def read_run_array(self, now: float, base_lpa: int, count: int, *,
-                       transfer_out: bool = True) -> "np.ndarray":
-        """Vectorized :meth:`read_run`: per-page end times as an ndarray.
-
-        Same storage-path side effects (L2P cache churn, channel/die
-        reservations, statistics) as :meth:`read_run`, bit-exactly, but
-        without materialising per-page :class:`PageAccessTiming` objects.
-        """
-        ppas, translations = self.ftl.lookup_run(base_lpa, count)
-        channels = np.empty(count, dtype=np.int64)
-        dies = np.empty(count, dtype=np.int64)
-        for offset, ppa in enumerate(ppas):
-            if ppa is None:
-                raise SimulationError(
-                    f"read of unmapped logical page {base_lpa + offset}")
-            channels[offset] = ppa.channel
-            dies[offset] = ppa.die
-        ends = self.channels.read_run_batch(now + translations, channels,
-                                            dies, transfer_out=transfer_out)
-        self.stats.logical_reads += count
-        if count and self.background is not None:
-            self.background.pulse(float(ends[-1]))
-        return ends
 
     def write_page(self, now: float, lpa: int) -> PageAccessTiming:
         """Write one logical page (out-of-place update) with timing."""

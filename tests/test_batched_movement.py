@@ -6,7 +6,7 @@ bus reservation for a run segment occupies a shared bus the same way as
 back-to-back per-page transfers on the same server, and segments whose
 window insertion would evict fall back to the interleaved per-page path.
 
-Two layers of protection:
+Three layers of protection:
 
 * ``GOLDEN`` pins results recorded from the seed's per-page implementation
   (workload scale 0.25, the experiment platform config).  The per-page
@@ -15,6 +15,10 @@ Two layers of protection:
 * Every golden scenario also runs through the batched path and must match
   the per-page path on total time, energy breakdown and every
   data-movement counter, within float tolerance.
+* Hypothesis-generated synthetic instruction streams, whose arrival
+  patterns are not constrained to anything a registered workload emits,
+  must produce *bit-identical* :class:`ExecutionResult` trees on both
+  paths.
 """
 
 from __future__ import annotations
@@ -23,12 +27,17 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.common import DataLocation, Resource
+from repro.common import KIB, MIB, DataLocation, OpType, Resource
+from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
+                                    VectorProgram)
 from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
 from repro.experiments import ExperimentConfig, experiment_platform_config
+from repro.experiments.runner import RunSpec, run_spec_key
+from repro.ssd.config import small_ssd_config
 from repro.workloads import default_workloads
 
 #: Workload scale the golden values were recorded at (seed, per-page path).
@@ -262,3 +271,81 @@ class TestRunPrimitives:
             assert (batched.location_of(lpa) is reference.location_of(lpa)
                     is DataLocation.CTRL_SRAM)
         assert len(batched._sram_window) == len(reference._sram_window)
+
+
+#: Enum members are sorted before ``sampled_from`` so the Hypothesis
+#: database keys are stable across interpreter runs (set iteration order
+#: would shuffle them).
+PROGRAM_OPS = sorted((OpType.ADD, OpType.MUL, OpType.XOR, OpType.AND),
+                     key=lambda op: op.value)
+
+
+def _assert_bit_equal(a, b):
+    """Every field of the two execution results must match exactly."""
+    assert a.total_time_ns == b.total_time_ns
+    assert a.total_energy_nj == b.total_energy_nj
+    assert a.energy == b.energy
+    assert a.breakdown == b.breakdown
+    assert a.records == b.records
+    assert a.offload_overhead_avg_ns == b.offload_overhead_avg_ns
+    assert a.offload_overhead_max_ns == b.offload_overhead_max_ns
+
+
+def _small_config(**overrides) -> PlatformConfig:
+    return PlatformConfig(ssd=small_ssd_config(),
+                          dram_compute_window_bytes=1 * MIB,
+                          sram_window_bytes=256 * KIB,
+                          host_cache_bytes=1 * MIB, **overrides)
+
+
+#: One synthetic instruction: (op index, dest slot, source slots, chain).
+#: Slots address 4096-element regions of two declared 64 Ki-element
+#: arrays, so random streams trigger real window pressure and coherence
+#: ping-pong on the small platform above.
+INSTRUCTION = st.tuples(
+    st.integers(min_value=0, max_value=len(PROGRAM_OPS) - 1),
+    st.integers(min_value=0, max_value=2 * 12 - 1),
+    st.lists(st.integers(min_value=0, max_value=2 * 12 - 1),
+             min_size=1, max_size=2),
+    st.booleans())
+
+
+def _build_program(stream) -> VectorProgram:
+    arrays = [ArraySpec("a", 64 * 1024, 32), ArraySpec("b", 64 * 1024, 32)]
+    program = VectorProgram("generated", arrays)
+
+    def ref(slot: int) -> ArrayRef:
+        return ArrayRef("ab"[slot // 12], (slot % 12) * 4096, 4096)
+
+    for uid, (op_index, dest, sources, chain) in enumerate(stream):
+        program.add(VectorInstruction(
+            uid=uid, op=PROGRAM_OPS[op_index], dest=ref(dest),
+            sources=tuple(ref(s) for s in sources),
+            depends_on=(uid - 1,) if chain and uid else ()))
+    return program
+
+
+class TestRandomPrograms:
+    """Random instruction streams: run-batched == per-page, bit for bit."""
+
+    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=16))
+    @settings(max_examples=8, deadline=None)
+    def test_batched_object_engine_matches_per_page_reference(self, stream):
+        batched = ConduitRuntime(SSDPlatform(_small_config(
+            batched_movement=True)))
+        per_page = ConduitRuntime(SSDPlatform(_small_config(
+            batched_movement=False)))
+        program = _build_program(stream)
+        a = batched.execute(program, make_policy("Conduit"))
+        b = per_page.execute(program, make_policy("Conduit"))
+        _assert_bit_equal(a, b)
+
+
+class TestCacheKeyIdentity:
+    def test_other_platform_knobs_still_keyed(self):
+        """``batched_movement`` is keyed: flipping it changes the key."""
+        base = ExperimentConfig(workload_scale=0.05).platform
+        batched_off = replace(base, batched_movement=False)
+        assert (run_spec_key(RunSpec("AES", 0.05, "Conduit", base))
+                != run_spec_key(RunSpec("AES", 0.05, "Conduit",
+                                        batched_off)))

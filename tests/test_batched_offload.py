@@ -4,7 +4,7 @@
 dependence-free, page-disjoint wave (``repro.core.compiler.waves``) and
 decides each member from the precollected batch; the per-instruction
 path stays the bit-exact golden reference (mirroring the
-``vectorized_movement`` contract).  Bit-equality -- not float tolerance
+``batched_movement`` contract).  Bit-equality -- not float tolerance
 -- is the contract: the two engines must produce *identical*
 :class:`ExecutionResult` trees, which is also what lets them share
 sweep-cache entries (the engine flag is popped from

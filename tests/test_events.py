@@ -1,6 +1,5 @@
 """Tests for the event-driven simulation kernel."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,9 +190,6 @@ class TestRunUntilClamp:
         assert scheduler.processed == 0
 
 
-#: Long enough lists cross ``_VECTOR_MIN_BATCH`` so the saturated/idle
-#: numpy candidates of ``chain_finish_times`` are exercised, not just the
-#: scalar fallback.
 ARRIVALS = st.lists(
     st.floats(min_value=0.0, max_value=1e6,
               allow_nan=False, allow_infinity=False),
@@ -205,10 +201,11 @@ DURATION = st.floats(min_value=0.0, max_value=1e4,
 class TestBatchEntryPoints:
     """Batch bookings must be *bit-identical* to per-job reservations.
 
-    The vectorized movement engine is validated by equality against the
-    object engine, so every batch entry point (finish chain, busy time,
-    job count, bytes moved) must reproduce the sequential loop exactly --
-    no float tolerance anywhere.
+    The run-batched movement engine books a whole page run with one call
+    and is validated by equality against the per-page path, so every
+    batch entry point (finish chain, busy time, job count, bytes moved)
+    must reproduce the sequential loop exactly -- no float tolerance
+    anywhere.
     """
 
     @given(arrivals=ARRIVALS, duration=DURATION)
@@ -223,67 +220,6 @@ class TestBatchEntryPoints:
         assert batched.busy_time == reference.busy_time
         assert batched.jobs == reference.jobs
 
-    @given(arrivals=ARRIVALS, duration=DURATION)
-    @settings(max_examples=40, deadline=None)
-    def test_server_reserve_batch_array_matches_sequential(self, arrivals,
-                                                           duration):
-        reference = Server("ref")
-        ends = [reference.reserve(a, duration).end for a in arrivals]
-        batched = Server("batch")
-        result = batched.reserve_batch_array(
-            np.asarray(arrivals, dtype=np.float64), duration)
-        assert list(result) == ends
-        assert batched.free_at == reference.free_at
-        assert batched.busy_time == reference.busy_time
-        assert batched.jobs == reference.jobs
-
-    @given(arrivals=ARRIVALS, duration=DURATION)
-    @settings(max_examples=40, deadline=None)
-    def test_multiserver_pinned_batch_matches_sequential(self, arrivals,
-                                                         duration):
-        servers = 3
-        indices = [i % servers for i in range(len(arrivals))]
-        reference = MultiServer("ref", servers)
-        ends = [reference.reserve(a, duration, server_index=s).end
-                for a, s in zip(arrivals, indices)]
-        batched = MultiServer("batch", servers)
-        assert list(batched.reserve_batch(arrivals, duration,
-                                          indices)) == ends
-        assert batched._free_at == reference._free_at
-        assert batched.busy_time == reference.busy_time
-        assert batched.jobs == reference.jobs
-
-    @given(arrivals=ARRIVALS, duration=DURATION)
-    @settings(max_examples=25, deadline=None)
-    def test_multiserver_unpinned_batch_matches_sequential(self, arrivals,
-                                                           duration):
-        reference = MultiServer("ref", 2)
-        ends = [reference.reserve(a, duration).end for a in arrivals]
-        batched = MultiServer("batch", 2)
-        assert list(batched.reserve_batch(arrivals, duration)) == ends
-        assert batched._free_at == reference._free_at
-        assert batched.busy_time == reference.busy_time
-
-    @given(arrivals=ARRIVALS)
-    @settings(max_examples=25, deadline=None)
-    def test_bus_group_pinned_batch_matches_sequential(self, arrivals):
-        channels = [i % 2 for i in range(len(arrivals))]
-        reference = BusGroup("ref", 2, 1.5)
-        ends = [reference.transfer(a, 512, channel=c).end
-                for a, c in zip(arrivals, channels)]
-        batched = BusGroup("batch", 2, 1.5)
-        assert list(batched.transfer_batch(arrivals, 512, channels)) == ends
-        assert batched.bytes_moved == reference.bytes_moved
-
-    @given(arrivals=ARRIVALS)
-    @settings(max_examples=25, deadline=None)
-    def test_bus_group_unpinned_batch_matches_sequential(self, arrivals):
-        reference = BusGroup("ref", 2, 1.5)
-        ends = [reference.transfer(a, 512).end for a in arrivals]
-        batched = BusGroup("batch", 2, 1.5)
-        assert list(batched.transfer_batch(arrivals, 512)) == ends
-        assert batched.bytes_moved == reference.bytes_moved
-
     def test_shared_bus_batch_matches_sequential(self):
         arrivals = [0.0, 10.0, 10.0, 500.0]
         reference = SharedBus("ref", 2.0)
@@ -291,14 +227,7 @@ class TestBatchEntryPoints:
         batched = SharedBus("batch", 2.0)
         assert batched.transfer_batch(arrivals, 256) == ends
         assert batched.bytes_moved == reference.bytes_moved
-        vectorized = SharedBus("vec", 2.0)
-        assert list(vectorized.transfer_batch_array(
-            np.asarray(arrivals), 256)) == ends
 
     def test_negative_duration_rejected_by_batch_entry_points(self):
         with pytest.raises(SimulationError):
             Server("s").reserve_batch([0.0], -1.0)
-        with pytest.raises(SimulationError):
-            Server("s").reserve_batch_array(np.zeros(1), -1.0)
-        with pytest.raises(SimulationError):
-            MultiServer("m", 2).reserve_batch([0.0], -1.0)

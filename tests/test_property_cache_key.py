@@ -13,9 +13,8 @@ can have:
   deliberately non-semantic it must be added to ``KEY_EXEMPT_PLATFORM``
   here, which is exactly the conscious decision the test exists to force.
 * **No spurious misses** -- random pairs of specs must map to equal keys
-  *iff* they are semantically identical (equal after erasing the two
-  known non-semantic fields: the ``platform_name`` display label and the
-  bit-exact ``vectorized_movement`` engine selector).
+  *iff* they are semantically identical (equal after erasing the one
+  known non-semantic field: the ``platform_name`` display label).
 """
 
 from __future__ import annotations
@@ -30,15 +29,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.platform import PlatformConfig
 from repro.dram.cxl import CXLPuDConfig
-from repro.experiments.runner import RunSpec, run_spec_key
+from repro.experiments.runner import (ExperimentConfig, ExperimentRunner,
+                                      RunSpec, run_spec_key)
 from repro.ssd.lifetime import MID_LIFE_PROFILE
 
 #: Platform-tree fields deliberately excluded from the cache key, with
 #: the invariant that justifies each exclusion.
 KEY_EXEMPT_PLATFORM = {
-    # The vectorized engine is bit-exact against the object engine (see
-    # tests/test_vectorized_movement.py), so both may share entries.
-    ("vectorized_movement",),
     # The wave-batched decision engine is bit-exact against the
     # per-instruction reference (see tests/test_batched_offload.py), so
     # both may share entries.
@@ -129,7 +126,7 @@ BASE_SPEC = RunSpec(workload="AES", scale=0.05, policy="Conduit")
 
 
 class TestEveryKnobPerturbsTheKey:
-    """Reflective sweep over all PlatformConfig leaves (101 today)."""
+    """Reflective sweep over all PlatformConfig leaves (107 today)."""
 
     @pytest.mark.parametrize(
         "path", _leaf_paths(PlatformConfig()),
@@ -201,6 +198,23 @@ class TestEveryKnobPerturbsTheKey:
             copy.deepcopy(BASE_SPEC))
 
 
+#: ``run_spec_key`` of the default Fig. 7 spec for (AES, Conduit) at the
+#: default workload scale.  Pinned so that a refactor which drops a
+#: non-semantic field cannot silently invalidate existing
+#: ``.sweep_cache/`` entries; an intentional key change (a
+#: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
+PINNED_FIG7_KEY = (
+    "06968b5baab697781fd1ea04931eb4dc0cd3dbb1aeef0f8b57ee35a0548bfcf0")
+
+
+class TestKeyStability:
+    def test_default_fig7_spec_key_is_pinned(self):
+        config = ExperimentConfig()
+        workload = next(w for w in config.workloads() if w.name == "AES")
+        spec = ExperimentRunner(config).spec_for(workload, "Conduit")
+        assert run_spec_key(spec) == PINNED_FIG7_KEY
+
+
 # ------------------------------------------------------------------------
 # Random pairs: key equality iff semantic identity
 # ------------------------------------------------------------------------
@@ -218,7 +232,6 @@ SPECS = st.builds(
         contention_feedback=st.booleans(),
         contention_gain=st.sampled_from([1.0, 2.0]),
         isp_cores=st.integers(min_value=1, max_value=2),
-        vectorized_movement=st.booleans(),
         cxl_pud=st.sampled_from([None, CXLPuDConfig()]),
     ),
     platform_name=st.sampled_from(["default", "an-alias"]),
@@ -228,11 +241,8 @@ SPECS = st.builds(
 
 
 def _semantic(spec: RunSpec) -> RunSpec:
-    """The spec with its two non-semantic fields erased."""
-    return dataclasses.replace(
-        spec, platform_name="",
-        platform=dataclasses.replace(spec.platform,
-                                     vectorized_movement=True))
+    """The spec with its non-semantic display label erased."""
+    return dataclasses.replace(spec, platform_name="")
 
 
 class TestRandomSpecPairs:
