@@ -2,11 +2,16 @@
 
 from conftest import run_once
 
-from repro.experiments import format_table, phase_summary, run_timeline
+from repro.experiments import format_table, phase_summary, run_experiment
+from repro.experiments.fig10_timeline import TIMELINE_POLICIES
 
 
 def test_bench_fig10_timeline(benchmark, bench_config):
-    timelines = run_once(benchmark, run_timeline, bench_config, 12_000)
+    grid = run_once(benchmark, run_experiment, "fig10",
+                    bench_config).platform_grid()
+    timelines = {policy: grid[("LlaMA2 Inference", policy)].timeline(
+                     limit=12_000)
+                 for policy in TIMELINE_POLICIES}
     rows = phase_summary(timelines, phases=6)
     print("\nFig. 10 -- LLaMA2 Inference instruction-to-resource phases")
     print(format_table(rows))

@@ -2,11 +2,12 @@
 
 from conftest import run_once
 
-from repro.experiments import format_table, run_case_study
+from repro.experiments import format_table, run_experiment
 
 
 def test_bench_fig4_case_study(benchmark, bench_config):
-    rows = run_once(benchmark, run_case_study, bench_config)
+    rows = run_once(benchmark, run_experiment, "fig4",
+                    bench_config).sections["fig4"]
     print("\nFig. 4 -- execution time normalized to OSP (lower is better)")
     print(format_table(rows))
     categories = {row["category"] for row in rows}

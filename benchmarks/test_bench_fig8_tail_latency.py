@@ -2,11 +2,12 @@
 
 from conftest import run_once
 
-from repro.experiments import format_table, run_tail_latency
+from repro.experiments import format_table, run_experiment
 
 
 def test_bench_fig8_tail_latency(benchmark, bench_config):
-    rows = run_once(benchmark, run_tail_latency, bench_config)
+    rows = run_once(benchmark, run_experiment, "fig8",
+                    bench_config).sections["fig8"]
     print("\nFig. 8 -- per-instruction tail latencies (lower is better)")
     print(format_table(rows))
     by_key = {(row["workload"], row["policy"]): row for row in rows}

@@ -3,12 +3,12 @@
 import pytest
 from conftest import run_once
 
-from repro.experiments import format_table
-from repro.experiments.fig9_offload_decisions import run_offload_decisions
+from repro.experiments import format_table, run_experiment
 
 
 def test_bench_fig9_offload_decisions(benchmark, bench_config):
-    rows = run_once(benchmark, run_offload_decisions, bench_config)
+    rows = run_once(benchmark, run_experiment, "fig9",
+                    bench_config).sections["fig9"]
     print("\nFig. 9 -- fraction of instructions per computation resource")
     print(format_table(rows))
     for row in rows:

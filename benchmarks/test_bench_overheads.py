@@ -2,11 +2,13 @@
 
 from conftest import run_once
 
-from repro.experiments import run_overheads
+from repro.experiments import run_experiment
 
 
 def test_bench_overheads(benchmark, bench_config):
-    overheads = run_once(benchmark, run_overheads, bench_config)
+    rows = run_once(benchmark, run_experiment, "overheads",
+                    bench_config).sections["overheads"]
+    overheads = {row["metric"]: row["value"] for row in rows}
     print("\nSection 4.5 -- Conduit overheads (measured vs. paper)")
     for key, value in overheads.items():
         print(f"  {key}: {value:.2f}")

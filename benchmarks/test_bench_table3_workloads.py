@@ -2,11 +2,12 @@
 
 from conftest import run_once
 
-from repro.experiments import format_table, run_table3
+from repro.experiments import format_table, run_experiment
 
 
 def test_bench_table3_workload_characteristics(benchmark, bench_config):
-    rows = run_once(benchmark, run_table3, bench_config)
+    rows = run_once(benchmark, run_experiment, "table3",
+                    bench_config).sections["table3"]
     print("\nTable 3 -- workload characteristics (measured vs. paper)")
     print(format_table(rows))
     assert len(rows) == 6

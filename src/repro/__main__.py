@@ -203,6 +203,12 @@ def _with_traces(definition, trace_paths: List[str]):
     return dataclasses.replace(definition, workloads=merged)
 
 
+def _error_text(error: BaseException) -> str:
+    """The message plus any notes added on the way up (e.g. the failing
+    sweep unit), on one ``error:`` line."""
+    return "; ".join([str(error), *getattr(error, "__notes__", ())])
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.common import SimulationError
     from repro.experiments import (ExperimentConfig, default_sweep_cache_dir,
@@ -249,7 +255,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         # The library API's user-error channel (duplicate variants, bad
         # worker counts, ...); internal failures still traceback.
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {_error_text(error)}", file=sys.stderr)
         return 2
     for name, text in result.formatted().items():
         print(f"== {name} ==")
@@ -290,7 +296,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                                config, parallel=not args.serial,
                                workers=args.workers, cache_dir=cache_dir)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {_error_text(error)}", file=sys.stderr)
         return 2
     print(f"== {args.experiment}: {args.base} vs {args.other} ==")
     print(format_table(document["rows"], float_digits=3))

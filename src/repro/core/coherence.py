@@ -95,9 +95,6 @@ class CoherenceDirectory:
     def owner(self, lpa: int) -> DataLocation:
         return self.entry(lpa).owner
 
-    def is_dirty(self, lpa: int) -> bool:
-        return self.entry(lpa).state is PageCoherenceState.DIRTY
-
     def tracked_pages(self) -> int:
         return len(self._entries)
 
@@ -245,9 +242,6 @@ class CoherenceDirectory:
             return [action]
         entry.owner = DataLocation.FLASH
         return []
-
-    def on_host_request(self, lpa: int) -> List[SyncAction]:
-        return self.on_read(lpa, DataLocation.HOST)
 
     def on_gc(self, lpas: Iterable[int]) -> List[SyncAction]:
         """Garbage collection forces synchronisation of affected pages."""

@@ -63,9 +63,6 @@ class Loop:
     #: Number of distinct time steps / outer repetitions of this loop.
     repetitions: int = 1
 
-    def statement_count(self) -> int:
-        return len(self.body)
-
     @property
     def scalar_operations(self) -> int:
         """Total dynamic scalar operations this loop performs."""

@@ -113,12 +113,6 @@ class InstructionMetadata:
     loop: str = ""
     partially_vectorized: bool = False
 
-    def encoded_bytes(self) -> int:
-        """Size of this metadata when packed into the optimized IR."""
-        # op type (2) + operand-location hint (1) + element size (1)
-        # + vector length (2) + operand size (4) + flags (1)
-        return 11
-
 
 @dataclass
 class VectorInstruction:
@@ -157,12 +151,6 @@ class VectorInstruction:
     @property
     def is_vector(self) -> bool:
         return self.op not in (OpType.SCALAR, OpType.BRANCH, OpType.CALL)
-
-    def touched_arrays(self) -> List[str]:
-        arrays = [ref.array for ref in self.array_sources]
-        if self.dest is not None:
-            arrays.append(self.dest.array)
-        return arrays
 
 
 class VectorProgram:
@@ -233,21 +221,8 @@ class VectorProgram:
     def vector_instructions(self) -> List[VectorInstruction]:
         return [i for i in self.instructions if i.is_vector]
 
-    @property
-    def scalar_instructions(self) -> List[VectorInstruction]:
-        return [i for i in self.instructions if not i.is_vector]
-
     def total_data_bytes(self) -> int:
         return sum(spec.size_bytes for spec in self.arrays.values())
-
-    def total_operand_bytes(self) -> int:
-        total = 0
-        for instruction in self.instructions:
-            operands = len(instruction.array_sources)
-            if instruction.dest is not None:
-                operands += 1
-            total += operands * instruction.size_bytes
-        return total
 
     def op_histogram(self) -> Dict[OpType, int]:
         histogram: Dict[OpType, int] = {}

@@ -82,14 +82,6 @@ class VectorizationReport:
         return (self.vectorized_scalar_operations /
                 self.total_scalar_operations)
 
-    @property
-    def dynamic_vectorized_fraction(self) -> float:
-        """Fraction of dynamic operations executed as SIMD instructions."""
-        if self.total_scalar_operations == 0:
-            return 0.0
-        return (self.vectorized_scalar_operations /
-                self.total_scalar_operations)
-
 
 class _RegionDependencyTracker:
     """Tracks the last instruction that wrote each array region.

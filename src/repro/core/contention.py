@@ -115,16 +115,6 @@ class LinkContentionMonitor:
         """Current EWMA overrun ratio of ``path`` (1.0 if never observed)."""
         return self._overrun.get(path, 1.0)
 
-    def observed_paths(self) -> Dict[str, float]:
-        """Snapshot of every observed path's EWMA overrun ratio.
-
-        Read-only observability for experiment reports (e.g. how much of
-        an aged drive's background GC traffic each operand path absorbed);
-        the returned dict is a copy, so callers cannot perturb feedback
-        state.
-        """
-        return dict(self._overrun)
-
     def relative_overrun(self, path: str) -> float:
         """``path``'s overrun relative to the least-congested observed path.
 

@@ -169,23 +169,44 @@ class ExecutionResult:
 
 
 def speedup(baseline: ExecutionResult, candidate: ExecutionResult) -> float:
-    """Speedup of ``candidate`` over ``baseline`` (>1 means faster)."""
-    if candidate.total_time_ns <= 0:
-        return float("inf")
+    """Speedup of ``candidate`` over ``baseline`` (>1 means faster).
+
+    Every simulated run takes time, so a non-positive candidate time means
+    a broken result; it raises instead of reporting an infinite speedup.
+    """
+    if not candidate.total_time_ns > 0:
+        raise ValueError(
+            f"speedup of {candidate.policy!r} on {candidate.workload!r} is "
+            f"undefined: its time is {candidate.total_time_ns!r} ns")
     return baseline.total_time_ns / candidate.total_time_ns
 
 
 def energy_reduction(baseline: ExecutionResult,
                      candidate: ExecutionResult) -> float:
-    """Fractional energy reduction of ``candidate`` versus ``baseline``."""
-    if baseline.total_energy_nj <= 0:
-        return 0.0
+    """Fractional energy reduction of ``candidate`` versus ``baseline``.
+
+    A non-positive baseline energy cannot normalize anything; it raises
+    instead of reporting "no reduction".
+    """
+    if not baseline.total_energy_nj > 0:
+        raise ValueError(
+            f"energy reduction versus {baseline.policy!r} on "
+            f"{baseline.workload!r} is undefined: its energy is "
+            f"{baseline.total_energy_nj!r} nJ")
     return 1.0 - candidate.total_energy_nj / baseline.total_energy_nj
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean used for the GMEAN columns of Fig. 5 / 7."""
-    array = np.asarray([v for v in values if v > 0], dtype=float)
+    """Geometric mean used for the GMEAN columns of Fig. 5 / 7.
+
+    An empty sequence gives ``0.0``; a non-positive (or NaN) value raises,
+    since dropping it would silently shift the mean.
+    """
+    array = np.asarray(values, dtype=float)
     if array.size == 0:
         return 0.0
+    bad = array[~(array > 0)]
+    if bad.size:
+        raise ValueError(
+            f"geometric mean needs positive values; got {float(bad[0])!r}")
     return float(np.exp(np.mean(np.log(array))))

@@ -88,12 +88,6 @@ class CostFunction:
                             overlap_delay_ns=overlap,
                             supported=features.supported)
 
-    def estimate_all(self, features: InstructionFeatures
-                     ) -> Dict[ResourceLike, CostEstimate]:
-        """Equation 1 for every offload candidate the platform registered."""
-        return {resource: self.estimate(features.feature(resource))
-                for resource in features.candidates}
-
     def select(self, features: InstructionFeatures
                ) -> Tuple[ResourceLike, Dict[ResourceLike, CostEstimate]]:
         """Equation 2: argmin over the registered offload candidates.

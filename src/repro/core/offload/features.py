@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common import DataLocation, OpType, ResourceLike, US
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
@@ -74,14 +72,6 @@ class ResourceFeatures:
         if self.contention_delay_ns == 0.0:
             return self.data_movement_latency_ns
         return self.data_movement_latency_ns + self.contention_delay_ns
-
-    def total_latency(self, *, combine_max: bool = True) -> float:
-        """Equation 1 of the paper (with the optional contention term)."""
-        overlap = (max(self.dependence_delay_ns, self.queueing_delay_ns)
-                   if combine_max
-                   else self.dependence_delay_ns + self.queueing_delay_ns)
-        return (self.expected_compute_latency_ns +
-                self.contended_data_movement_latency_ns + overlap)
 
 
 @dataclass(slots=True)
@@ -148,14 +138,6 @@ class WaveBatch:
     eviction_epoch: int
     mapping_version: int
     dead: bool = False
-
-    def movement_matrix(self) -> np.ndarray:
-        """The movement sums as a ``(members x candidates)`` float64
-        matrix, for vectorized consumers (built on demand: the scalar
-        decision path reads ``movement_rows`` directly and typical waves
-        are small, so an eager per-wave allocation would cost more than
-        it saves)."""
-        return np.asarray(self.movement_rows, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -343,9 +325,7 @@ class FeatureCollector:
         preserved), the L2P hit/miss partition (membership probes only --
         the LRU refreshes are *replayed* at each member's decision time so
         the mapping cache sees exactly the sequential access order), the
-        per-candidate movement-table sums (pure-Python rows; the
-        ``members x candidates`` numpy matrix is built on demand by
-        :meth:`WaveBatch.movement_matrix`), and the member's fixed
+        per-candidate movement-table sums, and the member's fixed
         collection latency (identical per-component charges to
         :meth:`collect`, so Section 4.5's overhead reproduction is
         unchanged).  Live terms -- queueing delay, dependence delay,

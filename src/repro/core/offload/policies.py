@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common import OpType, Resource, ResourceLike, SimulationError
 from repro.core.compiler.ir import VectorInstruction
@@ -107,11 +107,6 @@ class OffloadingPolicy(abc.ABC):
         (Conduit's cost function) override it.
         """
         return self.choose(packed.instruction, packed.features(), context)
-
-    def _supported(self, features: InstructionFeatures
-                   ) -> Dict[ResourceLike, bool]:
-        return {resource: feature.supported
-                for resource, feature in features.per_resource.items()}
 
     @staticmethod
     def _viable(features: InstructionFeatures) -> List[ResourceLike]:

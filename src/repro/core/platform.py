@@ -475,10 +475,6 @@ class SSDPlatform:
         per_page = self._move_table[(source, destination)]
         return per_page * max(0, pages)
 
-    def move_table_lookup_latency_ns(self) -> float:
-        """Latency of one lookup of the precomputed table (Section 4.5)."""
-        return 100.0
-
     # ------------------------------------------------------------------------
     # Data movement (reserves buses, charges energy)
     # ------------------------------------------------------------------------
@@ -838,11 +834,6 @@ class SSDPlatform:
         """Expected computation latency of one instruction on ``resource``."""
         return self.backends[resource].operation_latency(op, size_bytes,
                                                          element_bits)
-
-    def compute_energy(self, resource: ResourceLike, op: OpType,
-                       size_bytes: int, element_bits: int) -> float:
-        return self.backends[resource].operation_energy(op, size_bytes,
-                                                        element_bits)
 
     def record_compute(self, now: float, resource: ResourceLike, op: OpType,
                        size_bytes: int, element_bits: int) -> float:

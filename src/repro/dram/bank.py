@@ -24,11 +24,6 @@ class BankStatistics:
     precharges: int = 0
     bbop_activations: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        accesses = self.row_hits + self.row_misses
-        return self.row_hits / accesses if accesses else 0.0
-
 
 class DRAMBank:
     """One DRAM bank with an open-row (row buffer) policy."""
@@ -61,18 +56,6 @@ class DRAMBank:
             latency += self.config.t_rcd_ns + self.config.t_ccd_ns
             self.open_row = row
             self.stats.activations += 1
-        self.busy_until = start + latency
-        return self.busy_until
-
-    def activate_row(self, now: float, row: int) -> float:
-        """Explicit ACT of ``row`` (used by RowClone / Ambit sequences)."""
-        start = self._start(now)
-        latency = self.config.t_rcd_ns
-        if self.open_row is not None and self.open_row != row:
-            latency += self.config.t_rp_ns
-            self.stats.precharges += 1
-        self.open_row = row
-        self.stats.activations += 1
         self.busy_until = start + latency
         return self.busy_until
 

@@ -66,11 +66,6 @@ class DRAMConfig:
         return per_bank_bytes // self.row_size_bytes
 
     @property
-    def row_activation_latency_ns(self) -> float:
-        """ACT + restore + PRE latency for one row cycle."""
-        return self.t_rcd_ns + self.t_ras_ns + self.t_rp_ns
-
-    @property
     def random_access_latency_ns(self) -> float:
         """Closed-page random access latency (ACT + CAS)."""
         return self.t_rcd_ns + self.t_ccd_ns

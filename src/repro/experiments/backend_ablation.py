@@ -27,29 +27,21 @@ Registered as the ``backend_ablation`` experiment
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common import Resource
 from repro.core.platform import PlatformConfig, backend_roster
-from repro.experiments.platforms import (MULTICORE_ISP_CORES,
-                                         experiment_platform_config,
+from repro.experiments.platforms import (experiment_platform_config,
                                          platform_variant)
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        register_experiment, run_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentConfig
+                                        register_experiment)
 
 #: Workloads whose operation mix exercises all three resource families.
 ABLATION_WORKLOADS = ("LLM Training", "LlaMA2 Inference", "XOR Filter")
 
 #: Platform variants the ablation compares (the first is the baseline).
 ABLATION_PLATFORMS = ("default", "multicore-isp", "cxl-pud")
-
-#: Per-core ISP backends registered by the multicore variant (back-compat
-#: alias; the variant itself lives in :mod:`repro.experiments.platforms`).
-ABLATION_ISP_CORES = MULTICORE_ISP_CORES
 
 
 def ablation_rosters(base: Optional[PlatformConfig] = None
@@ -105,27 +97,3 @@ ABLATION_DEF = register_experiment(ExperimentDef(
     default_platforms=ABLATION_PLATFORMS,
     build=_sections,
 ), overwrite=True)
-
-
-def run_backend_ablation(config: Optional[ExperimentConfig] = None, *,
-                         policy: str = "Conduit",
-                         workload_names: Sequence[str] = ABLATION_WORKLOADS,
-                         parallel: bool = False,
-                         workers: Optional[int] = None,
-                         cache_dir: Optional[str] = None
-                         ) -> List[Dict[str, object]]:
-    """One row per (workload, roster) with timing and decision mix."""
-    definition = dataclasses.replace(ABLATION_DEF, policies=(policy,),
-                                     workloads=tuple(workload_names))
-    result = run_experiment(definition, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return result.sections["ablation"]
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    rows = run_backend_ablation(config)
-    text = format_table(rows, float_digits=3)
-    print("Backend-roster ablation -- config-grown platforms, one cost "
-          "function")
-    print(text)
-    return text

@@ -28,10 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import Resource
 from repro.core.metrics import ExecutionResult
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        ExperimentResult, register_experiment,
-                                        run_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentConfig
+                                        register_experiment)
 
 #: Workloads whose operation mix exercises all resource families (the
 #: LLM-Training row is the one the ROADMAP documents regressing).
@@ -140,21 +137,3 @@ CONTENTION_DEF = register_experiment(ExperimentDef(
                 "feedback extension keeps Eqn. 2's argmin honest under "
                 "link contention.",),
 ))
-
-
-def run_contention(config: Optional[ExperimentConfig] = None, *,
-                   parallel: bool = False, workers: Optional[int] = None,
-                   cache_dir: Optional[str] = None) -> ExperimentResult:
-    """Run the contention-feedback ablation; returns the full result."""
-    return run_experiment(CONTENTION_DEF, config, parallel=parallel,
-                          workers=workers, cache_dir=cache_dir)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    result = run_contention(config)
-    text = format_table(result.sections["contention"], float_digits=3)
-    print(CONTENTION_DEF.title)
-    print(text)
-    for line in result.headline:
-        print(line)
-    return text

@@ -15,13 +15,10 @@ Registered as the ``fig10`` experiment (``python -m repro run fig10``).
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.registry import (ExperimentDef, per_platform,
-                                        register_experiment, run_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import (ExperimentConfig,
-                                      default_sweep_cache_dir)
+                                        register_experiment)
 from repro.workloads import LlamaInferenceWorkload
 
 TIMELINE_POLICIES = ("BW-Offloading", "DM-Offloading", "Conduit")
@@ -29,15 +26,10 @@ TIMELINE_POLICIES = ("BW-Offloading", "DM-Offloading", "Conduit")
 TIMELINE_INSTRUCTIONS = 12_000
 
 
-def _timelines_from_grid(grid, instructions: int
-                         ) -> Dict[str, List[Dict[str, object]]]:
-    return {policy: grid[(LlamaInferenceWorkload.name, policy)].timeline(
-                limit=instructions)
-            for policy in TIMELINE_POLICIES}
-
-
 def _sections(ctx, platform_name, grid):
-    timelines = _timelines_from_grid(grid, TIMELINE_INSTRUCTIONS)
+    timelines = {policy: grid[(LlamaInferenceWorkload.name,
+                               policy)].timeline(limit=TIMELINE_INSTRUCTIONS)
+                 for policy in TIMELINE_POLICIES}
     return OrderedDict(fig10=phase_summary(timelines))
 
 
@@ -50,18 +42,6 @@ FIG10_DEF = register_experiment(ExperimentDef(
     workloads=(LlamaInferenceWorkload.name,),
     build=per_platform(_sections),
 ), overwrite=True)
-
-
-def run_timeline(config: Optional[ExperimentConfig] = None,
-                 instructions: int = TIMELINE_INSTRUCTIONS, *,
-                 parallel: bool = True, workers: Optional[int] = None,
-                 cache_dir: Optional[str] = None
-                 ) -> Dict[str, List[Dict[str, object]]]:
-    """Return per-policy instruction timelines (index, op, resource)."""
-    result = run_experiment(FIG10_DEF, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return _timelines_from_grid(result.platform_grid("default"),
-                                instructions)
 
 
 def phase_summary(timelines: Dict[str, List[Dict[str, object]]],
@@ -89,13 +69,3 @@ def phase_summary(timelines: Dict[str, List[Dict[str, object]]],
                     if a["resource"] != b["resource"]),
             })
     return rows
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    timelines = run_timeline(config, cache_dir=default_sweep_cache_dir())
-    rows = phase_summary(timelines)
-    text = format_table(rows)
-    print("Fig. 10 -- instruction-to-resource mapping phases "
-          "(LLaMA2 Inference)")
-    print(text)
-    return text

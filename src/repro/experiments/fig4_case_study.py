@@ -18,16 +18,14 @@ parallel-shardable sweep.  Registered as the ``fig4`` experiment
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.metrics import ExecutionResult
 # Re-exported for backwards compatibility: the naive policy used to be
 # defined in this module before it joined the policy registry.
 from repro.core.offload.policies import NaiveIFPISPPolicy  # noqa: F401
 from repro.experiments.registry import (ExperimentDef, per_platform,
-                                        register_experiment, run_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentConfig
+                                        register_experiment)
 from repro.workloads import (Heat3DWorkload, LLMTrainingWorkload,
                              XORFilterWorkload)
 
@@ -65,7 +63,7 @@ def _breakdown_row(category: str, model: str, result: ExecutionResult,
     }
 
 
-def _rows_from_grid(grid) -> List[Dict[str, object]]:
+def _sections(ctx, platform_name, grid):
     rows: List[Dict[str, object]] = []
     for category, workload_cls in CATEGORY_WORKLOADS.items():
         osp = grid[(workload_cls.name, MODEL_POLICIES["OSP"])]
@@ -73,11 +71,7 @@ def _rows_from_grid(grid) -> List[Dict[str, object]]:
             result = grid[(workload_cls.name, MODEL_POLICIES[model])]
             rows.append(_breakdown_row(category, model, result,
                                        osp.total_time_ns))
-    return rows
-
-
-def _sections(ctx, platform_name, grid):
-    return OrderedDict(fig4=_rows_from_grid(grid))
+    return OrderedDict(fig4=rows)
 
 
 FIG4_DEF = register_experiment(ExperimentDef(
@@ -89,22 +83,3 @@ FIG4_DEF = register_experiment(ExperimentDef(
     workloads=tuple(cls.name for cls in CATEGORY_WORKLOADS.values()),
     build=per_platform(_sections),
 ), overwrite=True)
-
-
-def run_case_study(config: Optional[ExperimentConfig] = None, *,
-                   parallel: bool = True, workers: Optional[int] = None,
-                   cache_dir: Optional[str] = None
-                   ) -> List[Dict[str, object]]:
-    """Run the Fig. 4 case study; returns one row per (category, model)."""
-    result = run_experiment(FIG4_DEF, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return _rows_from_grid(result.platform_grid("default"))
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    from repro.experiments.runner import default_sweep_cache_dir
-    rows = run_case_study(config, cache_dir=default_sweep_cache_dir())
-    table = format_table(rows)
-    print("Fig. 4 -- execution time normalized to OSP (lower is better)")
-    print(table)
-    return table

@@ -16,14 +16,11 @@ Registered as the ``fig5`` experiment (``python -m repro run fig5``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
 
-from repro.core.metrics import ExecutionResult
 from repro.experiments.registry import (ExperimentDef, per_platform,
-                                        register_experiment, run_experiment)
-from repro.experiments.report import format_table, nested_to_rows
-from repro.experiments.runner import (FIG5_POLICIES, ExperimentConfig,
-                                      default_sweep_cache_dir, speedup_table)
+                                        register_experiment)
+from repro.experiments.report import nested_to_rows
+from repro.experiments.runner import FIG5_POLICIES, speedup_table
 
 #: Policies normalized against the CPU baseline in the Fig. 5 table.
 _TABLE_POLICIES = tuple(policy for policy in FIG5_POLICIES
@@ -45,36 +42,3 @@ FIG5_DEF = register_experiment(ExperimentDef(
     paper_refs=("DM-Offloading ~2.3x CPU, ~2.5x below Ideal",
                 "BW-Offloading ~11% below DM-Offloading"),
 ), overwrite=True)
-
-
-def run_motivation_with_results(config: Optional[ExperimentConfig] = None, *,
-                                parallel: bool = True,
-                                workers: Optional[int] = None,
-                                cache_dir: Optional[str] = None
-                                ) -> Tuple[Dict[str, Dict[str, float]],
-                                           Dict[Tuple[str, str],
-                                                ExecutionResult]]:
-    """Run the Fig. 5 sweep; returns the speedup table and raw results."""
-    result = run_experiment(FIG5_DEF, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    grid = result.platform_grid("default")
-    return speedup_table(grid, _TABLE_POLICIES), grid
-
-
-def run_motivation(config: Optional[ExperimentConfig] = None, *,
-                   parallel: bool = True, workers: Optional[int] = None,
-                   cache_dir: Optional[str] = None
-                   ) -> Dict[str, Dict[str, float]]:
-    """Run the Fig. 5 sweep; returns {workload: {policy: speedup}}."""
-    table, _ = run_motivation_with_results(config, parallel=parallel,
-                                           workers=workers,
-                                           cache_dir=cache_dir)
-    return table
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    table = run_motivation(config, cache_dir=default_sweep_cache_dir())
-    text = format_table(nested_to_rows(table))
-    print("Fig. 5 -- speedup over CPU (higher is better)")
-    print(text)
-    return text

@@ -9,24 +9,23 @@ Ideal -- over the six workloads and reports:
 * Fig. 7(b): energy normalized to CPU, split into data movement and
   computation (Conduit reduces energy by 46.8% versus DM-Offloading).
 
-Registered as the ``fig7`` experiment; ``python -m repro run fig7``
-(optionally with ``--platform`` variants) is the CLI entry point, and
-:func:`run_fig7` remains the library API.
+Registered as the ``fig7`` experiment (``python -m repro run fig7``,
+optionally with ``--platform`` variants).  :func:`fig7_results_from_grid`
+turns a run's grid back into both panels for callers that need more than
+the rendered sections.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.metrics import ExecutionResult
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        per_platform, register_experiment,
-                                        run_experiment)
-from repro.experiments.report import format_table, nested_to_rows
-from repro.experiments.runner import (FIG7_POLICIES, ExperimentConfig,
-                                      default_sweep_cache_dir, energy_table,
+                                        per_platform, register_experiment)
+from repro.experiments.report import nested_to_rows
+from repro.experiments.runner import (FIG7_POLICIES, energy_table,
                                       speedup_table)
 
 
@@ -111,34 +110,3 @@ FIG7_DEF = register_experiment(ExperimentDef(
     paper_refs=("Conduit: 4.2x CPU, 1.8x DM-Offloading, 62% of Ideal",
                 "energy: -46.8% vs DM-Offloading"),
 ), overwrite=True)
-
-
-def run_fig7(config: Optional[ExperimentConfig] = None, *,
-             parallel: bool = True, workers: Optional[int] = None,
-             cache_dir: Optional[str] = None,
-             platform: str = "default") -> Fig7Results:
-    """Run the full Fig. 7 sweep (sharded over a process pool by default).
-
-    ``platform`` selects a registered platform variant; the default is the
-    paper's roster.
-    """
-    result = run_experiment(FIG7_DEF, config, platforms=(platform,),
-                            parallel=parallel, workers=workers,
-                            cache_dir=cache_dir)
-    return fig7_results_from_grid(result.platform_grid(platform))
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    results = run_fig7(config, cache_dir=default_sweep_cache_dir())
-    speedup_text = format_table(nested_to_rows(results.speedups))
-    print("Fig. 7(a) -- speedup over CPU (higher is better)")
-    print(speedup_text)
-    energy_text = format_table(_energy_rows(results.energy))
-    print("\nFig. 7(b) -- energy normalized to CPU (lower is better)")
-    print(energy_text)
-    print("\nConduit vs DM-Offloading speedup: "
-          f"{results.conduit_vs('DM-Offloading'):.2f}x "
-          f"(paper: 1.8x); energy reduction: "
-          f"{100 * results.conduit_energy_reduction_vs('DM-Offloading'):.1f}%"
-          " (paper: 46.8%)")
-    return speedup_text + "\n" + energy_text

@@ -12,20 +12,17 @@ Registered as the ``fig8`` experiment (``python -m repro run fig8``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.registry import (ExperimentDef, per_platform,
-                                        register_experiment, run_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import (ExperimentConfig,
-                                      default_sweep_cache_dir)
+                                        register_experiment)
 from repro.workloads import Jacobi1DWorkload, LlamaInferenceWorkload
 
 TAIL_POLICIES = ("Ideal", "Conduit", "BW-Offloading", "DM-Offloading")
 TAIL_WORKLOADS = (LlamaInferenceWorkload, Jacobi1DWorkload)
 
 
-def _rows_from_grid(grid) -> List[Dict[str, object]]:
+def _sections(ctx, platform_name, grid):
     rows: List[Dict[str, object]] = []
     for workload_cls in TAIL_WORKLOADS:
         for policy in TAIL_POLICIES:
@@ -37,11 +34,7 @@ def _rows_from_grid(grid) -> List[Dict[str, object]]:
                 "p9999_us": result.p9999_latency_ns / 1000.0,
                 "mean_us": result.mean_latency_ns() / 1000.0,
             })
-    return rows
-
-
-def _sections(ctx, platform_name, grid):
-    return OrderedDict(fig8=_rows_from_grid(grid))
+    return OrderedDict(fig8=rows)
 
 
 FIG8_DEF = register_experiment(ExperimentDef(
@@ -55,21 +48,3 @@ FIG8_DEF = register_experiment(ExperimentDef(
     paper_refs=("Conduit up to 5.6x (p99) / 22.3x (p99.99) below "
                 "DM-Offloading on LLaMA2 Inference",),
 ), overwrite=True)
-
-
-def run_tail_latency(config: Optional[ExperimentConfig] = None, *,
-                     parallel: bool = True, workers: Optional[int] = None,
-                     cache_dir: Optional[str] = None
-                     ) -> List[Dict[str, object]]:
-    """Return one row per (workload, policy) with p99 / p99.99 latencies."""
-    result = run_experiment(FIG8_DEF, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return _rows_from_grid(result.platform_grid("default"))
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    rows = run_tail_latency(config, cache_dir=default_sweep_cache_dir())
-    text = format_table(rows)
-    print("Fig. 8 -- per-instruction tail latencies (lower is better)")
-    print(text)
-    return text

@@ -30,16 +30,14 @@ Registered as the ``lifetime`` experiment
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.metrics import ExecutionResult, geometric_mean
 from repro.experiments.compare import compare_grids
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        ExperimentResult, register_experiment,
-                                        run_experiment)
-from repro.experiments.report import format_table, nested_to_rows
-from repro.experiments.runner import (ExperimentConfig, energy_table,
-                                      speedup_table)
+                                        register_experiment)
+from repro.experiments.report import nested_to_rows
+from repro.experiments.runner import energy_table, speedup_table
 
 #: Workloads whose movement mix keeps the flash channels busy (the same
 #: trio the contention ablation uses, so the two experiments' numbers are
@@ -163,24 +161,3 @@ LIFETIME_DEF = register_experiment(ExperimentDef(
                 "channel traffic a live contention source instead of a "
                 "fresh-drive assumption.",),
 ))
-
-
-def run_lifetime(config: Optional[ExperimentConfig] = None, *,
-                 parallel: bool = True, workers: Optional[int] = None,
-                 cache_dir: Optional[str] = None) -> ExperimentResult:
-    """Run the device-lifetime experiment; returns the full result."""
-    return run_experiment(LIFETIME_DEF, config, parallel=parallel,
-                          workers=workers, cache_dir=cache_dir)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    result = run_lifetime(config)
-    texts = []
-    for name, rows in result.sections.items():
-        text = format_table(rows, float_digits=3)
-        print(f"== {name} ==")
-        print(text)
-        texts.append(text)
-    for line in result.headline:
-        print(line)
-    return "\n".join(texts)

@@ -13,22 +13,19 @@ grown roster, so the storage overhead is reported per variant.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
 
 from repro.core.offload.transform import InstructionTransformer
 from repro.core.platform import SSDPlatform
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        per_platform, register_experiment,
-                                        run_experiment)
-from repro.experiments.runner import (ExperimentConfig,
-                                      default_sweep_cache_dir)
+                                        per_platform, register_experiment)
 from repro.workloads import AESWorkload
 
 
-def _metrics_from_grid(grid, platform_config) -> Dict[str, float]:
-    transformer = InstructionTransformer(SSDPlatform(platform_config))
+def _sections(ctx: ExperimentContext, platform_name, grid):
+    transformer = InstructionTransformer(
+        SSDPlatform(ctx.platforms[platform_name]))
     result = grid[(AESWorkload.name, "Conduit")]
-    return {
+    metrics = {
         "translation_table_bytes": float(transformer.table_bytes()),
         "coherence_metadata_bytes_per_page": 3.0,
         "avg_runtime_overhead_us": result.offload_overhead_avg_ns / 1000.0,
@@ -37,10 +34,6 @@ def _metrics_from_grid(grid, platform_config) -> Dict[str, float]:
         "paper_max_runtime_overhead_us": 33.0,
         "paper_translation_table_bytes": 1.5 * 1024,
     }
-
-
-def _sections(ctx: ExperimentContext, platform_name, grid):
-    metrics = _metrics_from_grid(grid, ctx.platforms[platform_name])
     return OrderedDict(overheads=[
         {"metric": key, "value": value} for key, value in metrics.items()])
 
@@ -56,21 +49,3 @@ OVERHEADS_DEF = register_experiment(ExperimentDef(
     paper_refs=("~1.5 KiB translation table",
                 "runtime overhead avg 3.77 us, max 33 us"),
 ), overwrite=True)
-
-
-def run_overheads(config: Optional[ExperimentConfig] = None, *,
-                  parallel: bool = True, workers: Optional[int] = None,
-                  cache_dir: Optional[str] = None) -> Dict[str, float]:
-    """Measure Conduit's storage and runtime overheads."""
-    config = config or ExperimentConfig()
-    result = run_experiment(OVERHEADS_DEF, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return _metrics_from_grid(result.platform_grid("default"),
-                              config.platform)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> Dict[str, float]:
-    overheads = run_overheads(config, cache_dir=default_sweep_cache_dir())
-    for key, value in overheads.items():
-        print(f"{key}: {value:.2f}")
-    return overheads

@@ -1,18 +1,17 @@
-"""Plain-text and JSON reporting helpers plus the full-report driver.
+"""Plain-text and JSON reporting helpers plus the full-report composite.
 
 The benchmark targets print the same rows/series the paper's figures show;
 these helpers keep that formatting in one place.  The ``report``
 experiment is a *composite* registry entry: its members (Table 3,
 Figs. 4-10, overheads) run in the paper's order against one shared result
 cache, so a full paper report costs one sharded sweep per figure the first
-time and almost nothing on repeats.  :func:`run_report` is the library
-API; ``python -m repro run report`` is the CLI entry point.
+time and almost nothing on repeats (``python -m repro run report``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]],
@@ -83,30 +82,3 @@ def _register_report() -> None:
         composite=("table3", "fig4", "fig5", "fig7", "fig8", "fig9",
                    "fig10", "overheads"),
     ))
-
-
-def run_report(config=None, *, parallel: bool = True,
-               workers: Optional[int] = None,
-               cache_dir: Optional[str] = None) -> Dict[str, str]:
-    """Regenerate every figure/table of the evaluation section.
-
-    Returns ``{section: formatted table text}`` in the paper's order.  All
-    sections share the sweep engine knobs and a result cache -- a
-    per-call temporary one when ``cache_dir`` is ``None`` -- so the
-    (workload, policy) pairs common to several figures (e.g. the Fig. 5
-    baselines are a subset of Fig. 7's) are simulated once.
-    """
-    from repro.experiments.registry import run_experiment
-    result = run_experiment("report", config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return dict(result.formatted())
-
-
-def main(config=None) -> Dict[str, str]:
-    from repro.experiments.runner import default_sweep_cache_dir
-    sections = run_report(config, cache_dir=default_sweep_cache_dir())
-    for name, text in sections.items():
-        print(f"== {name} ==")
-        print(text)
-        print()
-    return sections

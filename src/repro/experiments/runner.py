@@ -232,23 +232,33 @@ def _execute(program: VectorProgram, spec: RunSpec) -> ExecutionResult:
     lifetimes are reference-counted, so generational scans only add
     pauses; per-run bookkeeping (records, decisions) is acyclic and freed
     normally when the result is consumed.
+
+    A failing run re-raises its own exception (type unchanged) with a note
+    naming the spec; notes survive pickling out of a pool worker.
     """
-    platform = SSDPlatform(spec.platform)
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
     try:
-        if spec.policy in HOST_POLICIES:
-            device = (Resource.HOST_CPU if spec.policy == "CPU"
-                      else Resource.HOST_GPU)
-            runtime = HostRuntime(platform, spec.runtime)
-            return runtime.execute(program, device, spec.workload)
-        runtime = ConduitRuntime(platform, spec.runtime)
-        return runtime.execute(program, make_policy(spec.policy),
-                               spec.workload)
-    finally:
+        platform = SSDPlatform(spec.platform)
+        gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
-            gc.enable()
+            gc.disable()
+        try:
+            if spec.policy in HOST_POLICIES:
+                device = (Resource.HOST_CPU if spec.policy == "CPU"
+                          else Resource.HOST_GPU)
+                runtime = HostRuntime(platform, spec.runtime)
+                return runtime.execute(program, device, spec.workload)
+            runtime = ConduitRuntime(platform, spec.runtime)
+            return runtime.execute(program, make_policy(spec.policy),
+                                   spec.workload)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+    except Exception as error:
+        error.add_note(
+            f"while running workload {spec.workload!r} under policy "
+            f"{spec.policy!r} on platform {spec.platform_name!r} "
+            f"(run spec {run_spec_key(spec)[:12]})")
+        raise
 
 
 def execute_run_spec(spec: RunSpec) -> ExecutionResult:

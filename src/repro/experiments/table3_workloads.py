@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
                                         register_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentConfig, resolve_sweep_workers
+from repro.experiments.runner import resolve_sweep_workers
 from repro.workloads import Workload, characterization_table
 
 
@@ -31,20 +30,15 @@ def _characterization_row(workload: Workload) -> Dict[str, object]:
     return characterization_table([workload])[0]
 
 
-def _characterize(workloads: List[Workload], *, parallel: bool,
-                  workers: Optional[int]) -> List[Dict[str, object]]:
-    count = min(resolve_sweep_workers(workers), len(workloads)) \
-        if parallel else 1
+def _sections(ctx: ExperimentContext):
+    count = min(resolve_sweep_workers(ctx.workers), len(ctx.workloads)) \
+        if ctx.parallel else 1
     if count > 1:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(_characterization_row, workloads))
-    return [_characterization_row(workload) for workload in workloads]
-
-
-def _sections(ctx: ExperimentContext):
-    return OrderedDict(table3=_characterize(ctx.workloads,
-                                            parallel=ctx.parallel,
-                                            workers=ctx.workers))
+            rows = list(pool.map(_characterization_row, ctx.workloads))
+    else:
+        rows = [_characterization_row(workload) for workload in ctx.workloads]
+    return OrderedDict(table3=rows)
 
 
 TABLE3_DEF = register_experiment(ExperimentDef(
@@ -55,19 +49,3 @@ TABLE3_DEF = register_experiment(ExperimentDef(
     policies=(),  # compile-only: no simulation sweep
     build=_sections,
 ), overwrite=True)
-
-
-def run_table3(config: Optional[ExperimentConfig] = None, *,
-               parallel: bool = True, workers: Optional[int] = None
-               ) -> List[Dict[str, object]]:
-    config = config or ExperimentConfig()
-    return _characterize(config.workloads(), parallel=parallel,
-                         workers=workers)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    rows = run_table3(config)
-    text = format_table(rows)
-    print("Table 3 -- workload characteristics (measured vs. paper)")
-    print(text)
-    return text

@@ -30,15 +30,14 @@ sweep.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.metrics import ExecutionResult, geometric_mean
 from repro.experiments.compare import compare_grids
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        ExperimentResult,
-                                        register_experiment, run_experiment)
-from repro.experiments.report import format_table, nested_to_rows
-from repro.experiments.runner import ExperimentConfig, speedup_table
+                                        register_experiment)
+from repro.experiments.report import nested_to_rows
+from repro.experiments.runner import speedup_table
 from repro.workloads import MQSIM_MINI_NAME, ZIPF_HOT_NAME
 
 #: Uniform hand-built kernels next to the trace-driven/generative pair.
@@ -151,24 +150,3 @@ TRACES_DEF = register_experiment(ExperimentDef(
                 "trace-driven streams add the skew and interleaving "
                 "real block traffic exhibits.",),
 ))
-
-
-def run_traces(config: Optional[ExperimentConfig] = None, *,
-               parallel: bool = True, workers: Optional[int] = None,
-               cache_dir: Optional[str] = None) -> ExperimentResult:
-    """Run the trace-driven workload experiment; returns the result."""
-    return run_experiment(TRACES_DEF, config, parallel=parallel,
-                          workers=workers, cache_dir=cache_dir)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    result = run_traces(config)
-    texts = []
-    for name, rows in result.sections.items():
-        text = format_table(rows, float_digits=3)
-        print(f"== {name} ==")
-        print(text)
-        texts.append(text)
-    for line in result.headline:
-        print(line)
-    return "\n".join(texts)

@@ -31,7 +31,6 @@ Registered as the ``serve`` experiment
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -218,9 +217,3 @@ def run_serve(config: Optional[ExperimentConfig] = None, *,
     return run_experiment(definition, config, platforms=platforms,
                           parallel=parallel, workers=workers,
                           cache_dir=cache_dir)
-
-
-def serve_sweep_config(fleet: FleetConfig,
-                       **overrides) -> FleetConfig:
-    """A copy of ``fleet`` with field overrides (tests tune budgets)."""
-    return dataclasses.replace(fleet, **overrides)

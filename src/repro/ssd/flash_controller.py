@@ -130,13 +130,6 @@ class FlashChannelSubsystem:
         return FlashOperationTiming(start=now, die_done=op.end, end=op.end,
                                     channel_busy_ns=cmd.end - cmd.start)
 
-    def stream_page_out(self, now: float, channel: int) -> Reservation:
-        """Move one already-sensed page from the page buffer to the FC."""
-        self._check_channel(channel)
-        start = now + self.config.dma_latency_ns
-        return self.channels.transfer(start, self.config.page_size_bytes,
-                                      channel=channel)
-
     # -- Estimation helpers (no reservation) ----------------------------------
 
     def uncontended_read_latency(self, *, transfer_out: bool = True) -> float:

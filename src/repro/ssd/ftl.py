@@ -189,6 +189,3 @@ class FlashTranslationLayer:
 
     def free_block_fraction(self) -> float:
         return self.array.free_block_count() / self.array.total_blocks
-
-    def mapping_table_bytes(self) -> int:
-        return len(self.mapping) * self.config.mapping_entry_bytes

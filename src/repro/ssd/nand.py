@@ -217,12 +217,6 @@ class FlashPlane:
         return self.cold_blocks - sum(1 for index in self._blocks
                                       if index < self.cold_blocks)
 
-    def free_blocks(self) -> int:
-        return (self.block_count - len(self._blocks) -
-                self.unmaterialized_cold_blocks() +
-                sum(1 for b in self._blocks.values()
-                    if b.write_cursor == 0 and b.valid_pages == 0))
-
 
 class FlashDie:
     """A die: the unit of independent command execution on a chip."""
@@ -427,7 +421,3 @@ class NANDArray:
 
     def erase_time_ns(self) -> float:
         return self.config.erase_latency_ns
-
-    def page_transfer_time_ns(self) -> float:
-        """Page-buffer <-> flash-controller DMA time for one page (tDMA)."""
-        return self.config.dma_latency_ns

@@ -11,6 +11,8 @@ another shape's cached results.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common import BackendId, MIB, Resource
@@ -19,8 +21,9 @@ from repro.core.offload.policies import ConduitPolicy, make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime
 from repro.dram.cxl import CXLPuDConfig
-from repro.experiments import ExperimentConfig, RunSpec, run_spec_key
-from repro.experiments.backend_ablation import run_backend_ablation
+from repro.experiments import (ExperimentConfig, RunSpec, run_experiment,
+                               run_spec_key)
+from repro.experiments.backend_ablation import ABLATION_DEF
 from repro.ssd.config import small_ssd_config
 from repro.workloads import LLMTrainingWorkload, LlamaInferenceWorkload
 
@@ -88,8 +91,10 @@ class TestCXLPuDTier:
 
     def test_ablation_harness_reports_decision_shift(self):
         config = ExperimentConfig(workload_scale=0.05)
-        rows = run_backend_ablation(config,
-                                    workload_names=("LlaMA2 Inference",))
+        definition = dataclasses.replace(
+            ABLATION_DEF, workloads=("LlaMA2 Inference",))
+        rows = run_experiment(definition, config,
+                              parallel=False).sections["ablation"]
         assert len(rows) == 3  # one row per roster
         by_roster = {row["roster"]: row for row in rows}
         assert by_roster["default"]["grown_backends"] == 0.0

@@ -212,8 +212,8 @@ class TestExperimentRegistry:
         assert experiment_def("report").composite == (
             "table3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",
             "overheads")
-        from repro.experiments import run_report
-        sections = run_report(tiny_config, parallel=False)
+        sections = run_experiment("report", tiny_config,
+                                  parallel=False).formatted()
         assert set(sections) == {"table3", "fig4", "fig5", "fig7a", "fig7b",
                                  "fig8", "fig9", "fig10", "overheads"}
         assert all(text.strip() and text != "(no rows)"
@@ -363,6 +363,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "== " in out  # at least one formatted section
+
+    @pytest.mark.parametrize("command", [
+        ["run", "bogus-policy"],
+        ["compare", "bogus-policy", "default", "cxl-pud"]])
+    def test_failing_unit_is_named_on_the_error_line(self, command, capsys,
+                                                     monkeypatch):
+        definition = ExperimentDef(
+            name="bogus-policy", title="bogus", policies=("No-Such-Policy",),
+            workloads=(Jacobi1DWorkload.name,),
+            build=per_platform(lambda ctx, name, grid: {}))
+        monkeypatch.setitem(EXPERIMENT_REGISTRY, definition.name, definition)
+        rc = cli_main([*command, "--scale", str(CLI_SCALE), "--serial",
+                       "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        line = next(line for line in err.splitlines()
+                    if line.startswith("error:"))
+        assert "unknown offloading policy 'No-Such-Policy'" in line
+        assert "workload 'jacobi-1d'" in line
+        assert "platform 'default'" in line
 
     def test_list_names_experiments_and_variants(self, capsys):
         assert cli_main(["list"]) == 0

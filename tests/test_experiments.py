@@ -5,13 +5,10 @@ import pytest
 from repro.common import MIB
 from repro.core.platform import PlatformConfig
 from repro.experiments import (ExperimentConfig, ExperimentRunner,
-                               format_table, nested_to_rows, run_case_study,
-                               run_overheads, run_table3, speedup_table,
-                               to_json)
-from repro.experiments.fig8_tail_latency import (TAIL_POLICIES,
-                                                 run_tail_latency)
-from repro.experiments.fig9_offload_decisions import run_offload_decisions
-from repro.experiments.fig10_timeline import phase_summary, run_timeline
+                               format_table, nested_to_rows, phase_summary,
+                               run_experiment, speedup_table, to_json)
+from repro.experiments.fig8_tail_latency import TAIL_POLICIES
+from repro.experiments.fig10_timeline import TIMELINE_POLICIES
 from repro.ssd.config import small_ssd_config
 from repro.workloads import AESWorkload, Jacobi1DWorkload
 
@@ -56,12 +53,12 @@ class TestRunner:
 
 class TestFigureHarnesses:
     def test_table3_rows(self, tiny_config):
-        rows = run_table3(tiny_config)
+        rows = run_experiment("table3", tiny_config).sections["table3"]
         assert len(rows) == 6
         assert all("vectorizable_%" in row for row in rows)
 
     def test_case_study_structure(self, tiny_config):
-        rows = run_case_study(tiny_config)
+        rows = run_experiment("fig4", tiny_config).sections["fig4"]
         categories = {row["category"] for row in rows}
         models = {row["model"] for row in rows}
         assert categories == {"I/O-Intensive", "More Compute-Intensive",
@@ -72,19 +69,22 @@ class TestFigureHarnesses:
             assert row["normalized_time"] == pytest.approx(1.0)
 
     def test_tail_latency_rows(self, tiny_config):
-        rows = run_tail_latency(tiny_config)
+        rows = run_experiment("fig8", tiny_config).sections["fig8"]
         assert len(rows) == 2 * len(TAIL_POLICIES)
         for row in rows:
             assert row["p9999_us"] >= row["p99_us"] > 0
 
     def test_offload_decision_fractions_sum_to_one(self, tiny_config):
-        rows = run_offload_decisions(tiny_config)
+        rows = run_experiment("fig9", tiny_config).sections["fig9"]
         for row in rows:
             total = row["isp"] + row["pud_ssd"] + row["ifp"]
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_timeline_and_phase_summary(self, tiny_config):
-        timelines = run_timeline(tiny_config, instructions=200)
+        grid = run_experiment("fig10", tiny_config).platform_grid()
+        timelines = {policy: grid[("LlaMA2 Inference", policy)].timeline(
+                         limit=200)
+                     for policy in TIMELINE_POLICIES}
         assert set(timelines) == {"BW-Offloading", "DM-Offloading",
                                   "Conduit"}
         summary = phase_summary(timelines, phases=3)
@@ -92,7 +92,9 @@ class TestFigureHarnesses:
         assert all(row["instructions"] > 0 for row in summary)
 
     def test_overheads_report(self, tiny_config):
-        overheads = run_overheads(tiny_config)
+        rows = run_experiment("overheads", tiny_config).sections[
+            "overheads"]
+        overheads = {row["metric"]: row["value"] for row in rows}
         assert overheads["translation_table_bytes"] <= 1536
         assert overheads["avg_runtime_overhead_us"] > 0
 

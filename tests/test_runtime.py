@@ -3,10 +3,12 @@
 import pytest
 
 from repro.common import MIB, OpType, Resource
-from repro.core.metrics import energy_reduction, geometric_mean, speedup
+from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
+                                energy_reduction, geometric_mean, speedup)
 from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.energy.model import EnergyBreakdown
 from repro.ssd.config import small_ssd_config
 
 
@@ -123,6 +125,28 @@ class TestMetricsHelpers:
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
         assert geometric_mean([]) == 0.0
+
+    @staticmethod
+    def _result(time_ns: float, energy_nj: float) -> ExecutionResult:
+        return ExecutionResult(
+            workload="w", policy="p", total_time_ns=time_ns, records=[],
+            energy=EnergyBreakdown(compute_nj=energy_nj,
+                                   data_movement_nj=0.0, per_resource_nj={},
+                                   per_transfer_kind_nj={}),
+            breakdown=ExecutionBreakdown())
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan")])
+    def test_geometric_mean_rejects_non_positive_values(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            geometric_mean([1.0, bad, 4.0])
+
+    def test_speedup_rejects_zero_time_candidate(self):
+        with pytest.raises(ValueError, match="'p' on 'w'.*0.0 ns"):
+            speedup(self._result(5.0, 1.0), self._result(0.0, 1.0))
+
+    def test_energy_reduction_rejects_zero_energy_baseline(self):
+        with pytest.raises(ValueError, match="'p' on 'w'.*0.0 nJ"):
+            energy_reduction(self._result(1.0, 0.0), self._result(1.0, 2.0))
 
     def test_tail_latency_percentiles_ordered(self, tiny_vector_program,
                                               platform_config):

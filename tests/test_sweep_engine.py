@@ -19,7 +19,8 @@ from repro.core.platform import PlatformConfig
 from repro.experiments import (DEFAULT_SWEEP_CACHE_DIR, ExperimentConfig,
                                ExperimentRunner, RunSpec, SweepCache,
                                default_sweep_cache_dir, execute_run_spec,
-                               resolve_sweep_workers, run_spec_key)
+                               platform_variant, resolve_sweep_workers,
+                               run_spec_key)
 from repro.experiments.runner import SWEEP_CACHE_ENV, SWEEP_WORKERS_ENV
 from repro.ssd.config import small_ssd_config
 from repro.workloads import Jacobi1DWorkload, Workload, workload_by_name
@@ -103,6 +104,28 @@ class TestParallelSweep:
             (workload.name, policy)
             for workload in workloads for policy in ("CPU", "Conduit")
         ]
+
+    @pytest.mark.parametrize("parallel, workers", [(False, None), (True, 2)])
+    def test_failing_unit_names_its_spec(self, tiny_config, parallel,
+                                         workers):
+        # Two units so the parallel case really shards over a 2-worker
+        # pool; the note has to survive pickling out of the worker.
+        runner = ExperimentRunner(tiny_config)
+        workload = Jacobi1DWorkload(scale=TINY_SCALE)
+        with pytest.raises(ValueError,
+                           match="unknown offloading policy") as info:
+            runner.sweep(("CPU", "No-Such-Policy"), [workload],
+                         platforms=["cxl-pud"], parallel=parallel,
+                         workers=workers)
+        notes = "\n".join(getattr(info.value, "__notes__", ()))
+        assert "workload 'jacobi-1d'" in notes
+        assert "policy 'No-Such-Policy'" in notes
+        assert "platform 'cxl-pud'" in notes
+        spec = runner.spec_for(
+            workload, "No-Such-Policy",
+            platform=platform_variant("cxl-pud", base=tiny_config.platform),
+            platform_name="cxl-pud")
+        assert f"run spec {run_spec_key(spec)[:12]}" in notes
 
     def test_single_worker_parallel_stays_in_process(self, tiny_config):
         runner = ExperimentRunner(tiny_config)
