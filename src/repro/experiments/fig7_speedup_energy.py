@@ -38,24 +38,39 @@ class Fig7Results:
     raw: Dict[Tuple[str, str], ExecutionResult]
 
     def conduit_vs(self, policy: str) -> float:
-        """Geometric-mean speedup of Conduit over another policy."""
-        gmean = self.speedups["GMEAN"]
-        if gmean.get(policy, 0.0) <= 0:
-            return float("inf")
+        """Geometric-mean speedup of Conduit over another policy.
+
+        Raises :class:`ValueError` naming the policy whose GMEAN is
+        missing or non-positive (a ratio against it is undefined).
+        """
+        gmean = self.speedups.get("GMEAN", {})
+        for name in ("Conduit", policy):
+            if not gmean.get(name, 0.0) > 0:
+                raise ValueError(
+                    f"Fig. 7 has no positive GMEAN speedup for policy "
+                    f"{name!r}; cannot compare Conduit against {policy!r}")
         return gmean["Conduit"] / gmean[policy]
 
     def conduit_energy_reduction_vs(self, policy: str) -> float:
-        """Average energy reduction of Conduit versus another policy."""
+        """Average energy reduction of Conduit versus another policy.
+
+        Averaged over the workloads that ran both policies.  Raises
+        :class:`ValueError` naming the workload with a non-positive
+        energy, or the policy when no workload ran both.
+        """
         reductions = []
-        for row in self.energy.values():
+        for workload, row in self.energy.items():
             if policy not in row or "Conduit" not in row:
                 continue
             other = row[policy]["total"]
-            if other <= 0:
-                continue
+            if not other > 0:
+                raise ValueError(
+                    f"policy {policy!r} reported non-positive energy "
+                    f"{other!r} on workload {workload!r}")
             reductions.append(1.0 - row["Conduit"]["total"] / other)
         if not reductions:
-            return 0.0
+            raise ValueError(
+                f"no Fig. 7 workload ran both Conduit and {policy!r}")
         return sum(reductions) / len(reductions)
 
 

@@ -17,6 +17,7 @@ data-layout constraints of the NDP paradigms (Section 4.4):
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 from repro.common import SimulationError
@@ -68,11 +69,16 @@ class PageAllocator:
         plane_obj = self.array.die(channel, die).plane(plane)
         start = self._free_cursor.get(key, 0)
         blocks = plane_obj.block_count
-        for offset in range(blocks):
-            index = (start + offset) % blocks
+        # Scan from the cursor, wrapping once.  Cold blocks ``[0, cold)``
+        # are never free (the plane refuses to materialize them), so the
+        # scan skips that prefix; the order is a dense wrap-around scan's.
+        cold = plane_obj.cold_blocks
+        is_free_block = plane_obj.is_free_block
+        for index in chain(range(max(start, cold), blocks),
+                           range(cold, start)):
             # Freeness is checked without materializing the block; only the
             # block actually selected gets built (lazy NAND array).
-            if plane_obj.is_free_block(index):
+            if is_free_block(index):
                 self._free_cursor[key] = (index + 1) % blocks
                 return PhysicalBlockAddress(channel, die, plane, index)
         return None

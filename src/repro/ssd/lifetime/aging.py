@@ -13,7 +13,9 @@ a zero-time setup step instead:
 * a seeded number of blocks per plane are *fragmented*: partially
   programmed with filler logical pages, a seeded fraction of which are
   invalid -- these are the GC victims that generate real relocation
-  traffic on the shared channels once the background engine runs;
+  traffic on the shared channels once the background engine runs.  Each
+  fragment is installed in bulk -- one :meth:`NANDArray.program_fragment`
+  call per block, not a page-by-page program/invalidate replay;
 * per-block erase counts are pre-seeded from the profile's RNG, so wear
   statistics (and the wear-leveler's imbalance trigger) start from a
   worn, not pristine, distribution.
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common import ConfigurationError
+from repro.ssd.nand import PhysicalBlockAddress, PhysicalPageAddress
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ssd.ssd import SSD
@@ -179,6 +182,9 @@ def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:
     filler_lpa = nand.pages  # first LPA past the logical capacity
     fill_pages = max(1, int(profile.fragment_fill_fraction *
                             nand.pages_per_block))
+    invalid_fraction = profile.fragment_invalid_fraction
+    draw = rng.random
+    mapping = ftl.mapping
     for channel in range(nand.channels):
         for die in range(nand.dies_per_channel):
             for plane_index in range(nand.planes_per_die):
@@ -190,16 +196,18 @@ def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:
                 cold = max(0, blocks - fragmented - free_target)
                 array.mark_cold_blocks(channel, die, plane_index, cold,
                                        profile.cold_erase_count)
-                for offset in range(fragmented):
-                    block = plane.block(cold + offset)
-                    for _ in range(fill_pages):
-                        lpa = filler_lpa
-                        filler_lpa += 1
-                        ppa = array.program_page(block.address, lpa)
-                        if rng.random() < profile.fragment_invalid_fraction:
-                            array.invalidate_page(ppa)
-                        else:
-                            ftl.mapping[lpa] = ppa
+                for index in range(cold, cold + fragmented):
+                    invalid = {page for page in range(fill_pages)
+                               if draw() < invalid_fraction}
+                    lpas = range(filler_lpa, filler_lpa + fill_pages)
+                    filler_lpa += fill_pages
+                    block = array.program_fragment(
+                        PhysicalBlockAddress(channel, die, plane_index, index),
+                        lpas, invalid)
+                    for page, lpa in enumerate(lpas):
+                        if page not in invalid:
+                            mapping[lpa] = PhysicalPageAddress(
+                                channel, die, plane_index, index, page)
                     block.erase_count = rng.randint(
                         profile.fragment_erase_count_min,
                         profile.fragment_erase_count_max)

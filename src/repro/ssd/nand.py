@@ -15,8 +15,8 @@ and is consumed by the flash controller and the in-flash processing model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import (AbstractSet, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence)
 
 from repro.common import SimulationError
 from repro.ssd.config import NANDConfig
@@ -28,9 +28,14 @@ class PageState(enum.Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True, order=True)
-class PhysicalPageAddress:
-    """Physical address of one flash page."""
+class PhysicalPageAddress(NamedTuple):
+    """Physical address of one flash page.
+
+    A named tuple rather than a frozen dataclass: the same fields,
+    equality, hash and ordering, but about half the construction cost,
+    and the cyclic garbage collector stops tracking it (it holds only
+    ints) -- the FTL mapping keeps one per mapped page.
+    """
 
     channel: int
     die: int
@@ -43,9 +48,8 @@ class PhysicalPageAddress:
                                     self.block)
 
 
-@dataclass(frozen=True, order=True)
-class PhysicalBlockAddress:
-    """Physical address of one flash block."""
+class PhysicalBlockAddress(NamedTuple):
+    """Physical address of one flash block (a named tuple, like pages)."""
 
     channel: int
     die: int
@@ -133,6 +137,29 @@ class FlashBlock:
         self.write_cursor += 1
         return page
 
+    def fill(self, lpas: Sequence[int], invalid: AbstractSet[int]) -> None:
+        """Program pages ``[0, len(lpas))`` of an erased block in one step.
+
+        Page ``i`` stores ``lpas[i]``; the page indices in ``invalid`` are
+        left invalidated.  The resulting state equals programming each
+        LPA in order and then invalidating ``invalid``.
+        """
+        if self.write_cursor:
+            raise SimulationError(
+                f"block {self.address} is not erased; cannot fill it")
+        if not 0 < len(lpas) <= self.pages:
+            raise SimulationError(
+                f"cannot fill {len(lpas)} pages into block {self.address} "
+                f"of {self.pages} pages")
+        if not invalid <= set(range(len(lpas))):
+            raise SimulationError(
+                f"invalid pages {sorted(invalid)} fall outside the "
+                f"{len(lpas)}-page fill of block {self.address}")
+        self._stored = {page: lpa for page, lpa in enumerate(lpas)
+                        if page not in invalid}
+        self._invalid = set(invalid)
+        self.write_cursor = len(lpas)
+
     def invalidate(self, page: int) -> None:
         if self.state_of(page) is not PageState.VALID:
             raise SimulationError(
@@ -175,9 +202,10 @@ class FlashPlane:
         #: to the allocator -- so, like untouched free blocks, they are
         #: accounted arithmetically instead of being materialized (a
         #: near-EOL full-size drive would otherwise need ~500k block
-        #: objects and ~50M page entries).
+        #: objects and ~50M page entries).  :meth:`block` refuses to
+        #: materialize them, so the count is exact for the drive's life.
         self.cold_blocks = 0
-        #: Erase count attributed to each unmaterialized cold block.
+        #: Erase count attributed to each cold block.
         self.cold_erase_count = 0
 
     def block(self, index: int) -> FlashBlock:
@@ -187,6 +215,11 @@ class FlashPlane:
                 raise SimulationError(
                     f"block {index} out of range for plane "
                     f"({self.channel}, {self.die}, {self.plane})")
+            if index < self.cold_blocks:
+                raise SimulationError(
+                    f"block {index} of plane ({self.channel}, {self.die}, "
+                    f"{self.plane}) holds static cold data and cannot be "
+                    "materialized")
             block = FlashBlock(
                 PhysicalBlockAddress(self.channel, self.die, self.plane,
                                      index),
@@ -204,18 +237,6 @@ class FlashPlane:
     def materialized_blocks(self) -> Iterator[FlashBlock]:
         """The blocks that have been touched (others are free and erased)."""
         return iter(self._blocks.values())
-
-    def unmaterialized_cold_blocks(self) -> int:
-        """Cold blocks still accounted arithmetically (never materialized).
-
-        A cold block can only materialize through an explicit
-        :meth:`block` call (the allocator and GC never pick one), but the
-        accounting stays correct if a test does it anyway.
-        """
-        if not self.cold_blocks:
-            return 0
-        return self.cold_blocks - sum(1 for index in self._blocks
-                                      if index < self.cold_blocks)
 
 
 class FlashDie:
@@ -321,6 +342,22 @@ class NANDArray:
         self.programs += 1
         return block_address.page(page)
 
+    def program_fragment(self, block_address: PhysicalBlockAddress,
+                         lpas: Sequence[int],
+                         invalid: AbstractSet[int]) -> FlashBlock:
+        """Bulk-program an erased block (see :meth:`FlashBlock.fill`).
+
+        State-equivalent to one :meth:`program_page` per LPA followed by
+        :meth:`invalidate_page` on each page in ``invalid``; used to
+        install a drive-age profile's fragmented blocks without replaying
+        them page by page.
+        """
+        block = self.block(block_address)
+        block.fill(lpas, invalid)
+        self._free_blocks -= 1
+        self.programs += len(lpas)
+        return block
+
     def read_page(self, address: PhysicalPageAddress) -> Optional[int]:
         block = self.block(address.block_address())
         self.reads += 1
@@ -354,10 +391,10 @@ class NANDArray:
     def _erase_count_moments(self) -> tuple:
         """(min, max, sum, sum-of-squares, total) over *all* blocks.
 
-        Materialized blocks contribute their own counts; unmaterialized
-        cold blocks contribute their plane's cold erase count; the plain
-        untouched remainder contributes zeros -- so the moments match a
-        dense scan without materializing anything.
+        Materialized blocks contribute their own counts; cold blocks
+        (never materialized) contribute their plane's cold erase count;
+        the plain untouched remainder contributes zeros -- so the moments
+        match a dense scan without materializing anything.
         """
         counts = []
         cold_total = 0
@@ -368,7 +405,7 @@ class NANDArray:
         for plane in self.iter_planes():
             counts.extend(block.erase_count
                           for block in plane.materialized_blocks())
-            cold = plane.unmaterialized_cold_blocks()
+            cold = plane.cold_blocks
             if cold:
                 erase_count = plane.cold_erase_count
                 cold_total += cold

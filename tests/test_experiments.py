@@ -7,6 +7,7 @@ from repro.core.platform import PlatformConfig
 from repro.experiments import (ExperimentConfig, ExperimentRunner,
                                format_table, nested_to_rows, phase_summary,
                                run_experiment, speedup_table, to_json)
+from repro.experiments.fig7_speedup_energy import Fig7Results
 from repro.experiments.fig8_tail_latency import TAIL_POLICIES
 from repro.experiments.fig10_timeline import TIMELINE_POLICIES
 from repro.ssd.config import small_ssd_config
@@ -117,3 +118,34 @@ class TestReporting:
         path = tmp_path / "out.json"
         text = to_json({"x": 1}, path=str(path))
         assert path.read_text() == text
+
+
+def energy_row(total: float) -> dict:
+    return {"total": total, "data_movement": total / 2,
+            "compute": total / 2}
+
+
+class TestFig7Helpers:
+    def test_conduit_vs_raises_on_missing_or_non_positive_gmean(self):
+        results = Fig7Results(
+            speedups={"GMEAN": {"Conduit": 2.0, "ISP": 1.0, "GPU": 0.0}},
+            energy={}, raw={})
+        assert results.conduit_vs("ISP") == 2.0
+        with pytest.raises(ValueError, match="'GPU'"):
+            results.conduit_vs("GPU")
+        with pytest.raises(ValueError, match="'Ideal'"):
+            results.conduit_vs("Ideal")
+
+    def test_energy_reduction_raises_on_bad_energy_or_no_match(self):
+        results = Fig7Results(
+            speedups={},
+            energy={"AES": {"Conduit": energy_row(0.5),
+                            "ISP": energy_row(1.0)},
+                    "heat-3d": {"Conduit": energy_row(0.5),
+                                "GPU": energy_row(0.0)}},
+            raw={})
+        assert results.conduit_energy_reduction_vs("ISP") == 0.5
+        with pytest.raises(ValueError, match="'heat-3d'"):
+            results.conduit_energy_reduction_vs("GPU")
+        with pytest.raises(ValueError, match="'Ideal'"):
+            results.conduit_energy_reduction_vs("Ideal")

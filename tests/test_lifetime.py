@@ -8,11 +8,12 @@ core safety property: maintenance never loses a valid page.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, SimulationError
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.ssd.config import (FTLConfig, GCVictimPolicy, NANDConfig,
@@ -23,7 +24,7 @@ from repro.ssd.lifetime import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
                                 NEAR_EOL_PROFILE, BackgroundFlashEngine,
                                 DriveAgeProfile, LifetimeConfig,
                                 apply_drive_age)
-from repro.ssd.nand import NANDArray, PhysicalBlockAddress
+from repro.ssd.nand import NANDArray, PageState, PhysicalBlockAddress
 from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
 
@@ -220,6 +221,152 @@ class TestDriveAgeProfiles:
             DriveAgeProfile(prior_write_amplification=0.5)
         with pytest.raises(ConfigurationError):
             LifetimeConfig(gc_pages_per_step=0)
+
+
+def replay_drive_age(ssd: SSD, profile: DriveAgeProfile) -> None:
+    """Reference aging: the page-by-page program/invalidate replay.
+
+    Walks the same geometry order and draws the profile's RNG stream in
+    the same order as :func:`apply_drive_age` (per fragment block: one
+    ``random()`` per filler page, then one ``randint``).
+    """
+    array, ftl, nand = ssd.array, ssd.ftl, ssd.array.config
+    rng = random.Random(profile.seed)
+    filler_lpa = nand.pages
+    fill_pages = max(1, int(profile.fragment_fill_fraction *
+                            nand.pages_per_block))
+    for plane in array.iter_planes():
+        blocks = plane.block_count
+        fragmented = min(profile.fragmented_blocks_per_plane,
+                         max(0, blocks - 2))
+        free_target = max(2, round(profile.free_fraction * blocks))
+        cold = max(0, blocks - fragmented - free_target)
+        array.mark_cold_blocks(plane.channel, plane.die, plane.plane, cold,
+                               profile.cold_erase_count)
+        for offset in range(fragmented):
+            block = plane.block(cold + offset)
+            for _ in range(fill_pages):
+                ppa = array.program_page(block.address, filler_lpa)
+                if rng.random() < profile.fragment_invalid_fraction:
+                    array.invalidate_page(ppa)
+                else:
+                    ftl.mapping[filler_lpa] = ppa
+                filler_lpa += 1
+            block.erase_count = rng.randint(
+                profile.fragment_erase_count_min,
+                profile.fragment_erase_count_max)
+    array.reads = array.programs = array.erases = 0
+
+
+def block_states(ssd: SSD) -> dict:
+    return {block.address: (block.write_cursor,
+                            [block.stored_lpa_of(page)
+                             for page in range(block.pages)],
+                            [page for page in range(block.write_cursor)
+                             if block.state_of(page) is PageState.INVALID],
+                            block.erase_count)
+            for block in ssd.array.iter_blocks()}
+
+
+class TestBulkAging:
+    @pytest.mark.parametrize("profile", [
+        *(DRIVE_AGE_PROFILES[name] for name in sorted(DRIVE_AGE_PROFILES)),
+        dataclasses.replace(NEAR_EOL_PROFILE, seed=7,
+                            fragment_fill_fraction=0.6),
+    ], ids=[*sorted(DRIVE_AGE_PROFILES), "near-eol-reseeded"])
+    def test_bulk_aging_equals_page_by_page_replay(self, profile):
+        bulk = aged_small_ssd(profile)
+        reference = SSD(small_ssd_config())
+        replay_drive_age(reference, profile)
+        assert block_states(bulk) == block_states(reference)
+        assert list(bulk.ftl.mapping.items()) == list(
+            reference.ftl.mapping.items())
+        assert (bulk.array.free_block_count()
+                == reference.array.free_block_count())
+        assert (bulk.array.erase_count_stats()
+                == reference.array.erase_count_stats())
+        assert (bulk.array.reads, bulk.array.programs,
+                bulk.array.erases) == (0, 0, 0)
+
+    def test_fill_rejects_a_programmed_block(self):
+        array = NANDArray(tiny_nand())
+        address = PhysicalBlockAddress(0, 0, 0, 3)
+        array.program_page(address, 0)
+        with pytest.raises(SimulationError, match="not erased"):
+            array.program_fragment(address, [1, 2], set())
+
+    @pytest.mark.parametrize("lpas, invalid", [
+        (range(5), set()),   # one page more than the block holds
+        ([], set()),         # an empty fill would leave the block free
+        (range(2), {2}),     # invalid page outside the fill
+    ])
+    def test_fill_rejects_a_fill_that_does_not_fit(self, lpas, invalid):
+        array = NANDArray(tiny_nand())
+        free_before = array.free_block_count()
+        with pytest.raises(SimulationError):
+            array.program_fragment(PhysicalBlockAddress(0, 0, 0, 3), lpas,
+                                   invalid)
+        assert array.free_block_count() == free_before
+        assert array.block(PhysicalBlockAddress(0, 0, 0, 3)
+                           ).write_cursor == 0
+
+
+def aged_tiny_plane():
+    """One 16-block plane: blocks 0-9 cold, 10-11 fragments, 12-15 free."""
+    nand = NANDConfig(channels=1, dies_per_channel=1, planes_per_die=1,
+                      blocks_per_plane=16, pages_per_block=4)
+    ssd = SSD(SSDConfig(nand=nand, ftl=FTLConfig()))
+    apply_drive_age(ssd, DriveAgeProfile(free_fraction=0.25,
+                                         fragmented_blocks_per_plane=2))
+    plane = ssd.array.die(0, 0).plane(0)
+    assert plane.cold_blocks == 10
+    return ssd, plane
+
+
+def dense_find_free(plane, cursor: int):
+    """Reference free-block search: every block, wrapping at the cursor."""
+    for offset in range(plane.block_count):
+        index = (cursor + offset) % plane.block_count
+        if plane.is_free_block(index):
+            return index
+    return None
+
+
+class TestFreeBlockSearch:
+    def test_allocation_order_matches_a_dense_scan(self):
+        ssd, plane = aged_tiny_plane()
+        array, allocator = ssd.array, ssd.ftl.allocator
+        cursor = 0
+        picked = []
+        # Erase events between searches; ``None`` means "search again".
+        # Erasing behind the cursor forces the search to wrap past the
+        # last block into ``[cold, cursor)``.
+        events = [None] * 5 + [10, 13, None, None, None,
+                               11, 12, None, None, None]
+        for event in events:
+            if event is not None:
+                array.erase_block(PhysicalBlockAddress(0, 0, 0, event))
+                continue
+            expected = dense_find_free(plane, cursor)
+            found = allocator._find_free_block(0, 0, 0)
+            if expected is None:
+                assert found is None
+                continue
+            assert found == PhysicalBlockAddress(0, 0, 0, expected)
+            cursor = (expected + 1) % plane.block_count
+            picked.append(expected)
+            array.program_page(found, 1000 + len(picked))
+        assert picked == [12, 13, 14, 15, 10, 13, 11, 12]
+
+    def test_cold_blocks_cannot_materialize(self):
+        _, plane = aged_tiny_plane()
+        with pytest.raises(SimulationError, match="cold"):
+            plane.block(0)
+        with pytest.raises(SimulationError, match="cold"):
+            plane.block(plane.cold_blocks - 1)
+        plane.block(plane.cold_blocks)  # the first fragment is fine
+        assert all(block.address.block >= plane.cold_blocks
+                   for block in plane.materialized_blocks())
 
 
 # ------------------------------------------------------------------------
