@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import Resource
 from repro.core.metrics import ExecutionResult
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        register_experiment)
+                                        Rows, register_experiment)
 
 #: Workloads whose operation mix exercises all resource families (the
 #: LLM-Training row is the one the ROADMAP documents regressing).
@@ -100,7 +100,8 @@ def _sections(ctx: ExperimentContext) -> "OrderedDict[str, List[Dict]]":
     return OrderedDict(contention=rows)
 
 
-def _headline(ctx: ExperimentContext) -> List[str]:
+def _headline(ctx: ExperimentContext,
+              sections: "OrderedDict[str, Rows]") -> List[str]:
     """The ROADMAP regression, quantified: LLM Training on cxl-pud."""
     lines: List[str] = []
     key_off = ("LLM Training", CONTENTION_POLICY, "cxl-pud")

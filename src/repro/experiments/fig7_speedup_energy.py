@@ -23,7 +23,8 @@ from typing import Dict, List, Tuple
 
 from repro.core.metrics import ExecutionResult
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        per_platform, register_experiment)
+                                        Rows, per_platform,
+                                        register_experiment)
 from repro.experiments.report import nested_to_rows
 from repro.experiments.runner import (FIG7_POLICIES, energy_table,
                                       speedup_table)
@@ -100,7 +101,8 @@ def _sections(ctx: ExperimentContext, platform_name: str, grid):
     )
 
 
-def _headline(ctx: ExperimentContext) -> List[str]:
+def _headline(ctx: ExperimentContext,
+              sections: "OrderedDict[str, Rows]") -> List[str]:
     lines = []
     for name in ctx.platform_names:
         results = fig7_results_from_grid(ctx.platform_grid(name))

@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 from repro.core.metrics import ExecutionResult, geometric_mean
 from repro.experiments.compare import compare_grids
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        register_experiment)
+                                        Rows, register_experiment)
 from repro.experiments.report import nested_to_rows
 from repro.experiments.runner import energy_table, speedup_table
 
@@ -111,7 +111,8 @@ def _conduit_benefit(grid: Dict[Tuple[str, str], ExecutionResult]
     return geometric_mean(ratios) if ratios else 0.0
 
 
-def _headline(ctx: ExperimentContext) -> List[str]:
+def _headline(ctx: ExperimentContext,
+              sections: "OrderedDict[str, Rows]") -> List[str]:
     lines: List[str] = []
     benefits = {name: _conduit_benefit(ctx.platform_grid(name))
                 for name in ctx.platform_names}

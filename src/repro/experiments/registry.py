@@ -78,8 +78,11 @@ class ExperimentContext:
 #: Builds the experiment's tables from the swept grid.
 SectionBuilder = Callable[[ExperimentContext], "OrderedDict[str, Rows]"]
 
-#: Produces human-readable headline lines (paper-reference comparisons).
-HeadlineBuilder = Callable[[ExperimentContext], List[str]]
+#: Produces human-readable headline lines (paper-reference comparisons)
+#: from the context and the sections ``build`` just returned, so a headline
+#: can quote the built tables instead of recomputing them.
+HeadlineBuilder = Callable[[ExperimentContext, "OrderedDict[str, Rows]"],
+                           List[str]]
 
 
 @dataclass(frozen=True)
@@ -284,7 +287,8 @@ def run_experiment(experiment: Union[str, ExperimentDef],
         platforms=resolved, workloads=workloads, grid=grid, stats=stats,
         parallel=parallel, workers=workers, cache_dir=cache_dir)
     sections = definition.build(ctx)
-    headline = definition.headline(ctx) if definition.headline else []
+    headline = (definition.headline(ctx, sections) if definition.headline
+                else [])
     return ExperimentResult(name=definition.name, sections=sections,
                             headline=headline, stats=sweeps, grid=dict(grid),
                             platform_names=platform_names)

@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 from repro.core.metrics import ExecutionResult, geometric_mean
 from repro.experiments.compare import compare_grids
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        register_experiment)
+                                        Rows, register_experiment)
 from repro.experiments.report import nested_to_rows
 from repro.experiments.runner import speedup_table
 from repro.workloads import MQSIM_MINI_NAME, ZIPF_HOT_NAME
@@ -104,7 +104,8 @@ def _sections(ctx: ExperimentContext) -> "OrderedDict[str, List[Dict]]":
     return sections
 
 
-def _headline(ctx: ExperimentContext) -> List[str]:
+def _headline(ctx: ExperimentContext,
+              sections: "OrderedDict[str, Rows]") -> List[str]:
     lines: List[str] = []
     for name in ctx.platform_names:
         grid = ctx.platform_grid(name)

@@ -21,7 +21,7 @@ from repro.serve.fleet import (FleetConfig, FleetDevice, FleetOutcome,
                                TenantOutcome, fleet_capacity_rps,
                                generate_requests, mean_service_ns)
 from repro.serve.slo import (TenantSLO, fleet_slo_row, jain_fairness,
-                             latency_percentile_ms, tenant_slos)
+                             latency_percentiles_ms, tenant_slos)
 from repro.serve.tenants import (DEFAULT_TENANTS, TenantSpec,
                                  fleet_workloads, validate_tenants)
 
@@ -34,6 +34,6 @@ __all__ = [
     "Request", "ServiceModel", "TenantOutcome", "fleet_capacity_rps",
     "generate_requests", "mean_service_ns",
     "TenantSLO", "fleet_slo_row", "jain_fairness",
-    "latency_percentile_ms", "tenant_slos",
+    "latency_percentiles_ms", "tenant_slos",
     "DEFAULT_TENANTS", "TenantSpec", "fleet_workloads", "validate_tenants",
 ]

@@ -18,8 +18,10 @@ The experiment composes the existing machinery end to end:
 * the :class:`~repro.serve.fleet.FleetSimulator` serves the default
   tenant population (:data:`~repro.serve.tenants.DEFAULT_TENANTS`) at a
   ladder of offered loads expressed as fractions of the *host-only*
-  fleet's capacity, so both fleets face bit-identical request streams at
-  every rung and the comparison is paired, not sampled.
+  fleet's capacity.  Each rung's request stream is generated once and
+  served to both fleets, so the comparison is paired, not sampled, and
+  each (fleet, rung) pair is simulated exactly once per run: the headline
+  quotes the reference rung's rows of the built ``serve`` table.
 
 Everything downstream of the calibration grid is a deterministic pure
 function of (grid, fleet config, tenants, seed): two runs with the same
@@ -39,6 +41,7 @@ from repro.experiments.registry import (ExperimentContext, ExperimentDef,
                                         ExperimentResult, Rows,
                                         register_experiment, run_experiment)
 from repro.experiments.runner import ExperimentConfig
+from repro.serve import fleet as serve_fleet
 from repro.serve.fleet import (FleetConfig, FleetOutcome, FleetSimulator,
                                ServiceModel, fleet_capacity_rps)
 from repro.serve.slo import fleet_slo_row, tenant_slos
@@ -74,48 +77,28 @@ def simulate_modes(grid: Dict[Tuple[str, str], ExecutionResult],
 
     The offered-rate ladder is shared: each load point is that fraction
     of the *host-only* fleet's mean-service capacity, so both modes see
-    the same absolute requests/sec (and, by seed construction, the same
-    request stream) at every rung.
+    the same absolute requests/sec and, by seed construction, the same
+    request stream at every rung.  That stream is generated once per rung
+    and served to every mode; only one rung's stream is alive at a time.
     """
     population = validate_tenants(tenants)
     workloads = fleet_workloads(population)
-    host_models = calibrate_service_models(grid, SERVE_MODES[0][1],
-                                           workloads)
-    capacity = fleet_capacity_rps(population, host_models, fleet)
+    models = {mode: calibrate_service_models(grid, policy, workloads)
+              for mode, policy in SERVE_MODES}
+    capacity = fleet_capacity_rps(population, models[SERVE_MODES[0][0]],
+                                  fleet)
     simulator = FleetSimulator(fleet)
-    outcomes: "OrderedDict[str, Dict[float, FleetOutcome]]" = OrderedDict()
-    for mode, policy in SERVE_MODES:
-        models = calibrate_service_models(grid, policy, workloads)
-        outcomes[mode] = {
-            load: simulator.simulate(population, models, load * capacity)
-            for load in fleet.load_points}
+    outcomes: "OrderedDict[str, Dict[float, FleetOutcome]]" = OrderedDict(
+        (mode, {}) for mode, _ in SERVE_MODES)
+    for load in fleet.load_points:
+        offered_rps = load * capacity
+        # Looked up on the module so a wrapper installed there sees it.
+        requests = serve_fleet.generate_requests(population, offered_rps,
+                                                 fleet)
+        for mode, by_load in outcomes.items():
+            by_load[load] = simulator.simulate(population, models[mode],
+                                               offered_rps, requests)
     return outcomes
-
-
-def _curve_rows(outcomes: "OrderedDict[str, Dict[float, FleetOutcome]]"
-                ) -> Rows:
-    rows: Rows = []
-    for mode, by_load in outcomes.items():
-        for load, outcome in by_load.items():
-            row: Dict[str, object] = {"fleet": mode, "load": load}
-            row.update(fleet_slo_row(outcome))
-            rows.append(row)
-    return rows
-
-
-def _tenant_rows(outcomes: "OrderedDict[str, Dict[float, FleetOutcome]]",
-                 reference_load: float) -> Rows:
-    rows: Rows = []
-    for mode, by_load in outcomes.items():
-        for slo in tenant_slos(by_load[reference_load]):
-            rows.append({
-                "fleet": mode, "tenant": slo.tenant,
-                "arrival": slo.arrival, "demand_rps": slo.demand_rps,
-                "achieved_rps": slo.achieved_rps, "p50_ms": slo.p50_ms,
-                "p99_ms": slo.p99_ms, "p999_ms": slo.p999_ms,
-                "rejected": slo.rejected,
-            })
-    return rows
 
 
 def _reference_load(fleet: FleetConfig) -> float:
@@ -127,31 +110,52 @@ def _reference_load(fleet: FleetConfig) -> float:
     return max(below) if below else min(fleet.load_points)
 
 
+def _section_prefix(ctx: ExperimentContext, name: str) -> str:
+    return f"{name}/" if len(ctx.platform_names) > 1 else ""
+
+
 def _build(ctx: ExperimentContext, fleet: FleetConfig,
            tenants: Sequence[TenantSpec]) -> "OrderedDict[str, Rows]":
+    """The load curve of every fleet, plus per-tenant SLOs at the
+    reference rung, for each platform variant."""
     sections: "OrderedDict[str, Rows]" = OrderedDict()
-    multi = len(ctx.platform_names) > 1
+    reference = _reference_load(fleet)
     for name in ctx.platform_names:
+        curve: Rows = []
+        per_tenant: Rows = []
         outcomes = simulate_modes(ctx.platform_grid(name), fleet, tenants)
-        prefix = f"{name}/" if multi else ""
-        sections[f"{prefix}serve"] = _curve_rows(outcomes)
-        sections[f"{prefix}serve-tenants"] = _tenant_rows(
-            outcomes, _reference_load(fleet))
+        for mode, by_load in outcomes.items():
+            for load, outcome in by_load.items():
+                slos = tenant_slos(outcome)
+                row: Dict[str, object] = {"fleet": mode, "load": load}
+                row.update(fleet_slo_row(outcome, slos))
+                curve.append(row)
+                if load != reference:
+                    continue
+                for slo in slos:
+                    per_tenant.append({
+                        "fleet": mode, "tenant": slo.tenant,
+                        "arrival": slo.arrival, "demand_rps": slo.demand_rps,
+                        "achieved_rps": slo.achieved_rps,
+                        "p50_ms": slo.p50_ms, "p99_ms": slo.p99_ms,
+                        "p999_ms": slo.p999_ms, "rejected": slo.rejected,
+                    })
+        prefix = _section_prefix(ctx, name)
+        sections[f"{prefix}serve"] = curve
+        sections[f"{prefix}serve-tenants"] = per_tenant
     return sections
 
 
-def _headline(ctx: ExperimentContext, fleet: FleetConfig,
-              tenants: Sequence[TenantSpec]) -> List[str]:
+def _headline(ctx: ExperimentContext, sections: "OrderedDict[str, Rows]",
+              fleet: FleetConfig) -> List[str]:
+    """One line per variant, quoting the built table's reference rung."""
     lines: List[str] = []
     reference = _reference_load(fleet)
     for name in ctx.platform_names:
-        # Deterministic recomputation, not state smuggled from the build:
-        # the fleet level is cheap (tens of thousands of events) next to
-        # the calibration sweep, and purity keeps build/headline
-        # independently testable.
-        outcomes = simulate_modes(ctx.platform_grid(name), fleet, tenants)
-        host = fleet_slo_row(outcomes["host-only"][reference])
-        offl = fleet_slo_row(outcomes["offloaded"][reference])
+        rows = {row["fleet"]: row
+                for row in sections[f"{_section_prefix(ctx, name)}serve"]
+                if row["load"] == reference}
+        host, offl = rows["host-only"], rows["offloaded"]
         ratio = (host["p99_ms"] / offl["p99_ms"]
                  if offl["p99_ms"] > 0 else float("inf"))
         lines.append(
@@ -177,7 +181,7 @@ def _serve_definition(fleet: FleetConfig, tenants: Sequence[TenantSpec],
         policies=tuple(policy for _, policy in SERVE_MODES),
         workloads=workloads,
         build=lambda ctx: _build(ctx, fleet, tenants),
-        headline=lambda ctx: _headline(ctx, fleet, tenants),
+        headline=lambda ctx, sections: _headline(ctx, sections, fleet),
         paper_refs=("No paper counterpart: generalizes Fig. 8's tail "
                     "machinery to per-tenant fleet SLOs under open-loop "
                     "load.",),

@@ -36,19 +36,26 @@ without bound.
 
 Determinism: all randomness flows from per-tenant
 ``random.Random(f"{seed}/{tenant}")`` streams consumed at *generation*
-time (workload draw, service jitter, tail flag), so the request stream --
-and therefore the whole simulation -- is a pure function of (tenants,
-service models, offered rate, config).  Two fleets fed the same seed see
-bit-identical arrival streams even when their service models differ,
-which is what makes the host-only vs. offloaded comparison paired rather
-than merely sampled.
+time (workload draw, service jitter, tail flag), so the request stream is
+a pure function of (tenants, offered rate, config) and the simulation a
+pure function of (stream, service models, config).  The stream does not
+depend on the service models, so :func:`generate_requests` runs once per
+load level and :meth:`FleetSimulator.simulate` takes the stream as an
+argument: fleets compared at one level are served the very same
+requests, which is what makes the host-only vs. offloaded comparison
+paired rather than merely sampled, and costs one generation, not one per
+fleet.  The dispatch loop allocates nothing per request beyond the
+request itself: placement is a plain loop over the devices, and each
+tenant's cumulative mix table is built once.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common import SimulationError
 from repro.core.contention import LinkContentionMonitor
@@ -125,9 +132,16 @@ class FleetConfig:
                 f"fleet needs >= 1 request per level, got {self.requests}")
         if not self.load_points:
             raise SimulationError("fleet needs >= 1 load point")
-        if any(load <= 0.0 for load in self.load_points):
+        if not all(math.isfinite(load) and load > 0.0
+                   for load in self.load_points):
             raise SimulationError(
-                f"load points must be positive, got {self.load_points}")
+                f"load_points must be finite and positive, got "
+                f"{self.load_points}")
+        if len(set(self.load_points)) != len(self.load_points):
+            # Each rung keys one row of the per-load tables; a repeat
+            # would silently collapse into a single row.
+            raise SimulationError(
+                f"load_points must not repeat, got {self.load_points}")
         if not 0.0 <= self.tail_probability <= 1.0:
             raise SimulationError(
                 f"tail probability must be in [0, 1], got "
@@ -135,14 +149,14 @@ class FleetConfig:
         if not 0.0 <= self.jitter < 1.0:
             raise SimulationError(
                 f"jitter must be in [0, 1), got {self.jitter}")
-        if self.admission_wait_factor <= 0.0:
+        if not (math.isfinite(self.admission_wait_factor)
+                and self.admission_wait_factor > 0.0):
             raise SimulationError(
-                f"admission_wait_factor must be positive, got "
+                f"admission_wait_factor must be finite and positive, got "
                 f"{self.admission_wait_factor}")
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One generated request with all its randomness pre-drawn."""
 
     time_s: float
@@ -161,27 +175,32 @@ def generate_requests(tenants: Sequence[TenantSpec], offered_rps: float,
     Each tenant owns an independent ``Random(f"{seed}/{name}")`` stream
     (string seeding is deterministic across processes, unlike hash-based
     seeding), so adding or re-ordering tenants never perturbs another
-    tenant's draws.  The merge tie-breaks on (time, tenant, index) to keep
-    the stream fully ordered even under equal arrival times.
+    tenant's draws.  The merge orders by (time, tenant) and keeps one
+    tenant's equal-time requests in arrival order (the sort is stable),
+    so the stream is fully ordered for any population with unique tenant
+    names.
     """
     if offered_rps <= 0.0:
         raise SimulationError(
             f"offered rate must be positive, got {offered_rps}")
     horizon_s = config.requests / offered_rps
-    merged: List[Tuple[float, str, int, Request]] = []
+    jitter_span = config.jitter
+    tail_probability = config.tail_probability
+    merged: List[Request] = []
     for tenant in tenants:
         rng = random.Random(f"{config.seed}/{tenant.name}")
+        draw = rng.random
+        sample_workload = tenant.sample_workload
+        name = tenant.name
         process = arrival_process(tenant.arrival)
-        times = process.generate(rng, offered_rps * tenant.share, horizon_s)
-        for index, time_s in enumerate(times):
-            workload = tenant.sample_workload(rng)
-            jitter = 1.0 + config.jitter * (2.0 * rng.random() - 1.0)
-            tail = rng.random() < config.tail_probability
-            merged.append((time_s, tenant.name, index, Request(
-                time_s=time_s, tenant=tenant.name, workload=workload,
-                jitter=jitter, tail=tail)))
-    merged.sort(key=lambda entry: entry[:3])
-    return [request for _, _, _, request in merged]
+        for time_s in process.generate(rng, offered_rps * tenant.share,
+                                       horizon_s):
+            workload = sample_workload(rng)
+            jitter = 1.0 + jitter_span * (2.0 * draw() - 1.0)
+            merged.append(Request(time_s, name, workload, jitter,
+                                  draw() < tail_probability))
+    merged.sort(key=itemgetter(0, 1))
+    return merged
 
 
 class FleetDevice:
@@ -192,19 +211,6 @@ class FleetDevice:
         self.busy_until_ns = 0.0
         self.monitor = LinkContentionMonitor()
         self.served = 0
-
-    def predicted_finish_ns(self, now_ns: float, workload: str,
-                            estimate_ns: float) -> float:
-        """Scheduler score: predicted wait plus congestion-scaled service.
-
-        The monitor's *absolute* overrun is the right cross-device signal:
-        the relative (min-normalized) form the intra-device cost model
-        uses cancels congestion common to all operand paths of one
-        platform, but across devices there is no common leg -- a device
-        whose requests have historically overrun is simply congested.
-        """
-        wait = max(0.0, self.busy_until_ns - now_ns)
-        return wait + estimate_ns * self.monitor.overrun(workload)
 
     def execute(self, now_ns: float, workload: str, estimate_ns: float,
                 service_ns: float) -> float:
@@ -289,10 +295,14 @@ class FleetSimulator:
         self.config = config or FleetConfig()
 
     def simulate(self, tenants: Sequence[TenantSpec],
-                 models: Mapping[str, ServiceModel],
-                 offered_rps: float) -> FleetOutcome:
-        """Serve one load level; returns the per-tenant accounting.
+                 models: Mapping[str, ServiceModel], offered_rps: float,
+                 requests: Sequence[Request]) -> FleetOutcome:
+        """Serve one load level's ``requests``; returns the accounting.
 
+        ``requests`` is the level's stream,
+        ``generate_requests(tenants, offered_rps, self.config)``: it
+        depends on neither the service models nor the fleet state, so
+        fleets compared at one load level are served the same stream.
         ``models`` must cover every workload any tenant mixes.  Requests
         are processed in arrival order: admission checks the best
         device's predicted wait against the admission budget, placement
@@ -307,28 +317,35 @@ class FleetSimulator:
                         f"no service model for workload {workload!r} "
                         f"(tenant {tenant.name!r})")
         config = self.config
-        requests = generate_requests(population, offered_rps, config)
         devices = [FleetDevice(index) for index in range(config.devices)]
+        overruns = [(device, device.monitor.overrun) for device in devices]
         wait_budget_ns = (config.admission_wait_factor *
                           mean_service_ns(population, models, config))
         outcomes: "Dict[str, TenantOutcome]" = {
             tenant.name: TenantOutcome(tenant=tenant.name,
                                        arrival=tenant.arrival)
             for tenant in population}
-        for request in requests:
-            now_ns = request.time_s * 1e9
-            model = models[request.workload]
+        for time_s, name, workload, jitter, tail in requests:
+            now_ns = time_s * 1e9
+            model = models[workload]
             estimate = model.base_ns
-            best = min(devices, key=lambda device: (
-                device.predicted_finish_ns(now_ns, request.workload,
-                                           estimate), device.index))
-            outcome = outcomes[request.tenant]
-            if max(0.0, best.busy_until_ns - now_ns) > wait_budget_ns:
+            # Placement score: predicted wait plus service scaled by the
+            # device's absolute overrun (see the module docstring).  A
+            # strict ``<`` in index order keeps the lowest index on ties.
+            best = None
+            best_score = best_wait = 0.0
+            for device, overrun in overruns:
+                busy = device.busy_until_ns
+                wait = busy - now_ns if busy > now_ns else 0.0
+                score = wait + estimate * overrun(workload)
+                if best is None or score < best_score:
+                    best, best_score, best_wait = device, score, wait
+            outcome = outcomes[name]
+            if best_wait > wait_budget_ns:
                 outcome.rejected += 1
                 continue
-            latency = best.execute(
-                now_ns, request.workload, estimate,
-                model.service_ns(request.jitter, request.tail))
+            latency = best.execute(now_ns, workload, estimate,
+                                   model.service_ns(jitter, tail))
             outcome.admitted += 1
             outcome.latencies_ns.append(latency)
         return FleetOutcome(

@@ -12,20 +12,24 @@ took everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serve.fleet import FleetOutcome
 
 
-def latency_percentile_ms(latencies_ns: Sequence[float],
-                          percentile: float) -> float:
-    """A latency percentile in milliseconds (0.0 for an empty sample)."""
+def latency_percentiles_ms(latencies_ns: Sequence[float]
+                           ) -> Tuple[float, float, float]:
+    """p50/p99/p999 latency in milliseconds (zeros for an empty sample).
+
+    One ``np.percentile`` call over the three percentiles.
+    """
     if not latencies_ns:
-        return 0.0
-    array = np.asarray(latencies_ns, dtype=float)
-    return float(np.percentile(array, percentile)) / 1e6
+        return 0.0, 0.0, 0.0
+    p50, p99, p999 = np.percentile(np.asarray(latencies_ns, dtype=float),
+                                   (50.0, 99.0, 99.9))
+    return float(p50) / 1e6, float(p99) / 1e6, float(p999) / 1e6
 
 
 def jain_fairness(values: Sequence[float]) -> float:
@@ -72,31 +76,40 @@ def tenant_slos(outcome: FleetOutcome) -> List[TenantSLO]:
         latencies = tenant.latencies_ns
         mean_ms = (float(np.mean(np.asarray(latencies, dtype=float))) / 1e6
                    if latencies else 0.0)
+        p50_ms, p99_ms, p999_ms = latency_percentiles_ms(latencies)
         slos.append(TenantSLO(
             tenant=tenant.tenant,
             arrival=tenant.arrival,
             demand_rps=tenant.offered / outcome.horizon_s,
             achieved_rps=tenant.admitted / outcome.horizon_s,
-            p50_ms=latency_percentile_ms(latencies, 50.0),
-            p99_ms=latency_percentile_ms(latencies, 99.0),
-            p999_ms=latency_percentile_ms(latencies, 99.9),
+            p50_ms=p50_ms,
+            p99_ms=p99_ms,
+            p999_ms=p999_ms,
             mean_ms=mean_ms,
             admitted=tenant.admitted,
             rejected=tenant.rejected))
     return slos
 
 
-def fleet_slo_row(outcome: FleetOutcome) -> Dict[str, float]:
-    """Fleet-wide SLO numbers of one load level (one table row's worth)."""
+def fleet_slo_row(outcome: FleetOutcome,
+                  slos: Optional[Sequence[TenantSLO]] = None
+                  ) -> Dict[str, float]:
+    """Fleet-wide SLO numbers of one load level (one table row's worth).
+
+    ``slos`` is ``tenant_slos(outcome)`` when the caller already has it
+    (the fairness index needs it); it is computed here otherwise.
+    """
     latencies = outcome.all_latencies_ns()
     offered = outcome.admitted + outcome.rejected
-    slos = tenant_slos(outcome)
+    if slos is None:
+        slos = tenant_slos(outcome)
+    p50_ms, p99_ms, p999_ms = latency_percentiles_ms(latencies)
     return {
         "offered_rps": offered / outcome.horizon_s,
         "achieved_rps": outcome.admitted / outcome.horizon_s,
-        "p50_ms": latency_percentile_ms(latencies, 50.0),
-        "p99_ms": latency_percentile_ms(latencies, 99.0),
-        "p999_ms": latency_percentile_ms(latencies, 99.9),
+        "p50_ms": p50_ms,
+        "p99_ms": p99_ms,
+        "p999_ms": p999_ms,
         "rejected_pct": 100.0 * outcome.rejected / offered if offered else 0.0,
         "fairness": jain_fairness([slo.satisfaction for slo in slos]),
     }

@@ -18,8 +18,10 @@ typo fails at definition time, not deep inside a sweep.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from repro.serve.arrivals import arrival_process
@@ -47,10 +49,17 @@ class TenantSpec:
                 raise ValueError(
                     f"tenant {self.name!r} mixes unknown workload "
                     f"{workload!r}; known: {known}")
+            if not math.isfinite(weight):
+                raise ValueError(
+                    f"tenant {self.name!r} has non-finite weight "
+                    f"{weight} for {workload!r}")
             if weight <= 0.0:
                 raise ValueError(
                     f"tenant {self.name!r} has non-positive weight "
                     f"{weight} for {workload!r}")
+        if not math.isfinite(self.share):
+            raise ValueError(
+                f"tenant {self.name!r} has non-finite share {self.share}")
         if self.share <= 0.0:
             raise ValueError(
                 f"tenant {self.name!r} has non-positive share {self.share}")
@@ -66,12 +75,24 @@ class TenantSpec:
         return tuple((workload, weight / total)
                      for workload, weight in self.mix)
 
-    def sample_workload(self, rng: random.Random) -> str:
-        """Draw one workload name from the mix (one ``rng`` call)."""
-        u = rng.random()
+    @cached_property
+    def cumulative_mix(self) -> Tuple[Tuple[float, str], ...]:
+        """``(running normalized weight, workload)`` pairs, in mix order.
+
+        Built once per tenant, accumulating the normalized weights left
+        to right; :meth:`sample_workload` compares its draw against it.
+        """
+        table = []
         acc = 0.0
         for workload, weight in self.normalized_mix():
             acc += weight
+            table.append((acc, workload))
+        return tuple(table)
+
+    def sample_workload(self, rng: random.Random) -> str:
+        """Draw one workload name from the mix (one ``rng`` call)."""
+        u = rng.random()
+        for acc, workload in self.cumulative_mix:
             if u < acc:
                 return workload
         return self.mix[-1][0]  # float round-off: the draw hit 1.0
@@ -91,7 +112,7 @@ def validate_tenants(tenants: Sequence[TenantSpec]) -> Tuple[TenantSpec, ...]:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names in {names}")
     total_share = sum(tenant.share for tenant in population)
-    if abs(total_share - 1.0) > 1e-6:
+    if not abs(total_share - 1.0) <= 1e-6:  # also rejects a NaN sum
         raise ValueError(
             f"tenant shares must sum to 1.0 (they partition the offered "
             f"load), got {total_share}")

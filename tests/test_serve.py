@@ -13,8 +13,11 @@ Three layers, mirroring the layer split of :mod:`repro.serve`:
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,11 +27,13 @@ from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
 from repro.common import OpType, Resource
 from repro.energy.model import EnergyBreakdown
 from repro.experiments import EXPERIMENT_REGISTRY, ExperimentConfig
+import repro.serve.fleet as serve_fleet
 from repro.serve import (DEFAULT_TENANTS, FleetConfig, FleetSimulator,
                          MMPPArrivals, PoissonArrivals, ServiceModel,
                          TenantSpec, arrival_process, fleet_capacity_rps,
                          fleet_slo_row, fleet_workloads, generate_requests,
-                         jain_fairness, mean_service_ns, run_serve,
+                         jain_fairness, latency_percentiles_ms,
+                         mean_service_ns, run_serve,
                          simulate_modes, tenant_slos, validate_tenants)
 from repro.workloads import ALL_WORKLOADS, WORKLOAD_REGISTRY
 
@@ -104,6 +109,20 @@ class TestTenants:
         with pytest.raises(ValueError, match="unknown arrival process"):
             TenantSpec(name="t", mix=(("AES", 1.0),), arrival="nope")
 
+    def test_non_finite_weight_and_share_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite weight"):
+                TenantSpec(name="t", mix=(("AES", 1.0), ("heat-3d", bad)))
+            with pytest.raises(ValueError, match="non-finite share"):
+                TenantSpec(name="t", mix=(("AES", 1.0),), share=bad)
+
+    def test_cumulative_mix_ends_at_one_in_mix_order(self):
+        tenant = TenantSpec(name="t", mix=(("AES", 1.0), ("heat-3d", 3.0)))
+        assert [name for _, name in tenant.cumulative_mix] == [
+            "AES", "heat-3d"]
+        assert tenant.cumulative_mix[0][0] == 0.25
+        assert tenant.cumulative_mix[-1][0] == pytest.approx(1.0)
+
     def test_population_validation(self):
         tenant = TenantSpec(name="t", mix=(("AES", 1.0),), share=0.5)
         with pytest.raises(ValueError, match="must sum to 1.0"):
@@ -160,13 +179,16 @@ MODELS = {name: ServiceModel(base_ns=float(1_000_000 + 250_000 * index),
 class TestFleetSimulator:
     def test_missing_service_model_fails_loudly(self):
         with pytest.raises(SimulationError, match="no service model"):
-            FleetSimulator(FleetConfig(requests=10)).simulate(
-                SINGLE_TENANT, {}, offered_rps=100.0)
+            config = FleetConfig(requests=10)
+            FleetSimulator(config).simulate(
+                SINGLE_TENANT, {}, offered_rps=100.0,
+                requests=generate_requests(SINGLE_TENANT, 100.0, config))
 
     def test_accounting_is_conserved(self):
         config = FleetConfig(devices=2, requests=200, seed=5)
-        outcome = FleetSimulator(config).simulate(TWO_TENANTS, MODELS,
-                                                  offered_rps=500.0)
+        outcome = FleetSimulator(config).simulate(
+            TWO_TENANTS, MODELS, offered_rps=500.0,
+            requests=generate_requests(TWO_TENANTS, 500.0, config))
         for tenant in outcome.tenants.values():
             assert tenant.admitted == len(tenant.latencies_ns)
             assert tenant.offered == tenant.admitted + tenant.rejected
@@ -176,7 +198,8 @@ class TestFleetSimulator:
     def test_same_seed_is_bit_identical(self):
         config = FleetConfig(devices=3, requests=150, seed=99)
         run = lambda: FleetSimulator(config).simulate(  # noqa: E731
-            TWO_TENANTS, MODELS, offered_rps=800.0)
+            TWO_TENANTS, MODELS, offered_rps=800.0,
+            requests=generate_requests(TWO_TENANTS, 800.0, config))
         assert run() == run()
 
     def test_overload_sheds_instead_of_queueing_unboundedly(self):
@@ -184,7 +207,9 @@ class TestFleetSimulator:
                              admission_wait_factor=2.0)
         capacity = fleet_capacity_rps(SINGLE_TENANT, MODELS, config)
         outcome = FleetSimulator(config).simulate(
-            SINGLE_TENANT, MODELS, offered_rps=3.0 * capacity)
+            SINGLE_TENANT, MODELS, offered_rps=3.0 * capacity,
+            requests=generate_requests(SINGLE_TENANT, 3.0 * capacity,
+                                       config))
         assert outcome.rejected > 0
         budget = 2.0 * mean_service_ns(SINGLE_TENANT, MODELS, config)
         max_service = MODELS["AES"].base_ns * 1.1 * MODELS["AES"].tail_ratio
@@ -196,8 +221,10 @@ class TestFleetSimulator:
         simulator = FleetSimulator(config)
         p99 = []
         for load in (0.3, 0.95):
-            outcome = simulator.simulate(TWO_TENANTS, MODELS,
-                                         offered_rps=load * capacity)
+            outcome = simulator.simulate(
+                TWO_TENANTS, MODELS, offered_rps=load * capacity,
+                requests=generate_requests(TWO_TENANTS, load * capacity,
+                                           config))
             p99.append(fleet_slo_row(outcome)["p99_ms"])
         assert p99[1] > p99[0]
 
@@ -215,6 +242,39 @@ class TestFleetSimulator:
         both = [r for r in generate_requests(shared, 400.0, config_shared)
                 if r.tenant == "only"]
         assert solo == both
+
+    def test_bad_load_ladders_rejected(self):
+        with pytest.raises(SimulationError, match="load_points must not "
+                                                  "repeat"):
+            FleetConfig(load_points=(0.5, 0.5))
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+            with pytest.raises(SimulationError, match="load_points"):
+                FleetConfig(load_points=(0.3, bad))
+
+    def test_nan_admission_wait_factor_rejected(self):
+        # NaN would disable shedding: ``wait > nan`` is never true.
+        with pytest.raises(SimulationError, match="admission_wait_factor"):
+            FleetConfig(admission_wait_factor=math.nan)
+
+    @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           field_name=st.sampled_from(["load_points",
+                                       "admission_wait_factor", "share",
+                                       "weight"]))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_floats_fail_naming_the_field(self, bad, field_name):
+        if field_name == "load_points":
+            build = lambda: FleetConfig(load_points=(bad,))  # noqa: E731
+        elif field_name == "admission_wait_factor":
+            build = lambda: FleetConfig(  # noqa: E731
+                admission_wait_factor=bad)
+        elif field_name == "share":
+            build = lambda: TenantSpec(  # noqa: E731
+                name="t", mix=(("AES", 1.0),), share=bad)
+        else:
+            build = lambda: TenantSpec(  # noqa: E731
+                name="t", mix=(("AES", bad),))
+        with pytest.raises((SimulationError, ValueError), match=field_name):
+            build()
 
     def test_service_model_validation(self):
         with pytest.raises(SimulationError):
@@ -251,10 +311,23 @@ class TestSLO:
         assert jain_fairness([3.0, 3.0, 3.0]) == pytest.approx(1.0)
         assert jain_fairness([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
 
+    @given(sample=st.lists(st.floats(min_value=0.0, max_value=1e10,
+                                     allow_nan=False),
+                           min_size=1, max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_percentiles_equal_one_call_per_percentile(self, sample):
+        array = np.asarray(sample, dtype=float)
+        assert latency_percentiles_ms(sample) == tuple(
+            float(np.percentile(array, q)) / 1e6 for q in (50.0, 99.0, 99.9))
+
+    def test_percentiles_of_an_empty_sample_are_zero(self):
+        assert latency_percentiles_ms([]) == (0.0, 0.0, 0.0)
+
     def test_tenant_slos_cover_every_tenant(self):
         config = FleetConfig(devices=2, requests=150, seed=8)
-        outcome = FleetSimulator(config).simulate(TWO_TENANTS, MODELS,
-                                                  offered_rps=300.0)
+        outcome = FleetSimulator(config).simulate(
+            TWO_TENANTS, MODELS, offered_rps=300.0,
+            requests=generate_requests(TWO_TENANTS, 300.0, config))
         slos = tenant_slos(outcome)
         assert [slo.tenant for slo in slos] == ["a", "b"]
         for slo in slos:
@@ -263,8 +336,9 @@ class TestSLO:
 
     def test_fleet_row_throughput_identity(self):
         config = FleetConfig(devices=2, requests=150, seed=8)
-        outcome = FleetSimulator(config).simulate(TWO_TENANTS, MODELS,
-                                                  offered_rps=300.0)
+        outcome = FleetSimulator(config).simulate(
+            TWO_TENANTS, MODELS, offered_rps=300.0,
+            requests=generate_requests(TWO_TENANTS, 300.0, config))
         row = fleet_slo_row(outcome)
         assert row["achieved_rps"] == pytest.approx(
             outcome.admitted / outcome.horizon_s)
@@ -324,7 +398,9 @@ class TestRandomMixesProperty:
 
         def tables():
             outcome = FleetSimulator(config).simulate(
-                tenants, models, offered_rps=load * capacity)
+                tenants, models, offered_rps=load * capacity,
+                requests=generate_requests(tenants, load * capacity,
+                                           config))
             return fleet_slo_row(outcome), tenant_slos(outcome), outcome
 
         row_a, slos_a, outcome_a = tables()
@@ -432,3 +508,126 @@ class TestServeExperiment:
         assert list(host) == list(offloaded)  # same load rungs
         for load in host:
             assert host[load].offered_rps == offloaded[load].offered_rps
+
+    def test_one_run_simulates_each_fleet_rung_once(self, monkeypatch):
+        """Both fleets share each rung's stream; the headline re-uses the
+        built table instead of simulating again."""
+        calls = {"generate_requests": 0, "simulate": 0}
+        generate = serve_fleet.generate_requests
+        simulate = FleetSimulator.simulate
+
+        def counting_generate(*args, **kwargs):
+            calls["generate_requests"] += 1
+            return generate(*args, **kwargs)
+
+        def counting_simulate(self, *args, **kwargs):
+            calls["simulate"] += 1
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(serve_fleet, "generate_requests",
+                            counting_generate)
+        monkeypatch.setattr(FleetSimulator, "simulate", counting_simulate)
+        result = run_serve(ExperimentConfig(workload_scale=SERVE_SCALE),
+                           parallel=False, cache_dir=None)
+        rungs = len(FleetConfig().load_points)
+        assert rungs == 6
+        assert calls == {"generate_requests": rungs, "simulate": 2 * rungs}
+        assert len(result.headline) == 1
+
+
+# ------------------------------------------------------------------------
+# Pinned outputs: the serve layer's streams and outcomes are frozen
+# ------------------------------------------------------------------------
+
+#: A population whose tenants mix several workloads with uneven weights,
+#: so the pins cover the cumulative-mix draw, not only one-workload mixes.
+MIXED_TENANTS = _population(
+    TenantSpec(name="i", mix=(("AES", 3.0), ("heat-3d", 1.0),
+                              ("jacobi-1d", 0.7)), share=0.6),
+    TenantSpec(name="j", mix=(("XOR Filter", 1.0), ("LLM Training", 2.5)),
+               arrival="mmpp", share=0.4))
+
+
+def _digest(value) -> str:
+    """Short stable digest of a value's ``repr`` (floats repr exactly)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _stream_key(requests) -> tuple:
+    return tuple((request.time_s, request.tenant, request.workload,
+                  request.jitter, request.tail) for request in requests)
+
+
+def _outcome_key(outcome) -> tuple:
+    return (outcome.offered_rps, outcome.horizon_s,
+            tuple(outcome.per_device_served),
+            tuple((tenant.tenant, tenant.arrival,
+                   tuple(tenant.latencies_ns), tenant.admitted,
+                   tenant.rejected)
+                  for tenant in outcome.tenants.values()))
+
+
+class _CalibrationStub:
+    """The three ExecutionResult readings ServiceModel.from_result uses,
+    fixed, so simulator-core changes cannot move the pins below."""
+
+    def __init__(self, total_ns: float, mean_ns: float, p99_ns: float):
+        self.total_time_ns = total_ns
+        self.p99_latency_ns = p99_ns
+        self._mean_ns = mean_ns
+
+    def mean_latency_ns(self) -> float:
+        return self._mean_ns
+
+
+def _synthetic_grid() -> dict:
+    grid = {}
+    for index, name in enumerate(WORKLOAD_NAMES):
+        grid[(name, "CPU")] = _CalibrationStub(
+            2e6 + 3e5 * index, 1000.0, 1000.0 * (1.5 + 0.25 * index))
+        grid[(name, "Conduit")] = _CalibrationStub(
+            1.2e6 + 1e5 * index, 800.0, 800.0 * (2.0 + 0.1 * index))
+    return grid
+
+
+def _simulate(config, tenants, offered_rps):
+    return FleetSimulator(config).simulate(
+        tenants, MODELS, offered_rps,
+        generate_requests(tenants, offered_rps, config))
+
+
+class TestPinnedServeLayer:
+    """Digests of request streams, fleet outcomes and a mode ladder.
+
+    The inputs are synthetic, so only a change to the serve layer's own
+    draws, ordering, placement or admission can move them; a change meant
+    to leave simulated results alone must leave every digest unchanged.
+    """
+
+    STREAM = FleetConfig(seed=17, requests=400)
+    #: A tight admission budget, so shedding is part of what is pinned.
+    SHEDDING = FleetConfig(devices=3, requests=500, seed=5,
+                           admission_wait_factor=3.0)
+
+    def test_request_streams(self):
+        assert _digest(_stream_key(generate_requests(
+            TWO_TENANTS, 500.0, self.STREAM))) == "1b5d9f1244d9ca88"
+        assert _digest(_stream_key(generate_requests(
+            MIXED_TENANTS, 700.0, self.STREAM))) == "4179990e91d672e3"
+
+    def test_fleet_outcomes(self):
+        two = _simulate(self.SHEDDING, TWO_TENANTS, 2500.0)
+        mixed = _simulate(self.SHEDDING, MIXED_TENANTS, 1800.0)
+        assert two.rejected > 0 and mixed.rejected > 0
+        assert _digest(_outcome_key(two)) == "184ac1b0c972d393"
+        assert _digest(_outcome_key(mixed)) == "7bfc75ef06d0d3ad"
+
+    def test_simulate_modes_on_a_synthetic_grid(self):
+        outcomes = simulate_modes(_synthetic_grid(),
+                                  FleetConfig(devices=4, requests=300,
+                                              seed=11),
+                                  MIXED_TENANTS)
+        assert _digest(tuple(
+            (mode, tuple((load, _outcome_key(outcome))
+                         for load, outcome in by_load.items()))
+            for mode, by_load in outcomes.items())) == "fde8bafd243cfade"
