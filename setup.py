@@ -1,8 +1,8 @@
 """Setuptools shim.
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-that ``pip install -e .`` works in offline environments whose setuptools
-lacks the ``wheel`` package needed for PEP 660 editable installs.
+The repository declares no package metadata: the library, its tests and
+its tools run from the source tree with ``PYTHONPATH=src`` (see
+README.md), so nothing needs installing.
 """
 
 from setuptools import setup

@@ -55,30 +55,18 @@ class LinkContentionMonitor:
     State is owned by one :class:`~repro.core.platform.SSDPlatform`
     instance, so every (workload, policy, platform) run starts from a
     clean monitor and sharded sweeps cannot leak feedback across runs.
-
-    ``decay`` re-opens paths the argmin stopped choosing: an overpriced
-    path attracts no work, so it is never re-observed and its stale
-    penalty would otherwise persist forever.  On every observation, each
-    *other* path's average relaxes toward 1.0 by the decay fraction
-    (``v = 1 + (v - 1) * (1 - decay)``), so a once-penalized path drifts
-    back into contention-free pricing and gets re-explored.  The default
-    ``0.0`` keeps historical behavior bit-exact.
+    A path's average moves only when that path is observed again.
     """
 
-    def __init__(self, alpha: float = 0.3, gain: float = 1.0,
-                 decay: float = 0.0) -> None:
+    def __init__(self, alpha: float = 0.3, gain: float = 2.0) -> None:
         if not 0.0 < alpha <= 1.0:
             raise SimulationError(
                 f"contention EWMA alpha must be in (0, 1], got {alpha}")
         if gain < 0.0:
             raise SimulationError(
                 f"contention gain must be non-negative, got {gain}")
-        if not 0.0 <= decay <= 1.0:
-            raise SimulationError(
-                f"contention decay must be in [0, 1], got {decay}")
         self.alpha = alpha
         self.gain = gain
-        self.decay = decay
         self._overrun: Dict[str, float] = {}
         self.samples = 0
 
@@ -99,12 +87,6 @@ class LinkContentionMonitor:
             raise SimulationError(
                 f"negative observed movement {observed_ns} on {path!r}")
         ratio = min(MAX_OVERRUN_RATIO, max(1.0, observed_ns / estimated_ns))
-        if self.decay:
-            keep = 1.0 - self.decay
-            for other in self._overrun:
-                if other != path:
-                    self._overrun[other] = (
-                        1.0 + (self._overrun[other] - 1.0) * keep)
         previous = self._overrun.get(path)
         self._overrun[path] = (
             ratio if previous is None

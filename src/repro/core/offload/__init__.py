@@ -3,11 +3,9 @@
 from repro.core.offload.cost_model import (CostEstimate, CostFunction,
                                            CostModelConfig)
 from repro.core.offload.features import (FeatureCollector,
-                                         FeatureCollectorConfig,
                                          InstructionFeatures,
                                          ResourceFeatures)
-from repro.core.offload.offloader import (OffloadDecision, OffloaderConfig,
-                                          SSDOffloader)
+from repro.core.offload.offloader import OffloadDecision, SSDOffloader
 from repro.core.offload.policies import (AresFlashPolicy, BWOffloadingPolicy,
                                          ConduitPolicy, DMOffloadingPolicy,
                                          FlashCosmosPolicy, IdealPolicy,
@@ -20,8 +18,8 @@ from repro.core.offload.transform import (InstructionTransformer,
 
 __all__ = [
     "CostEstimate", "CostFunction", "CostModelConfig", "FeatureCollector",
-    "FeatureCollectorConfig", "InstructionFeatures", "ResourceFeatures",
-    "OffloadDecision", "OffloaderConfig", "SSDOffloader", "AresFlashPolicy",
+    "InstructionFeatures", "ResourceFeatures", "OffloadDecision",
+    "SSDOffloader", "AresFlashPolicy",
     "BWOffloadingPolicy", "ConduitPolicy", "DMOffloadingPolicy",
     "FlashCosmosPolicy", "IdealPolicy", "ISPOnlyPolicy", "OffloadingPolicy",
     "POLICY_REGISTRY", "PolicyContext", "PuDOnlyPolicy", "make_policy",

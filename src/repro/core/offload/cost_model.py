@@ -20,7 +20,7 @@ individual features) are exposed for the design-choice benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,6 @@ class CostModelConfig:
     include_data_movement: bool = True
     include_queueing_delay: bool = True
     include_dependence_delay: bool = True
-    include_compute_latency: bool = True
 
 
 @dataclass(slots=True)
@@ -68,8 +67,7 @@ class CostFunction:
         ``PlatformConfig.contention_feedback`` is off).
         """
         config = self.config
-        compute = (features.expected_compute_latency_ns
-                   if config.include_compute_latency else 0.0)
+        compute = features.expected_compute_latency_ns
         movement = (features.contended_data_movement_latency_ns
                     if config.include_data_movement else 0.0)
         dependence = (features.dependence_delay_ns
@@ -133,7 +131,6 @@ class CostFunction:
         if count == 0:
             return [], np.empty((0, 0), dtype=np.float64)
         config = self.config
-        include_compute = config.include_compute_latency
         include_movement = config.include_data_movement
         include_dependence = config.include_dependence_delay
         include_queueing = config.include_queueing_delay
@@ -146,8 +143,7 @@ class CostFunction:
                 if not feature.supported:
                     totals[row, column] = inf
                     continue
-                compute = (feature.expected_compute_latency_ns
-                           if include_compute else 0.0)
+                compute = feature.expected_compute_latency_ns
                 movement = (feature.contended_data_movement_latency_ns
                             if include_movement else 0.0)
                 dependence = (feature.dependence_delay_ns

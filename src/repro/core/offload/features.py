@@ -21,8 +21,8 @@ runtime-overhead analysis (3.77 us average, up to 33 us) can be reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.common import DataLocation, OpType, ResourceLike, US
 from repro.core.compiler.ir import VectorInstruction
@@ -140,24 +140,17 @@ class WaveBatch:
     dead: bool = False
 
 
-@dataclass(frozen=True)
-class FeatureCollectorConfig:
-    """Which features are collected (used by the ablation benchmarks)."""
-
-    include_queueing_delay: bool = True
-    include_dependence_delay: bool = True
-    include_data_movement: bool = True
-    combine_delays_with_max: bool = True
-
-
 class FeatureCollector:
-    """Collects the six cost-function features for one instruction."""
+    """Collects the six cost-function features for one instruction.
 
-    def __init__(self, platform: SSDPlatform, layout: ArrayLayout,
-                 config: Optional[FeatureCollectorConfig] = None) -> None:
+    Every feature is always collected; the cost-model ablations
+    (:class:`~repro.core.offload.cost_model.CostModelConfig`) drop terms
+    when the cost is evaluated, not here.
+    """
+
+    def __init__(self, platform: SSDPlatform, layout: ArrayLayout) -> None:
         self.platform = platform
         self.layout = layout
-        self.config = config or FeatureCollectorConfig()
         self.collections = 0
         self.total_collection_latency_ns = 0.0
         self.max_collection_latency_ns = 0.0
@@ -234,12 +227,9 @@ class FeatureCollector:
                          l2p_misses * L2P_FLASH_LOOKUP_NS)
         # (3) dependence delay: scan the execution queues for the pending
         # producers of this instruction's operands.
-        dependence_delay = (pending_producer_latency
-                            if self.config.include_dependence_delay else 0.0)
         collection_ns += DEPENDENCE_SCAN_NS_PER_QUEUE
         # (4) queueing delay: read each resource's running latency counter
         # (read per candidate below; reading is side-effect free).
-        include_queueing = self.config.include_queueing_delay
         collection_ns += QUEUE_DELAY_TRACK_NS
         # (5b) link-contention feedback: each candidate's movement
         # estimate below pays the EWMA-observed overrun of its operand
@@ -248,7 +238,6 @@ class FeatureCollector:
         feedback = platform.config.contention_feedback
         if feedback:
             collection_ns += CONTENTION_SAMPLE_NS
-        include_movement = self.config.include_data_movement
         move_table = platform._move_table
         op = instruction.op
         size_bytes = instruction.size_bytes
@@ -267,24 +256,21 @@ class FeatureCollector:
         # single-entry histogram turns the per-candidate movement sum into
         # one table probe.
         single_location = None
-        if include_movement and len(locations) == 1:
+        if len(locations) == 1:
             (single_location, single_pages), = locations.items()
         location_items = locations.items()
         per_resource: Dict[ResourceLike, ResourceFeatures] = {}
         for resource, home, supported, compute, queue in static:
             if single_location is not None:
                 movement = move_table[(single_location, home)] * single_pages
-            elif include_movement:
+            else:
                 movement = 0.0
                 for location, pages in location_items:
                     movement += move_table[(location, home)] * pages
-            else:
-                movement = 0.0
-            queue_delay = (queue._pending_latency / queue._parallelism
-                           if include_queueing else 0.0)
             per_resource[resource] = ResourceFeatures(
-                resource, supported, compute, movement, queue_delay,
-                dependence_delay,
+                resource, supported, compute, movement,
+                queue._pending_latency / queue._parallelism,
+                pending_producer_latency,
                 platform.contention_penalty_ns(resource, op, size_bytes,
                                                element_bits, movement, now)
                 if feedback else 0.0)
@@ -337,7 +323,6 @@ class FeatureCollector:
         residence_get = platform.residence.get
         flash = DataLocation.FLASH
         move_table = platform._move_table
-        include_movement = self.config.include_data_movement
         feedback = platform.config.contention_feedback
         # All collection-latency terms are integer-valued floats, so the
         # fixed per-member constants sum exactly in any association.
@@ -378,9 +363,7 @@ class FeatureCollector:
             location_items.append(items)
             hit_lpas.append(tuple(hits))
             statics.append(static)
-            if not include_movement:
-                movement_rows.append([0.0] * len(static))
-            elif len(items) == 1:
+            if len(items) == 1:
                 (single_location, single_pages), = items
                 movement_rows.append(
                     [move_table[(single_location, home)] * single_pages

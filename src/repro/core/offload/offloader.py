@@ -24,14 +24,13 @@ overhead of Section 4.5.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import DataLocation, ResourceLike, SimulationError
+from repro.common import DataLocation, ResourceLike
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
 from repro.core.offload.features import (FeatureCollector,
-                                         FeatureCollectorConfig,
                                          InstructionFeatures, WaveBatch)
 from repro.core.offload.policies import (OffloadingPolicy, PackedMember,
                                          PolicyContext)
@@ -40,20 +39,9 @@ from repro.core.offload.transform import (InstructionTransformer,
 from repro.core.platform import SSDPlatform
 
 
-@dataclass(frozen=True)
-class OffloaderConfig:
-    """Tunables of the runtime offloader."""
-
-    #: Independent feature lookups issued concurrently by the offloader
-    #: core; the serial dispatcher occupancy is overhead / pipeline_depth.
-    pipeline_depth: int = 8
-    #: Maximum number of dispatched-but-incomplete instructions.  The
-    #: offloader core issues in order and stalls once this window is full,
-    #: which bounds how far dispatch runs ahead of execution (and therefore
-    #: how large the queueing-delay estimates can grow).
-    max_outstanding: int = 64
-    feature_config: FeatureCollectorConfig = field(
-        default_factory=FeatureCollectorConfig)
+#: Independent feature lookups issued concurrently by the offloader core;
+#: the serial dispatcher occupancy is overhead / PIPELINE_DEPTH.
+PIPELINE_DEPTH = 8
 
 
 @dataclass(slots=True)
@@ -79,19 +67,15 @@ class SSDOffloader:
     """Per-instruction offloading engine."""
 
     def __init__(self, platform: SSDPlatform, layout: ArrayLayout,
-                 policy: OffloadingPolicy,
-                 config: Optional[OffloaderConfig] = None) -> None:
+                 policy: OffloadingPolicy) -> None:
         self.platform = platform
         self.layout = layout
         self.policy = policy
-        self.config = config or OffloaderConfig()
-        self.collector = FeatureCollector(platform, layout,
-                                          self.config.feature_config)
+        self.collector = FeatureCollector(platform, layout)
         self.transformer = InstructionTransformer(platform)
         self.decisions: List[OffloadDecision] = []
         # Dispatch-loop constants and handles, resolved once: the offload
         # path runs per instruction and per policy.
-        self._pipeline_depth = max(1, self.config.pipeline_depth)
         self._is_ideal = policy.is_ideal
         self._choose = policy.choose
         self._choose_packed = policy.choose_packed
@@ -162,7 +146,7 @@ class SSDOffloader:
         # Inlined single-server dispatch-core reservation (the serial
         # occupancy is always nonnegative, so the negative-duration guard
         # of Server.reserve cannot fire).
-        serial_ns = overhead_ns / self._pipeline_depth
+        serial_ns = overhead_ns / PIPELINE_DEPTH
         core = self._dispatch_core
         free = core._free_at
         dispatch_start = arrival_ns if arrival_ns >= free else free
@@ -247,10 +231,6 @@ class SSDOffloader:
         collection_ns = batch.collection_ns[pos]
         self.collector.charge(collection_ns)
 
-        config = self.collector.config
-        dependence = (pending_producer
-                      if config.include_dependence_delay else 0.0)
-        include_queueing = config.include_queueing_delay
         feedback = platform.config.contention_feedback
         static = batch.static[pos]
         movement_row = batch.movement_rows[pos]
@@ -261,8 +241,7 @@ class SSDOffloader:
         queue_delays: List[float] = []
         contention_delays: List[float] = []
         for index, (resource, _, _, _, queue) in enumerate(static):
-            queue_delays.append(queue._pending_latency / queue._parallelism
-                                if include_queueing else 0.0)
+            queue_delays.append(queue._pending_latency / queue._parallelism)
             contention_delays.append(
                 penalty(resource, op, size_bytes, element_bits,
                         movement_row[index], arrival_ns)
@@ -276,7 +255,7 @@ class SSDOffloader:
         packed.movement_ns = movement_row
         packed.queue_delays_ns = queue_delays
         packed.contention_delays_ns = contention_delays
-        packed.dependence_delay_ns = dependence
+        packed.dependence_delay_ns = pending_producer
         context = self._context
         context.now = arrival_ns
         context.elapsed = elapsed_ns if elapsed_ns > 1.0 else 1.0
@@ -286,7 +265,7 @@ class SSDOffloader:
         if not self._is_ideal:
             transformed = self._transform(instruction, resource)
             overhead_ns += transformed.lookup_latency_ns
-        serial_ns = overhead_ns / self._pipeline_depth
+        serial_ns = overhead_ns / PIPELINE_DEPTH
         core = self._dispatch_core
         free = core._free_at
         dispatch_start = arrival_ns if arrival_ns >= free else free

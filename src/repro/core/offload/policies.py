@@ -23,7 +23,7 @@ import abc
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common import OpType, Resource, ResourceLike, SimulationError
+from repro.common import Resource, ResourceLike, SimulationError
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.offload.cost_model import CostFunction, CostModelConfig
 from repro.core.offload.features import InstructionFeatures, WaveBatch
@@ -195,7 +195,6 @@ class ConduitPolicy(OffloadingPolicy):
         cost_function = self.cost_function
         config = cost_function.config
         cost_function.evaluations += 1
-        include_compute = config.include_compute_latency
         include_movement = config.include_data_movement
         include_queueing = config.include_queueing_delay
         dependence = (packed.dependence_delay_ns
@@ -206,11 +205,10 @@ class ConduitPolicy(OffloadingPolicy):
         queue_delays_ns = packed.queue_delays_ns
         target: Optional[ResourceLike] = None
         best = float("inf")
-        for index, (resource, _, supported, compute_ns,
+        for index, (resource, _, supported, compute,
                     _) in enumerate(packed.static):
             if not supported:
                 continue
-            compute = compute_ns if include_compute else 0.0
             if include_movement:
                 raw = movement_ns[index]
                 contention = contention_ns[index]

@@ -99,18 +99,6 @@ class PlatformConfig:
     #: goldens keep reproducing the paper's uncorrected cost model
     #: bit-exactly.
     contention_feedback: bool = False
-    #: EWMA smoothing factor of the movement-overrun samples (1.0 keeps
-    #: only the latest sample).
-    contention_ewma_alpha: float = 0.3
-    #: Gain weighting the smoothed relative overrun charged back to an
-    #: estimate (``scale = 1 + gain * (relative_overrun - 1)``).
-    contention_gain: float = 2.0
-    #: Per-observation decay pulling *unobserved* paths' smoothed overruns
-    #: back toward 1.0 (no contention), so a once-penalized path whose
-    #: traffic has since drained is re-explored instead of being avoided
-    #: forever on stale feedback.  ``0.0`` (the default) preserves the
-    #: original never-forgets behavior bit-exactly.
-    contention_decay: float = 0.0
 
     #: Move operands as contiguous LPA runs (one sized bus reservation per
     #: run segment).  ``False`` selects the per-page reference path, kept
@@ -160,8 +148,6 @@ class _LocationWindow:
     """LRU-managed capacity window for a temporary operand location."""
 
     def __init__(self, name: str, capacity_pages: int) -> None:
-        if capacity_pages <= 0:
-            raise SimulationError(f"{name}: capacity must be positive")
         self.name = name
         self.capacity_pages = capacity_pages
         self._pages: "OrderedDict[int, bool]" = OrderedDict()
@@ -287,6 +273,13 @@ class SSDPlatform:
         if self.config.isp_cores < 1:
             raise SimulationError("PlatformConfig.isp_cores must be >= 1")
         ssd_config = self.config.ssd
+        page = ssd_config.nand.page_size_bytes
+        for name in ("dram_compute_window_bytes", "sram_window_bytes",
+                     "host_cache_bytes"):
+            if getattr(self.config, name) < page:
+                raise SimulationError(
+                    f"PlatformConfig.{name} must be >= one page "
+                    f"({page} bytes)")
         self.ssd = SSD(ssd_config)
         self.dram = DRAMDevice(self.config.dram)
         self.pud = PuDUnit(self.dram)
@@ -315,14 +308,13 @@ class SSDPlatform:
         #: The controller core running the SSD offloader itself.
         self.dispatch_core = Server("offloader-core")
 
-        page = ssd_config.nand.page_size_bytes
         self._page_size = page
         self._dram_window = _LocationWindow(
-            "ssd-dram", max(1, self.config.dram_compute_window_bytes // page))
+            "ssd-dram", self.config.dram_compute_window_bytes // page)
         self._sram_window = _LocationWindow(
-            "ctrl-sram", max(1, self.config.sram_window_bytes // page))
+            "ctrl-sram", self.config.sram_window_bytes // page)
         self._host_window = _LocationWindow(
-            "host-cache", max(1, self.config.host_cache_bytes // page))
+            "host-cache", self.config.host_cache_bytes // page)
         self._windows: Dict[DataLocation, _LocationWindow] = {
             DataLocation.SSD_DRAM: self._dram_window,
             DataLocation.CTRL_SRAM: self._sram_window,
@@ -341,9 +333,7 @@ class SSDPlatform:
         #: fed only when ``config.contention_feedback`` is enabled (see
         #: :mod:`repro.core.contention`).  Owned per platform, so every
         #: run starts from clean feedback state.
-        self.contention = LinkContentionMonitor(
-            self.config.contention_ewma_alpha, self.config.contention_gain,
-            decay=self.config.contention_decay)
+        self.contention = LinkContentionMonitor()
 
     # ------------------------------------------------------------------------
     # Backend registry (the platform's compute shape, grown from config)

@@ -19,7 +19,7 @@ Two engines live here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common import DataLocation, Resource, SimulationError
@@ -29,19 +29,22 @@ from repro.core.compiler.waves import wave_plan
 from repro.core.layout import ArrayLayout
 from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
                                 InstructionRecord)
-from repro.core.offload.offloader import OffloaderConfig, SSDOffloader
+from repro.core.offload.offloader import SSDOffloader
 from repro.core.offload.policies import OffloadingPolicy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.ssd.events import Server
+
+#: Maximum number of dispatched-but-incomplete instructions.  The
+#: offloader core issues in order and stalls once this window is full,
+#: which bounds how far dispatch runs ahead of execution (and therefore how
+#: large the queueing-delay estimates can grow).
+MAX_OUTSTANDING = 64
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Configuration of the execution engines."""
 
-    offloader: OffloaderConfig = field(default_factory=OffloaderConfig)
-    #: Whether to model the one-time binary download over NVMe.
-    transfer_binary: bool = True
     #: Whether to place operand arrays colocated per block so in-flash
     #: bitwise operations find their operands in one block (Section 4.4).
     colocate_for_ifp: bool = True
@@ -72,8 +75,7 @@ class ConduitRuntime:
                                     colocated_groups=groups)
 
     def _ship_binary(self, program: VectorProgram) -> float:
-        if not self.config.transfer_binary:
-            return 0.0
+        """Model the one-time binary download over NVMe."""
         binary = BinaryEncoder().encode(program)
         return transfer_binary(self.platform.ssd.nvme, binary, now=0.0)
 
@@ -90,8 +92,7 @@ class ConduitRuntime:
         start_ns = self._ship_binary(program)
         platform.ssd.enter_computation_mode()
 
-        offloader = SSDOffloader(platform, layout, policy,
-                                 self.config.offloader)
+        offloader = SSDOffloader(platform, layout, policy)
         records: List[InstructionRecord] = []
         if platform.config.batched_offload:
             makespan = self._drive_waves(program, layout, offloader, records,
@@ -132,7 +133,6 @@ class ConduitRuntime:
         platform = self.platform
         completion: Dict[int, float] = {}
         outstanding: List[float] = []  # completion times, kept as a heap
-        max_outstanding = self.config.offloader.max_outstanding
         makespan = start_ns
         completion_get = completion.get
         dispatch_core = platform.dispatch_core
@@ -152,7 +152,7 @@ class ConduitRuntime:
             # The dispatch window bounds how far issue runs ahead of
             # execution: once it is full, dispatch stalls until the oldest
             # outstanding instruction completes.
-            while len(outstanding) >= max_outstanding:
+            while len(outstanding) >= MAX_OUTSTANDING:
                 oldest = heappop(outstanding)
                 if oldest > arrival:
                     arrival = oldest
@@ -188,7 +188,6 @@ class ConduitRuntime:
         plan = wave_plan(program, layout)
         completion: Dict[int, float] = {}
         outstanding: List[float] = []
-        max_outstanding = self.config.offloader.max_outstanding
         makespan = start_ns
         completion_get = completion.get
         dispatch_core = platform.dispatch_core
@@ -209,7 +208,7 @@ class ConduitRuntime:
                         deps_ready = t
                 free_at = dispatch_core._free_at
                 arrival = start_ns if start_ns >= free_at else free_at
-                while len(outstanding) >= max_outstanding:
+                while len(outstanding) >= MAX_OUTSTANDING:
                     oldest = heappop(outstanding)
                     if oldest > arrival:
                         arrival = oldest

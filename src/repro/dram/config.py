@@ -28,12 +28,7 @@ class DRAMConfig:
     # Core timing parameters (ns), LPDDR4-1866 grade.
     t_rcd_ns: float = 18.0
     t_rp_ns: float = 18.0
-    t_ras_ns: float = 42.0
     t_ccd_ns: float = 8.0
-    t_rrd_ns: float = 10.0
-    t_wr_ns: float = 18.0
-    t_rfc_ns: float = 280.0
-    refresh_interval_ns: float = 3_900.0
 
     # Processing-using-DRAM operation latency/energy (Table 2).
     bbop_latency_ns: float = 49.0
@@ -43,10 +38,6 @@ class DRAMConfig:
     #: number of bulk-bitwise steps per operand bit.
     add_steps_per_bit: float = 5.0
     mul_steps_per_bit_squared: float = 2.0
-
-    #: Fraction of DRAM rows usable for computation (MIMDRAM reserves some
-    #: rows for compute scratch).
-    compute_row_fraction: float = 0.9
 
     def __post_init__(self) -> None:
         if self.banks <= 0 or self.channels <= 0 or self.ranks <= 0:

@@ -99,7 +99,20 @@ DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 #: hash, zipf generator parameters), so content-defined workloads key the
 #: cache by *what* they run, not just their registry name, and pre-field
 #: pickles are orphaned rather than silently matched without it.
-SWEEP_CACHE_VERSION = 5
+#: Version 6: knobs no run read or varied were deleted -- ``PlatformConfig``
+#: lost ``contention_ewma_alpha`` / ``contention_gain`` /
+#: ``contention_decay``; ``DRAMConfig`` lost ``t_ras_ns`` / ``t_rrd_ns`` /
+#: ``t_wr_ns`` / ``t_rfc_ns`` / ``refresh_interval_ns`` /
+#: ``compute_row_fraction``; ``ControllerConfig`` lost ``sram_bytes``;
+#: ``FTLConfig`` lost ``mapping_entry_bytes`` / ``overprovisioning``;
+#: ``SSDEnergyConfig`` lost ``dram_bbop_nj`` /
+#: ``controller_core_idle_power_mw`` / ``host_dram_nj_per_kb``;
+#: ``HostCPUConfig`` lost ``l3_cache_bytes`` / ``idle_power_w``;
+#: ``HostGPUConfig`` lost ``hbm_capacity_bytes`` / ``l2_cache_bytes`` /
+#: ``idle_power_w``; ``HostMemoryConfig`` lost ``bandwidth_gbps`` /
+#: ``access_latency_ns``.  The canonical config encoding changes with
+#: them, so every key moves; simulated results do not.
+SWEEP_CACHE_VERSION = 6
 
 #: The workload scale experiments (and the CLI's ``--scale``) default to.
 #: The CLI help strings derive from this constant so they can never drift

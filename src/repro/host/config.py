@@ -21,11 +21,9 @@ class HostCPUConfig:
     cores: int = 6
     clock_ghz: float = 3.2
     simd_width_bytes: int = 64          # AVX-512
-    l3_cache_bytes: int = 8 * 1024 * 1024
     memory_bandwidth_gbps: float = 19.2     # DDR4-2400, 4 channels
     memory_latency_ns: float = 90.0
     active_power_w: float = 105.0
-    idle_power_w: float = 25.0
 
     def __post_init__(self) -> None:
         if self.cores <= 0 or self.clock_ghz <= 0:
@@ -44,11 +42,8 @@ class HostGPUConfig:
     clock_ghz: float = 1.4
     lanes_per_sm: int = 64               # INT32 lanes per SM
     hbm_bandwidth_gbps: float = 1555.0
-    hbm_capacity_bytes: int = 40 * 1024 * 1024 * 1024
-    l2_cache_bytes: int = 40 * 1024 * 1024
     kernel_launch_overhead_ns: float = 8_000.0
     active_power_w: float = 300.0
-    idle_power_w: float = 60.0
 
     @property
     def cycle_ns(self) -> float:
@@ -65,6 +60,4 @@ class HostMemoryConfig:
 
     capacity_bytes: int = 32 * 1024 * 1024 * 1024
     channels: int = 4
-    bandwidth_gbps: float = 19.2
-    access_latency_ns: float = 90.0
     energy_nj_per_kb: float = 260.0

@@ -148,9 +148,11 @@ class IFPUnit:
 class IFPBackend(ComputeBackend):
     """Compute backend adapting :class:`IFPUnit`.
 
-    Operands live in flash (in-place computation); the utilization
-    snapshot is the flash-die pool, which in-flash operations share with
-    regular reads/programs.  ``channels`` is the platform's
+    Operands live in flash (in-place computation).  The utilization
+    snapshot is the flash-die pool's occupancy by regular
+    reads/programs/erases; in-flash operations do not reserve those dies
+    -- their die-level parallelism is modelled by the IFP execution queue
+    alone.  ``channels`` is the platform's
     :class:`~repro.ssd.flash_controller.FlashChannelSubsystem`.
     """
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.common import ConfigurationError, GIB, KIB, MS, NS, US
+from repro.common import ConfigurationError, GIB, KIB, NS, US
 
 
 class GCVictimPolicy(enum.Enum):
@@ -106,7 +106,6 @@ class ControllerConfig:
     #: stresses that the controller cores have *limited* SIMD parallelism
     #: (32-bit registers, Section 2.2), which is what caps ISP throughput.
     simd_width_bytes: int = 4
-    sram_bytes: int = 8 * 1024 * KIB    # on-controller scratch memory
 
     #: Cores reserved for FTL / host communication / Conduit's offloader.
     #: The paper dedicates one core to offloaded computation and keeps the
@@ -145,7 +144,6 @@ class FTLConfig:
     #: Fraction of the L2P mapping table cached in SSD DRAM (DFTL-style
     #: demand caching).  Lookups that miss the cache pay a flash read.
     mapping_cache_coverage: float = 0.25
-    mapping_entry_bytes: int = 8
     l2p_dram_lookup_ns: float = 100.0 * NS   # Section 4.5
     l2p_flash_lookup_ns: float = 30.0 * US   # Section 4.5
 
@@ -157,8 +155,6 @@ class FTLConfig:
     #: Wear-leveling swaps a cold block when the erase-count spread exceeds
     #: this factor of the mean.
     wear_leveling_threshold: float = 1.5
-
-    overprovisioning: float = 0.07
 
     # -- Adaptive-FTL policy axis (registered ablation) ---------------------
 
@@ -190,12 +186,9 @@ class SSDEnergyConfig:
     ifp_xor_nj_per_kb: float = 20.0
     ifp_latch_transfer_nj_per_kb: float = 10.0
     dma_nj_per_channel: float = 7_656.0              # 7.656 uJ / channel DMA
-    dram_bbop_nj: float = 0.864                      # per bulk bitwise op row
     dram_access_nj_per_kb: float = 150.0
     controller_core_active_power_mw: float = 450.0
-    controller_core_idle_power_mw: float = 45.0
     pcie_nj_per_kb: float = 620.0
-    host_dram_nj_per_kb: float = 260.0
     #: Whole-device active power of the SSD (Samsung 980 Pro class),
     #: charged for the duration of a run on top of per-operation energies.
     ssd_active_power_w: float = 8.0

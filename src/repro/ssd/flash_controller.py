@@ -15,8 +15,6 @@ simulator needs:
   out over the channel (tDMA + transfer).
 * ``program_page`` -- stream a page in and program it (tPROG).
 * ``erase_block`` -- erase inside the die.
-* ``in_flash_operation`` -- occupy the die (not the channel) for an in-flash
-  computation such as a multi-wordline-sensing AND/OR.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class FlashChannelSubsystem:
         self.channels = BusGroup("flash-channel", config.channels,
                                  config.channel_bandwidth_bytes_per_ns)
         # One MultiServer per channel models the dies behind that channel;
-        # dies execute sense/program/erase/in-flash ops independently.
+        # dies execute sense/program/erase ops independently.
         self.dies = [MultiServer(f"dies[ch{c}]", config.dies_per_channel)
                      for c in range(config.channels)]
         # ECC decode latency approximated as part of the FC pipeline.
@@ -111,23 +109,6 @@ class FlashChannelSubsystem:
                                            server_index=die)
         return FlashOperationTiming(start=now, die_done=erase.end,
                                     end=erase.end,
-                                    channel_busy_ns=cmd.end - cmd.start)
-
-    def in_flash_operation(self, now: float, channel: int, die: int,
-                           duration_ns: float) -> FlashOperationTiming:
-        """Occupy a die for an in-flash computation (no channel traffic).
-
-        The command still needs to reach the die over the channel, but the
-        operand pages never leave the flash array -- this is the whole point
-        of IFP (Section 2.2).
-        """
-        self._check_channel(channel)
-        cmd = self.channels.transfer(
-            now, self.config.command_latency_ns *
-            self.config.channel_bandwidth_bytes_per_ns, channel=channel)
-        op = self.dies[channel].reserve(cmd.end, duration_ns,
-                                        server_index=die)
-        return FlashOperationTiming(start=now, die_done=op.end, end=op.end,
                                     channel_busy_ns=cmd.end - cmd.start)
 
     # -- Estimation helpers (no reservation) ----------------------------------

@@ -198,8 +198,7 @@ COST_CONFIG = st.builds(
     combine_delays_with_max=st.booleans(),
     include_data_movement=st.booleans(),
     include_queueing_delay=st.booleans(),
-    include_dependence_delay=st.booleans(),
-    include_compute_latency=st.booleans())
+    include_dependence_delay=st.booleans())
 
 
 def _features(uid, rows) -> InstructionFeatures:

@@ -173,16 +173,6 @@ class TestVectorizer:
         assert any(i.op is OpType.SELECT for i in vectorized.instructions)
         assert any(r.partial for r in report.remarks)
 
-    def test_partial_vectorization_can_be_disabled(self):
-        program = ScalarProgram("branchy")
-        program.declare_array("a", 100000)
-        program.add_loop(Loop("branchy", 100000, [
-            ScalarStatement(op=OpType.ADD, dest="a", sources=("a",))],
-            complex_control_flow=True))
-        vectorized, _ = self.vectorize(
-            program, enable_partial_vectorization=False)
-        assert all(i.op is OpType.SCALAR for i in vectorized.instructions)
-
     def test_scalar_sections_chain_in_order(self):
         program = ScalarProgram("control")
         program.add_scalar_section(ScalarSection("s", 10000))

@@ -18,14 +18,12 @@ Three layers of coverage, mirroring how the feature is built:
   is no slower than the greedy cost model and no slower than the
   host-only baseline (the exact failure mode the ROADMAP documented).
 
-Plus the plumbing guarantees: the new config fields are folded into the
+Plus the plumbing guarantees: ``contention_feedback`` is folded into the
 sweep-cache key, and a feedback-on sweep is serial == parallel
 bit-identical (EWMA state is per-run, never leaked across shards).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -279,15 +277,9 @@ class TestCacheKeyAndSweepIdentity:
         runner = ExperimentRunner(config)
         workload = Jacobi1DWorkload(scale=0.03)
         plain = runner.spec_for(workload, "Conduit")
-        for grown in (with_contention_feedback(config.platform),
-                      dataclasses.replace(config.platform,
-                                          contention_feedback=True,
-                                          contention_gain=3.0),
-                      dataclasses.replace(config.platform,
-                                          contention_feedback=True,
-                                          contention_ewma_alpha=0.9)):
-            spec = runner.spec_for(workload, "Conduit", platform=grown)
-            assert run_spec_key(spec) != run_spec_key(plain)
+        grown = with_contention_feedback(config.platform)
+        spec = runner.spec_for(workload, "Conduit", platform=grown)
+        assert run_spec_key(spec) != run_spec_key(plain)
 
     def test_feedback_on_sweep_serial_equals_parallel(self):
         # EWMA state lives on the per-run platform: a sharded sweep must
@@ -362,67 +354,18 @@ class TestCXLRegressionClosed:
 
 
 class TestContentionDecay:
-    """``decay`` re-opens paths the argmin stopped choosing."""
-
-    def test_invalid_decay_rejected(self):
-        with pytest.raises(SimulationError):
-            LinkContentionMonitor(decay=-0.1)
-        with pytest.raises(SimulationError):
-            LinkContentionMonitor(decay=1.5)
+    """The monitor never decays a path it does not observe."""
 
     def test_zero_decay_preserves_stale_penalty_forever(self):
-        monitor = LinkContentionMonitor(alpha=1.0, decay=0.0)
+        monitor = LinkContentionMonitor(alpha=1.0)
         monitor.observe_movement("flash->dram", 100.0, 500.0)
         for _ in range(50):
             monitor.observe_movement("flash->host", 100.0, 100.0)
-        # The default never forgets: the penalized path's average is
-        # untouched by other paths' observations (historical behavior).
+        # The penalized path's average is untouched by other paths'
+        # observations.
         assert monitor.overrun("flash->dram") == 5.0
 
-    def test_unobserved_path_relaxes_toward_one_geometrically(self):
-        monitor = LinkContentionMonitor(alpha=1.0, decay=0.5)
-        monitor.observe_movement("flash->dram", 100.0, 500.0)
-        assert monitor.overrun("flash->dram") == 5.0
-        expected = 5.0
-        for _ in range(4):
-            monitor.observe_movement("flash->host", 100.0, 100.0)
-            expected = 1.0 + (expected - 1.0) * 0.5
-            assert monitor.overrun("flash->dram") == expected
-        # After a few foreign observations the stale penalty has almost
-        # fully relaxed, so the path prices near contention-free again
-        # and the argmin will re-explore it.
-        assert monitor.overrun("flash->dram") == pytest.approx(1.25)
-
-    def test_observed_path_itself_is_not_decayed(self):
-        monitor = LinkContentionMonitor(alpha=1.0, decay=0.5)
-        monitor.observe_movement("flash->dram", 100.0, 500.0)
-        # A fresh observation of the same path folds in via the EWMA only;
-        # the decay applies to *other* paths, never the observed one.
-        monitor.observe_movement("flash->dram", 100.0, 500.0)
-        assert monitor.overrun("flash->dram") == 5.0
-
-    def test_decay_restores_exploration_scale(self):
-        monitor = LinkContentionMonitor(alpha=1.0, gain=1.0, decay=0.5)
-        monitor.observe_movement("flash->dram", 100.0, 300.0)
-        monitor.observe_movement("flash->host", 100.0, 100.0)
-        assert monitor.scale("flash->dram") > 1.0
-        for _ in range(30):
-            monitor.observe_movement("flash->host", 100.0, 100.0)
-        # The penalty has decayed to within a hair of 1.0.
-        assert monitor.scale("flash->dram") == pytest.approx(1.0, abs=1e-6)
-
-    def test_platform_config_plumbs_decay_into_monitor(self):
-        config = tiny_platform_config(contention_feedback=True,
-                                      contention_decay=0.25)
-        platform = SSDPlatform(config)
-        assert platform.contention.decay == 0.25
-        # And the default keeps the knob off (bit-exact historical paths).
-        assert SSDPlatform(tiny_platform_config()).contention.decay == 0.0
-
-    def test_decay_knob_changes_the_cache_key(self):
-        from repro.experiments.runner import RunSpec
-        base = ExperimentConfig(workload_scale=0.05).platform
-        decayed = dataclasses.replace(base, contention_decay=0.25)
-        key_a = run_spec_key(RunSpec("AES", 0.05, "Conduit", base))
-        key_b = run_spec_key(RunSpec("AES", 0.05, "Conduit", decayed))
-        assert key_a != key_b
+    def test_platform_monitor_uses_the_default_alpha_and_gain(self):
+        monitor = SSDPlatform(tiny_platform_config(
+            contention_feedback=True)).contention
+        assert (monitor.alpha, monitor.gain) == (0.3, 2.0)

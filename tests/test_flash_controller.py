@@ -58,13 +58,6 @@ class TestProgramErase:
 
 
 class TestInFlashOperation:
-    def test_in_flash_op_occupies_die_not_channel(self):
-        subsystem = FlashChannelSubsystem(config())
-        timing = subsystem.in_flash_operation(0.0, 0, 0, duration_ns=1000.0)
-        # Only the command crosses the channel.
-        assert timing.channel_busy_ns < 1000.0
-        assert timing.end >= 1000.0
-
     def test_uncontended_estimates_are_consistent(self):
         subsystem = FlashChannelSubsystem(config())
         read_estimate = subsystem.uncontended_read_latency()

@@ -7,7 +7,6 @@ from repro.core.compiler.ir import ArrayRef, VectorInstruction
 from repro.core.layout import ArrayLayout
 from repro.core.offload.cost_model import CostFunction, CostModelConfig
 from repro.core.offload.features import (FeatureCollector,
-                                         FeatureCollectorConfig,
                                          InstructionFeatures,
                                          ResourceFeatures)
 from repro.core.offload.policies import (AresFlashPolicy, BWOffloadingPolicy,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common import DataLocation, KIB, MIB, OpType, Resource
+from repro.common import (DataLocation, KIB, MIB, OpType, Resource,
+                          SimulationError)
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.energy.model import EnergyAccount
 from repro.ssd.config import small_ssd_config
@@ -60,6 +61,27 @@ class TestPlatformLocations:
         # Window holds 4 pages, so the first pages have been evicted.
         assert platform.location_of(0) is DataLocation.FLASH
         assert platform.location_of(7) is DataLocation.SSD_DRAM
+
+    @pytest.mark.parametrize("field", ["dram_compute_window_bytes",
+                                       "sram_window_bytes",
+                                       "host_cache_bytes"])
+    @pytest.mark.parametrize("pages_short", ["zero", "negative",
+                                             "one-byte-short"])
+    def test_window_below_one_page_rejected(self, small_ssd, field,
+                                            pages_short):
+        page = small_ssd.nand.page_size_bytes
+        size = {"zero": 0, "negative": -1,
+                "one-byte-short": page - 1}[pages_short]
+        config = PlatformConfig(ssd=small_ssd, **{field: size})
+        with pytest.raises(SimulationError, match=field):
+            SSDPlatform(config)
+
+    def test_one_page_window_accepted(self, small_ssd):
+        page = small_ssd.nand.page_size_bytes
+        platform = SSDPlatform(PlatformConfig(
+            ssd=small_ssd, dram_compute_window_bytes=page,
+            sram_window_bytes=page, host_cache_bytes=page))
+        assert platform._host_window.capacity_pages == 1
 
     def test_mark_produced_sets_residence(self, platform):
         platform.setup_dataset(range(8))

@@ -27,6 +27,7 @@ from typing import List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.coherence import CoherencePolicy
 from repro.core.platform import PlatformConfig
 from repro.dram.cxl import CXLPuDConfig
 from repro.experiments.runner import (ExperimentConfig, ExperimentRunner,
@@ -204,7 +205,7 @@ class TestEveryKnobPerturbsTheKey:
 #: ``.sweep_cache/`` entries; an intentional key change (a
 #: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
 PINNED_FIG7_KEY = (
-    "06968b5baab697781fd1ea04931eb4dc0cd3dbb1aeef0f8b57ee35a0548bfcf0")
+    "5ceb8b014a95d71263527281845185037ba4c716512403a6ac1b4413e12db840")
 
 
 class TestKeyStability:
@@ -230,7 +231,7 @@ SPECS = st.builds(
     platform=st.builds(
         PlatformConfig,
         contention_feedback=st.booleans(),
-        contention_gain=st.sampled_from([1.0, 2.0]),
+        coherence_policy=st.sampled_from(list(CoherencePolicy)),
         isp_cores=st.integers(min_value=1, max_value=2),
         cxl_pud=st.sampled_from([None, CXLPuDConfig()]),
     ),

@@ -73,7 +73,7 @@ class TestConduitRuntime:
     def test_binary_transfer_adds_setup_time(self, tiny_vector_program,
                                              platform_config):
         platform = SSDPlatform(platform_config)
-        config = RuntimeConfig(transfer_binary=True)
+        config = RuntimeConfig()
         with_transfer = ConduitRuntime(platform, config).execute(
             tiny_vector_program, make_policy("Conduit"))
         assert platform.ssd.nvme.latest_binary is not None
