@@ -5,9 +5,9 @@ The sweeps run once per benchmark (``pedantic`` with a single round): the
 interesting output is the printed table, not the wall-clock variance, and a
 full multi-policy sweep is far too expensive to repeat dozens of times.
 
-Benchmarks default to the paper's full Table 2 footprints: the run-batched
-movement engine makes full-scale sweeps cheap enough that there is no
-reason to benchmark a reduced model.  Environment knobs still control the
+Benchmarks default to the paper's full Table 2 footprints: the simulator
+makes full-scale sweeps cheap enough that there is no reason to benchmark
+a reduced model.  Environment knobs still control the
 scale/parallelism trade-off:
 
 * ``REPRO_BENCH_SCALE`` -- workload scale (default ``1.0``, the paper's

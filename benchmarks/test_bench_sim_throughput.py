@@ -2,8 +2,8 @@
 
 Unlike the figure benchmarks (which report *simulated* metrics), this
 benchmark tracks the *simulator's own* speed so the perf trajectory in the
-``BENCH_*.json`` archives captures the run-batched data-movement engine,
-the sharded sweep engine and any future hot-path work.  Numbers reported:
+``BENCH_*.json`` archives captures the data-movement engine, the sharded
+sweep engine and any future hot-path work.  Numbers reported:
 
 * simulated instructions per second of wall-clock for one Conduit-policy
   run of the heaviest workload (LLM Training), including platform
@@ -15,9 +15,8 @@ the sharded sweep engine and any future hot-path work.  Numbers reported:
   which is what makes full-paper-scale sweeps (``BENCH_SCALE = 1.0``,
   exercised by the ``slow``-marked case) routine.
 
-The seed's per-page engine ran the full-policy sweep in ~46 s at
-``BENCH_SCALE = 0.25``; PR 1's run-batched engine brought that to ~2.4 s,
-and the parallel engine divides the remaining wall-clock by the worker
+The seed ran the full-policy sweep in ~46 s at ``BENCH_SCALE = 0.25``;
+the current simulator takes a few seconds, and the parallel engine divides the remaining wall-clock by the worker
 count on multi-core machines.
 """
 
@@ -110,7 +109,7 @@ def test_bench_sim_instruction_throughput(benchmark, bench_config):
           f"{instructions} instructions in {elapsed_s * 1e3:.1f} ms "
           f"= {throughput:,.0f} instr/s")
     assert instructions > 0
-    # Loose regression floor only: the run-batched engine sustains several
+    # Loose regression floor only: the simulator sustains several
     # thousand instr/s on a dev machine at BENCH_SCALE=0.25 (seed:
     # ~500/s); the floor leaves ~10x slack for slow or contended CI
     # runners and shrinks with the scale (larger workloads spend more

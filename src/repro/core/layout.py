@@ -9,8 +9,8 @@ all speak the same address space.
 
 Arrays map to *contiguous* logical page ranges, so every operand region is
 one contiguous LPA run.  :meth:`ArrayLayout.page_run_of` resolves an operand
-to its ``(base_lpa, page_count)`` run -- the currency of the run-batched
-data-movement engine -- and both it and :meth:`ArrayLayout.pages_of` are
+to its ``(base_lpa, page_count)`` run -- the currency of the offloader and
+the data-movement engine -- and both it and :meth:`ArrayLayout.pages_of` are
 memoized so the offloader, the feature collector and the runtimes never
 rebuild per-instruction page lists for operands they have already seen.
 """

@@ -21,9 +21,7 @@ individual features) are exposed for the design-choice benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.common import ResourceLike, SimulationError
 from repro.core.offload.features import InstructionFeatures, ResourceFeatures
@@ -111,55 +109,3 @@ class CostFunction:
             raise SimulationError(
                 f"no SSD resource supports operation {features.op.value}")
         return target, estimates
-
-    def select_batch(self, features_list: Sequence[InstructionFeatures]
-                     ) -> Tuple[List[ResourceLike], np.ndarray]:
-        """Vectorized Equation 2 over N instructions.
-
-        Builds the ``(candidates x instructions)`` total-latency matrix --
-        each element evaluated with exactly :meth:`estimate`'s expression
-        order, unsupported candidates pinned to ``inf`` -- and takes
-        ``np.argmin`` along the candidate axis.  ``np.argmin`` returns the
-        *first* minimum, which is precisely the strict-``<``
-        registration-order tie-break of N sequential :meth:`select` calls,
-        so the two are provably identical (pinned by
-        ``tests/test_batched_offload.py``).  All instructions must share
-        one candidate roster (one platform).  Returns the selected
-        resources (one per instruction) and the matrix.
-        """
-        count = len(features_list)
-        if count == 0:
-            return [], np.empty((0, 0), dtype=np.float64)
-        config = self.config
-        include_movement = config.include_data_movement
-        include_dependence = config.include_dependence_delay
-        include_queueing = config.include_queueing_delay
-        combine_max = config.combine_delays_with_max
-        candidates = list(features_list[0].per_resource)
-        inf = float("inf")
-        totals = np.empty((len(candidates), count), dtype=np.float64)
-        for column, features in enumerate(features_list):
-            for row, feature in enumerate(features.per_resource.values()):
-                if not feature.supported:
-                    totals[row, column] = inf
-                    continue
-                compute = feature.expected_compute_latency_ns
-                movement = (feature.contended_data_movement_latency_ns
-                            if include_movement else 0.0)
-                dependence = (feature.dependence_delay_ns
-                              if include_dependence else 0.0)
-                queueing = (feature.queueing_delay_ns
-                            if include_queueing else 0.0)
-                overlap = (max(dependence, queueing) if combine_max
-                           else dependence + queueing)
-                totals[row, column] = compute + movement + overlap
-        self.evaluations += count
-        winners = np.argmin(totals, axis=0)
-        selected: List[ResourceLike] = []
-        for column, row in enumerate(winners):
-            if totals[row, column] == inf:
-                raise SimulationError(
-                    f"no SSD resource supports operation "
-                    f"{features_list[column].op.value}")
-            selected.append(candidates[row])
-        return selected, totals

@@ -18,20 +18,13 @@ kinds of questions:
 * *Actually do it* (``ensure_runs_at`` / ``record_compute``), reserving the
   shared buses and execution sub-units so contention emerges naturally.
 
-Data movement is *run batched*: operands arrive as contiguous LPA runs
-(arrays map to contiguous page ranges, Section 4.4), and
-:meth:`SSDPlatform.ensure_runs_at` splits each run into maximal segments of
-equal current residence.  A segment already at the destination refreshes its
-LRU positions in bulk; a moving segment issues one sized reservation per
-shared bus (DRAM data bus, PCIe) while flash channels and DRAM banks keep
-their exact per-page reservation sequence (runs are striped across
-channels/banks).  Segments whose insertion would evict pages from the
-destination's capacity window fall back to the per-page reference path
-(:meth:`SSDPlatform.ensure_pages_at`), because evicted pages' write-backs
-interleave with the segment's own transfers on the shared buses.  The
-batched and per-page paths therefore produce identical simulated timings,
-energy and movement counters; ``PlatformConfig.batched_movement`` selects
-between them so the golden-equivalence test can compare both.
+Operands move one logical page at a time: they arrive as contiguous LPA
+runs (arrays map to contiguous page ranges, Section 4.4), and
+:meth:`SSDPlatform.ensure_runs_at` walks each run page by page.  Every page
+reserves its own flash channel/die, DRAM bank and shared-bus slots and pays
+its own energy charge, and a page whose insertion evicts a dirty page from
+the destination's capacity window writes the victim back on the shared
+buses before the next page moves.
 """
 
 from __future__ import annotations
@@ -57,8 +50,8 @@ from repro.ifp.unit import IFPBackend, IFPUnit
 from repro.isp.core import EmbeddedCoreComplex, ISPBackend
 from repro.ssd.config import SSDConfig
 from repro.ssd.events import Server
-from repro.ssd.lifetime import (BackgroundFlashEngine, LifetimeConfig,
-                                MaintenanceStats, apply_drive_age)
+from repro.ssd.lifetime import (LifetimeConfig, MaintenanceStats,
+                                apply_drive_age)
 from repro.ssd.queues import ResourceQueueSet
 from repro.ssd.ssd import SSD
 
@@ -100,11 +93,6 @@ class PlatformConfig:
     #: bit-exactly.
     contention_feedback: bool = False
 
-    #: Move operands as contiguous LPA runs (one sized bus reservation per
-    #: run segment).  ``False`` selects the per-page reference path, kept
-    #: for the golden-equivalence test of the batched engine.
-    batched_movement: bool = True
-
     #: Drive offload decisions wave-by-wave: a dependency slicer groups
     #: the compiled IR into ready waves (page-disjoint, dependence-free
     #: program-order blocks), the feature collector precollects each
@@ -116,8 +104,7 @@ class PlatformConfig:
     #: unchanged), mapping-cache LRU refreshes are replayed at each
     #: member's decision time, and any mid-wave residence or
     #: mapping-cache hazard falls back to the reference path.  The
-    #: per-instruction engine remains the golden reference, mirroring
-    #: the ``batched_movement`` pattern.
+    #: per-instruction engine remains the golden reference.
     batched_offload: bool = True
 
     # -- Backend roster (the platform's compute shape is data, not code) ----
@@ -137,10 +124,10 @@ class PlatformConfig:
     cxl_pud: Optional[CXLPuDConfig] = None
 
     #: Device-lifetime axis (see :mod:`repro.ssd.lifetime`): drive-age
-    #: profile applied at construction and the background GC/wear engine
-    #: that turns maintenance into live traffic on the shared flash
-    #: channels.  The default (engine off, no profile) is bit-identical
-    #: to the fresh-drive seed behavior.
+    #: profile applied at construction and the budgets of the background
+    #: GC/wear engine that turns maintenance into live traffic on the
+    #: shared flash channels.  The default (no profile) is a factory-fresh
+    #: drive, on which the engine never acts.
     lifetime: LifetimeConfig = field(default_factory=LifetimeConfig)
 
 
@@ -152,12 +139,6 @@ class _LocationWindow:
         self.capacity_pages = capacity_pages
         self._pages: "OrderedDict[int, bool]" = OrderedDict()
         self.evictions = 0
-
-    def __contains__(self, lpa: int) -> bool:
-        return lpa in self._pages
-
-    def __len__(self) -> int:
-        return len(self._pages)
 
     def touch(self, lpa: int) -> None:
         if lpa in self._pages:
@@ -178,45 +159,6 @@ class _LocationWindow:
 
     def remove(self, lpa: int) -> None:
         self._pages.pop(lpa, None)
-
-    @property
-    def free_capacity(self) -> int:
-        """Pages that can be inserted before an eviction becomes necessary."""
-        return self.capacity_pages - len(self._pages)
-
-    def touch_many(self, lpas: Iterable[int]) -> None:
-        """Refresh LRU positions of resident pages, in order."""
-        pages = self._pages
-        move = pages.move_to_end
-        for lpa in lpas:
-            if lpa in pages:
-                move(lpa)
-
-    def add_many(self, lpas: Iterable[int]) -> List[int]:
-        """Insert pages in MRU order, then evict once for the whole batch.
-
-        Equivalent to per-page :meth:`add` calls: new pages join the MRU
-        end, so batch insertion followed by a single eviction sweep pops
-        the same victims in the same order as interleaved add/evict.
-        """
-        pages = self._pages
-        move = pages.move_to_end
-        for lpa in lpas:
-            if lpa in pages:
-                move(lpa)
-            else:
-                pages[lpa] = True
-        evicted: List[int] = []
-        while len(pages) > self.capacity_pages:
-            victim, _ = pages.popitem(last=False)
-            evicted.append(victim)
-            self.evictions += 1
-        return evicted
-
-    def remove_many(self, lpas: Iterable[int]) -> None:
-        pop = self._pages.pop
-        for lpa in lpas:
-            pop(lpa, None)
 
 
 @dataclass
@@ -280,7 +222,10 @@ class SSDPlatform:
                 raise SimulationError(
                     f"PlatformConfig.{name} must be >= one page "
                     f"({page} bytes)")
-        self.ssd = SSD(ssd_config)
+        self.energy = EnergyAccount(ssd_config.energy,
+                                    self.config.host_memory)
+        lifetime = self.config.lifetime
+        self.ssd = SSD(ssd_config, lifetime=lifetime, energy=self.energy)
         self.dram = DRAMDevice(self.config.dram)
         self.pud = PuDUnit(self.dram)
         self.isp = EmbeddedCoreComplex(ssd_config.controller,
@@ -288,17 +233,11 @@ class SSDPlatform:
         self.ifp = IFPUnit(ssd_config.nand, ssd_config.energy)
         self.host_cpu = HostCPU(self.config.host_cpu)
         self.host_gpu = HostGPU(self.config.host_gpu)
-        self.energy = EnergyAccount(ssd_config.energy,
-                                    self.config.host_memory)
-        lifetime = self.config.lifetime
         if lifetime.drive_age is not None:
             # Zero-time pre-history: fragments the array and seeds wear
             # before the dataset is placed, so allocation and GC see an
             # aged drive from the first write.
             apply_drive_age(self.ssd, lifetime.drive_age)
-        if lifetime.background_flash:
-            self.ssd.attach_background_engine(
-                BackgroundFlashEngine(self.ssd, lifetime, self.energy))
         self.coherence = CoherenceDirectory(self.config.coherence_policy)
         #: Every compute engine of the system, keyed by identity; the
         #: offload stack discovers its candidates here.
@@ -462,8 +401,9 @@ class SSDPlatform:
                               destination: DataLocation,
                               pages: int = 1) -> float:
         """Uncontended latency to move ``pages`` pages (lookup table)."""
-        per_page = self._move_table[(source, destination)]
-        return per_page * max(0, pages)
+        if pages < 0:
+            raise SimulationError(f"cannot move {pages} pages")
+        return self._move_table[(source, destination)] * pages
 
     # ------------------------------------------------------------------------
     # Data movement (reserves buses, charges energy)
@@ -489,164 +429,14 @@ class SSDPlatform:
         """Move contiguous LPA runs to ``destination``; return finish time.
 
         ``runs`` is an iterable of ``(base_lpa, count)`` pairs, processed in
-        order.  Each run is split lazily into maximal segments of equal
-        current residence (lazily, because an earlier segment's evictions
-        can push a later page of the same operand back to flash): resident
-        segments refresh their LRU position in bulk, moving segments go
-        through the run transfer engine.  Timing, energy and statistics are
-        identical to per-page :meth:`ensure_pages_at` over the same pages.
+        order, each page through :meth:`ensure_pages_at` (so a later page's
+        residence reflects an earlier page's evictions).
         """
-        if not self.config.batched_movement:
-            finish = now
-            for base, count in runs:
-                finish = max(finish, self.ensure_pages_at(
-                    now, range(base, base + count), destination))
-            return finish
         finish = now
-        get = self._residence.get
-        flash = DataLocation.FLASH
-        destination_window = self._window_for(destination)
         for base, count in runs:
-            index = base
-            end = base + count
-            while index < end:
-                source = get(index, flash)
-                stop = index + 1
-                while stop < end and get(stop, flash) is source:
-                    stop += 1
-                if source is destination:
-                    if destination_window is not None:
-                        destination_window.touch_many(range(index, stop))
-                else:
-                    segment_end = self._transfer_segment(
-                        now, index, stop - index, source, destination,
-                        destination_window)
-                    if segment_end > finish:
-                        finish = segment_end
-                index = stop
+            finish = max(finish, self.ensure_pages_at(
+                now, range(base, base + count), destination))
         return finish
-
-    def _transfer_segment(self, now: float, base: int, count: int,
-                          source: DataLocation, destination: DataLocation,
-                          destination_window: Optional[_LocationWindow]
-                          ) -> float:
-        """Move one same-residence segment; dispatch to the best strategy.
-
-        A segment can only be batch-transferred when inserting it into the
-        destination window evicts nothing: an eviction's write-back shares
-        buses with the segment's own transfers, and the per-page path
-        interleaves them, so eviction-heavy segments (and writes back to
-        flash, which are striped and trigger per-page maintenance) use the
-        exact per-page reference path.
-        """
-        if ((destination_window is not None
-                and count > destination_window.free_capacity)
-                or destination is DataLocation.FLASH):
-            return self.ensure_pages_at(now, range(base, base + count),
-                                        destination)
-        if source is DataLocation.FLASH:
-            finish = self._transfer_run_from_flash(now, base, count,
-                                                   destination)
-        else:
-            finish = self._transfer_run_internal(now, base, count, source,
-                                                 destination)
-        source_window = self._window_for(source)
-        if source_window is not None:
-            source_window.remove_many(range(base, base + count))
-        residence = self._residence
-        for lpa in range(base, base + count):
-            residence[lpa] = destination
-        if destination_window is not None:
-            victims = destination_window.add_many(range(base, base + count))
-            # The free-capacity guard above makes batch insertion
-            # eviction-free; an eviction here would have skipped the
-            # per-page bus interleaving that timing equivalence requires.
-            assert not victims, "batched segment insertion evicted pages"
-        return finish
-
-    def _transfer_run_from_flash(self, now: float, base: int, count: int,
-                                 destination: DataLocation) -> float:
-        """Stream a contiguous run out of flash (reads stay per page).
-
-        Flash reads are striped over channels and dies, so every page keeps
-        its own channel/die reservations and L2P translation; the
-        destination leg (DRAM bus or PCIe) is reserved once for the run,
-        and energy is settled with one bulk charge.
-        """
-        stats = self.movement
-        page = self._page_size
-        timings = self.ssd.read_run(now, base, count, transfer_out=True)
-        flash_latency = 0.0
-        flash_finish = now
-        for timing in timings:
-            flash_latency += timing.end_ns - now
-            if timing.end_ns > flash_finish:
-                flash_finish = timing.end_ns
-        stats.flash_read_latency_ns += flash_latency
-        if destination is DataLocation.SSD_DRAM:
-            arrivals = [timing.end_ns for timing in timings]
-            addresses = [self._dram_address(lpa)
-                         for lpa in range(base, base + count)]
-            ends = self.dram.access_run(arrivals, addresses, page,
-                                        is_write=True)
-            self.energy.charge_run(flash_read_pages=count, dma_pages=count,
-                                   dram_bytes=page * count)
-            stats.flash_to_dram_pages += count
-            internal = 0.0
-            for end in ends:
-                internal += end - now
-            stats.internal_latency_ns += internal
-            return ends[-1]
-        if destination is DataLocation.CTRL_SRAM:
-            self.energy.charge_run(flash_read_pages=count, dma_pages=count)
-            stats.flash_to_sram_pages += count
-            stats.internal_latency_ns += flash_latency
-            return flash_finish
-        # destination is HOST
-        arrivals = [timing.end_ns for timing in timings]
-        ends = self.ssd.nvme.host_transfer_run(arrivals, page, "ssd-to-host")
-        self.energy.charge_run(flash_read_pages=count, dma_pages=count,
-                               pcie_bytes=page * count,
-                               host_dram_bytes=page * count)
-        stats.host_pages += count
-        host_latency = 0.0
-        for end in ends:
-            host_latency += end - now
-        stats.host_latency_ns += host_latency
-        return ends[-1]
-
-    def _transfer_run_internal(self, now: float, base: int, count: int,
-                               source: DataLocation,
-                               destination: DataLocation) -> float:
-        """Move a run between DRAM, SRAM and the host (no flash involved)."""
-        stats = self.movement
-        page = self._page_size
-        if DataLocation.HOST in (source, destination):
-            direction = ("ssd-to-host" if destination is DataLocation.HOST
-                         else "host-to-ssd")
-            ends = self.ssd.nvme.host_transfer_run([now] * count, page,
-                                                   direction)
-            self.energy.charge_run(pcie_bytes=page * count)
-            stats.host_pages += count
-            host_latency = 0.0
-            for end in ends:
-                host_latency += end - now
-            stats.host_latency_ns += host_latency
-            return ends[-1]
-        addresses = [self._dram_address(lpa)
-                     for lpa in range(base, base + count)]
-        ends = self.dram.access_run([now] * count, addresses, page,
-                                    is_write=False)
-        self.energy.charge_run(dram_bytes=page * count)
-        if destination is DataLocation.CTRL_SRAM:
-            stats.dram_to_sram_pages += count
-        else:
-            stats.sram_to_dram_pages += count
-        internal = 0.0
-        for end in ends:
-            internal += end - now
-        stats.internal_latency_ns += internal
-        return ends[-1]
 
     def _move_page(self, now: float, lpa: int,
                    destination: DataLocation) -> float:
@@ -693,36 +483,9 @@ class SSDPlatform:
 
     def mark_produced_run(self, now: float, runs: Iterable[Tuple[int, int]],
                           location: DataLocation) -> None:
-        """Run-batched :meth:`mark_produced` for contiguous LPA runs.
-
-        Destination runs are contiguous, so occupancy of the producing
-        resource's window is updated with one bulk insertion per run; runs
-        whose insertion must evict fall back to the per-page path (the
-        evicted pages' write-backs interleave on the shared buses).
-        """
-        if not self.config.batched_movement:
-            for base, count in runs:
-                self.mark_produced(now, range(base, base + count), location)
-            return
-        window = self._window_for(location)
-        residence = self._residence
-        flash = DataLocation.FLASH
+        """:meth:`mark_produced` over contiguous ``(base_lpa, count)`` runs."""
         for base, count in runs:
-            lpas = range(base, base + count)
-            if window is not None:
-                new_pages = sum(1 for lpa in lpas if lpa not in window)
-                if new_pages > window.free_capacity:
-                    self.mark_produced(now, lpas, location)
-                    continue
-            for lpa in lpas:
-                source_window = self._window_for(residence.get(lpa, flash))
-                if source_window is not None and source_window is not window:
-                    source_window.remove(lpa)
-                residence[lpa] = location
-            if window is not None:
-                victims = window.add_many(lpas)
-                # Guarded by the new_pages <= free_capacity check above.
-                assert not victims, "batched mark_produced evicted pages"
+            self.mark_produced(now, range(base, base + count), location)
 
     def _evict_page(self, now: float, lpa: int) -> None:
         """Evict a page from a temporary location back to flash."""
@@ -862,8 +625,7 @@ class SSDPlatform:
     def maintenance_stats(self) -> MaintenanceStats:
         """Device-lifetime snapshot of the run (GC/WL pressure and wear).
 
-        Aggregates the background engine's counters (or, with the engine
-        off, the legacy synchronous GC/WL counters) with the NAND array's
+        Aggregates the background engine's counters with the NAND array's
         erase-count statistics and the FTL's write-amplification view.
         Attached to every :class:`~repro.core.metrics.ExecutionResult`.
         """
@@ -881,10 +643,17 @@ class SSDPlatform:
             # reports better amplification than the state it arrived in.
             amplification = max(amplification,
                                 lifetime.drive_age.prior_write_amplification)
-        stats = MaintenanceStats(
-            background_enabled=engine is not None,
+        return MaintenanceStats(
             drive_age=(lifetime.drive_age.name if lifetime.drive_age
                        else "fresh"),
+            gc_steps=engine.gc_steps,
+            gc_relocated_pages=engine.gc_relocated_pages,
+            gc_erased_blocks=engine.gc_erased_blocks,
+            wl_runs=engine.wl_runs,
+            wl_migrated_pages=engine.wl_migrated_pages,
+            wl_erased_blocks=engine.wl_erased_blocks,
+            background_busy_ns=engine.busy_ns,
+            foreground_stall_ns=engine.foreground_stall_ns,
             free_block_fraction=ssd.ftl.free_block_fraction(),
             erase_count_min=minimum,
             erase_count_mean=mean,
@@ -893,23 +662,6 @@ class SSDPlatform:
             wear_imbalance=ssd.wear_leveler.imbalance(),
             write_amplification=amplification,
             contention_samples=self.contention.samples)
-        if engine is not None:
-            stats.gc_steps = engine.gc_steps
-            stats.gc_relocated_pages = engine.gc_relocated_pages
-            stats.gc_erased_blocks = engine.gc_erased_blocks
-            stats.wl_runs = engine.wl_runs
-            stats.wl_migrated_pages = engine.wl_migrated_pages
-            stats.wl_erased_blocks = engine.wl_erased_blocks
-            stats.background_busy_ns = engine.busy_ns
-            stats.foreground_stall_ns = engine.foreground_stall_ns
-        else:
-            stats.gc_steps = ssd.gc.invocations
-            stats.gc_relocated_pages = ssd.gc.total_relocated
-            stats.gc_erased_blocks = ssd.gc.total_erased
-            stats.wl_runs = ssd.wear_leveler.invocations
-            stats.wl_migrated_pages = ssd.wear_leveler.total_migrated
-            stats.foreground_stall_ns = ssd.stats.maintenance_latency_ns
-        return stats
 
     def observe_movement_contention(self, resource: ResourceLike,
                                     estimated_ns: float,

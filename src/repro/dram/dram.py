@@ -4,12 +4,6 @@ Combines the per-bank models with a shared data bus so that both regular
 accesses (the FTL caching pages / metadata in DRAM) and bulk data movement
 between flash and DRAM contend realistically for DRAM bandwidth.  This is
 the substrate PuD-SSD (:mod:`repro.dram.pud`) computes on.
-
-Besides single accesses, the device exposes :meth:`DRAMDevice.access_run`
-for the run-batched data-movement engine: one call streams a whole
-contiguous page run -- per-page row activations on the interleaved banks
-(bank state must stay exact) followed by a single batched reservation of
-the shared data bus.
 """
 
 from __future__ import annotations
@@ -89,40 +83,6 @@ class DRAMDevice:
             self.bytes_read += size_bytes
         return DRAMAccessTiming(start_ns=now, end_ns=transfer.end,
                                 bank=bank_index)
-
-    def access_run(self, arrivals: List[float], addresses: List[int],
-                   size_bytes_each: int, *, is_write: bool) -> List[float]:
-        """Access one equal-sized region per (arrival, address) pair.
-
-        Equivalent to calling :meth:`read`/:meth:`write` once per pair in
-        order: every touched row is still activated on its bank at the
-        pair's own arrival time (row-buffer and bank-busy state stay
-        exact), but the shared data bus is reserved once for the whole run
-        via :meth:`repro.ssd.events.SharedBus.transfer_batch`.  Returns the
-        per-access finish times.
-        """
-        if size_bytes_each <= 0:
-            raise SimulationError("DRAM access size must be positive")
-        capacity = self.config.capacity_bytes
-        rows_per_bank = self.config.rows_per_bank
-        bank_ready: List[float] = []
-        for arrival, address in zip(arrivals, addresses):
-            if address < 0 or address + size_bytes_each > capacity:
-                raise SimulationError("DRAM access out of range")
-            bank = self.banks[self.bank_of(address)]
-            first_row = self.row_of(address)
-            last_row = self.row_of(address + size_bytes_each - 1)
-            finish = arrival
-            for row in range(first_row, last_row + 1):
-                finish = bank.access(finish, row % rows_per_bank)
-            bank_ready.append(finish)
-        ends = self.bus.transfer_batch(bank_ready, size_bytes_each)
-        moved = size_bytes_each * len(ends)
-        if is_write:
-            self.bytes_written += moved
-        else:
-            self.bytes_read += moved
-        return ends
 
     # -- Estimation helpers ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ two pools separate so the experiment harness can reproduce that breakdown.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.common import KIB, ResourceLike
@@ -96,13 +96,13 @@ class EnergyAccount:
                    flash_program_pages: int = 0, dma_pages: int = 0,
                    dram_bytes: int = 0, pcie_bytes: int = 0,
                    host_dram_bytes: int = 0) -> float:
-        """Bulk-charge the data-movement energy of one contiguous page run.
+        """Bulk-charge the data-movement energy of a batch of pages.
 
-        The run-batched data-movement engine accumulates per-kind counts
-        while it walks a run and settles them with a single call, instead of
-        charging each page individually.  Per-kind energies are linear in
-        their counts, so the pools receive exactly what the per-page calls
-        would have added.  Returns the total energy charged (nJ).
+        The background flash engine counts the pages one maintenance step
+        relocates and settles them with a single call, instead of charging
+        each page individually.  Per-kind energies are linear in their
+        counts, so the pools receive exactly what the per-page calls would
+        have added.  Returns the total energy charged (nJ).
         """
         total = 0.0
         if flash_read_pages:

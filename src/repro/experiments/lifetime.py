@@ -6,7 +6,7 @@ wear-leveling consume as a drive ages.  This experiment sweeps the same
 (workload x policy) axes over four drive states:
 
 * ``default-feedback`` -- the fresh-drive baseline (contention-aware cost
-  model on, background engine off);
+  model on; the background engine never acts on a fresh drive);
 * ``default-midlife`` -- a mid-life drive: moderate fragmentation, the
   background GC/WL engine turning maintenance into live channel traffic;
 * ``default-aged`` -- a near-end-of-life drive under persistent GC

@@ -33,8 +33,8 @@ from repro.common import MIB
 from repro.core.platform import PlatformConfig
 from repro.dram.cxl import CXLPuDConfig
 from repro.ssd.config import GCVictimPolicy
-from repro.ssd.lifetime import (DriveAgeProfile, LifetimeConfig,
-                                MID_LIFE_PROFILE, NEAR_EOL_PROFILE)
+from repro.ssd.lifetime import (DriveAgeProfile, MID_LIFE_PROFILE,
+                                NEAR_EOL_PROFILE)
 
 #: A variant maps a base platform configuration to the variant's shape.
 PlatformFactory = Callable[[PlatformConfig], PlatformConfig]
@@ -131,17 +131,10 @@ def with_contention_feedback(config: PlatformConfig) -> PlatformConfig:
 
 def with_drive_age(config: PlatformConfig,
                    profile: DriveAgeProfile) -> PlatformConfig:
-    """The same platform shape on an aged drive with background GC/WL on.
-
-    Turning the background flash engine on together with the age profile
-    is deliberate: an aged drive without maintenance traffic is not a
-    state a real device can be in (GC is what keeps it writable), and the
-    fresh-drive seed behavior is already the engine-off default.
-    """
+    """The same platform shape on an aged drive (background GC/WL act)."""
     return dataclasses.replace(
         config,
-        lifetime=dataclasses.replace(config.lifetime, background_flash=True,
-                                     drive_age=profile))
+        lifetime=dataclasses.replace(config.lifetime, drive_age=profile))
 
 
 def with_adaptive_ftl(config: PlatformConfig) -> PlatformConfig:
@@ -177,7 +170,7 @@ register_platform_variant("cxl-pud-feedback",
 
 
 def _midlife_variant(base: PlatformConfig) -> PlatformConfig:
-    """Mid-life drive: background GC/WL on, contention feedback on so the
+    """Mid-life drive under background GC/WL, contention feedback on so the
     cost model sees (and the monitor records) the maintenance traffic."""
     return with_drive_age(with_contention_feedback(base), MID_LIFE_PROFILE)
 

@@ -112,7 +112,14 @@ DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 #: ``idle_power_w``; ``HostMemoryConfig`` lost ``bandwidth_gbps`` /
 #: ``access_latency_ns``.  The canonical config encoding changes with
 #: them, so every key moves; simulated results do not.
-SWEEP_CACHE_VERSION = 6
+#: Version 7: one engine per storage layer -- ``PlatformConfig`` lost its
+#: run-batched movement flag (movement is always per page),
+#: ``LifetimeConfig`` lost its background-engine flag (every SSD owns the
+#: background GC/WL engine), ``HostMemoryConfig`` lost ``capacity_bytes``
+#: / ``channels`` and ``SSDConfig`` lost ``dram_capacity_bytes``;
+#: ``MaintenanceStats`` lost its engine-enabled field, so pre-version-7
+#: pickles are orphaned.
+SWEEP_CACHE_VERSION = 7
 
 #: The workload scale experiments (and the CLI's ``--scale``) default to.
 #: The CLI help strings derive from this constant so they can never drift

@@ -56,8 +56,6 @@ class HostGPUConfig:
 
 @dataclass(frozen=True)
 class HostMemoryConfig:
-    """Host main memory (32 GB DDR4-2400, 4 channels)."""
+    """Host main memory (32 GB DDR4-2400, 4 channels): its access energy."""
 
-    capacity_bytes: int = 32 * 1024 * 1024 * 1024
-    channels: int = 4
     energy_nj_per_kb: float = 260.0

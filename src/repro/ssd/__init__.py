@@ -1,14 +1,14 @@
-"""SSD storage substrate: event-driven NAND SSD model (MQSim-style)."""
+"""SSD storage substrate: NAND SSD model on reservation servers (MQSim-style)."""
 
 from repro.ssd.allocator import AllocationPolicy, PageAllocator
 from repro.ssd.config import (ControllerConfig, FTLConfig,
                               HostInterfaceConfig, NANDConfig, SSDConfig,
                               SSDEnergyConfig, small_ssd_config)
-from repro.ssd.events import (BusGroup, Event, EventScheduler, MultiServer,
-                              Reservation, Server, SharedBus)
+from repro.ssd.events import (BusGroup, MultiServer, Reservation, Server,
+                              SharedBus)
 from repro.ssd.flash_controller import FlashChannelSubsystem
 from repro.ssd.ftl import FlashTranslationLayer, MappingCache
-from repro.ssd.gc import GarbageCollector, GCResult
+from repro.ssd.gc import GarbageCollector
 from repro.ssd.nand import (FlashBlock, FlashDie, FlashPlane, NANDArray,
                             PageState, PhysicalBlockAddress,
                             PhysicalPageAddress)
@@ -16,17 +16,17 @@ from repro.ssd.nvme import (AdminCommand, AdminOpcode, NVMeInterface,
                             SSDMode)
 from repro.ssd.queues import ExecutionQueue, ResourceQueueSet
 from repro.ssd.ssd import SSD, PageAccessTiming, SSDStatistics
-from repro.ssd.wear_leveling import WearLeveler, WearLevelingResult
+from repro.ssd.wear_leveling import WearLeveler
 
 __all__ = [
     "AllocationPolicy", "PageAllocator", "ControllerConfig", "FTLConfig",
     "HostInterfaceConfig", "NANDConfig", "SSDConfig", "SSDEnergyConfig",
-    "small_ssd_config", "BusGroup", "Event", "EventScheduler", "MultiServer",
+    "small_ssd_config", "BusGroup", "MultiServer",
     "Reservation", "Server", "SharedBus", "FlashChannelSubsystem",
-    "FlashTranslationLayer", "MappingCache", "GarbageCollector", "GCResult",
+    "FlashTranslationLayer", "MappingCache", "GarbageCollector",
     "FlashBlock", "FlashDie", "FlashPlane", "NANDArray", "PageState",
     "PhysicalBlockAddress", "PhysicalPageAddress", "AdminCommand",
     "AdminOpcode", "NVMeInterface", "SSDMode", "ExecutionQueue",
     "ResourceQueueSet", "SSD", "PageAccessTiming", "SSDStatistics",
-    "WearLeveler", "WearLevelingResult",
+    "WearLeveler",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.common import ConfigurationError, GIB, KIB, NS, US
+from repro.common import ConfigurationError, KIB, NS, US
 
 
 class GCVictimPolicy(enum.Enum):
@@ -208,9 +208,6 @@ class SSDConfig:
     ftl: FTLConfig = field(default_factory=FTLConfig)
     energy: SSDEnergyConfig = field(default_factory=SSDEnergyConfig)
 
-    #: SSD-internal DRAM capacity; 2 GB LPDDR4-1866 in Table 2.
-    dram_capacity_bytes: int = 2 * GIB
-
     @property
     def capacity_bytes(self) -> int:
         return self.nand.capacity_bytes
@@ -237,8 +234,7 @@ class SSDConfig:
         )
         return SSDConfig(nand=nand, controller=self.controller,
                          host_interface=self.host_interface, ftl=self.ftl,
-                         energy=self.energy,
-                         dram_capacity_bytes=self.dram_capacity_bytes)
+                         energy=self.energy)
 
 
 def small_ssd_config() -> SSDConfig:

@@ -1,169 +1,26 @@
-"""Event-driven simulation kernel.
+"""Reservation servers: the simulator's timing kernel.
 
-The SSD simulator in this repository is event driven, like the MQSim-derived
-simulator used by the paper: every latency-bearing activity (a flash read, a
-DMA transfer over a flash channel, a bulk-bitwise operation in DRAM, the
-completion of an offloaded vector instruction) is represented as an event on
-a global virtual clock measured in nanoseconds.
+The simulator books every latency-bearing activity (a flash read, a DMA
+transfer over a flash channel, a bulk-bitwise operation in DRAM, an
+offloaded vector instruction) as a reservation on a resource with a
+virtual clock measured in nanoseconds, instead of running a global event
+queue like the MQSim-derived simulator the paper uses.
 
-Two building blocks live here:
-
-* :class:`EventScheduler` -- a priority-queue scheduler with a monotonically
-  advancing virtual clock.
-* :class:`Server` / :class:`MultiServer` / :class:`SharedBus` -- reservation
-  based resource models used for computation resources (controller cores,
-  DRAM banks, flash dies) and shared interconnects (flash channels, the SSD
-  DRAM bus, PCIe).  They answer the question "if a job of duration *d*
-  arrives at time *t*, when does it start and finish?", which is exactly the
-  information the runtime offloader's cost function needs (queueing delay)
-  and what the event engine needs to schedule completion events.
+:class:`Server` / :class:`MultiServer` / :class:`SharedBus` /
+:class:`BusGroup` model computation resources (controller cores, DRAM
+banks, flash dies) and shared interconnects (flash channels, the SSD DRAM
+bus, PCIe).  They answer the question "if a job of duration *d* arrives at
+time *t*, when does it start and finish?", which is exactly the
+information the runtime offloader's cost function needs (queueing delay)
+and what the timing model needs to chain dependent operations.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.common import SimulationError
-
-EventCallback = Callable[["Event"], None]
-
-
-@dataclass(order=True)
-class Event:
-    """A single scheduled event.
-
-    Events compare by ``(time, priority, seq)`` so that ties at the same
-    timestamp are broken first by explicit priority and then by insertion
-    order, which keeps the simulation deterministic.
-    """
-
-    time: float
-    priority: int
-    seq: int
-    callback: EventCallback = field(compare=False)
-    label: str = field(compare=False, default="")
-    payload: object = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
-    #: Scheduler owning this event; lets ``cancel`` keep the scheduler's
-    #: live-event counter exact without scanning the heap.
-    scheduler: Optional["EventScheduler"] = field(compare=False, default=None,
-                                                 repr=False)
-    executed: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        if self.cancelled or self.executed:
-            return
-        self.cancelled = True
-        if self.scheduler is not None:
-            self.scheduler._on_cancel()
-
-
-class EventScheduler:
-    """Priority-queue based discrete-event scheduler."""
-
-    def __init__(self) -> None:
-        self._queue: List[Event] = []
-        self._seq = itertools.count()
-        self._now = 0.0
-        self._processed = 0
-        self._live = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in nanoseconds."""
-        return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-processed (and not cancelled) events.
-
-        Maintained as a live counter (incremented on ``schedule``,
-        decremented on execution and cancellation) so the query is O(1)
-        instead of a full heap scan.
-        """
-        return self._live
-
-    def _on_cancel(self) -> None:
-        self._live -= 1
-
-    @property
-    def processed(self) -> int:
-        """Number of events that have been executed so far."""
-        return self._processed
-
-    def schedule(self, time: float, callback: EventCallback, *,
-                 label: str = "", payload: object = None,
-                 priority: int = 0) -> Event:
-        """Schedule ``callback`` to run at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event '{label}' at {time} ns; "
-                f"clock is already at {self._now} ns"
-            )
-        event = Event(time=time, priority=priority, seq=next(self._seq),
-                      callback=callback, label=label, payload=payload,
-                      scheduler=self)
-        heapq.heappush(self._queue, event)
-        self._live += 1
-        return event
-
-    def schedule_after(self, delay: float, callback: EventCallback, *,
-                       label: str = "", payload: object = None,
-                       priority: int = 0) -> Event:
-        """Schedule ``callback`` to run ``delay`` nanoseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay} for '{label}'")
-        return self.schedule(self._now + delay, callback, label=label,
-                             payload=payload, priority=priority)
-
-    def step(self) -> Optional[Event]:
-        """Pop and execute the next event; return it (or None if empty)."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._processed += 1
-            self._live -= 1
-            event.executed = True
-            event.callback(event)
-            return event
-        return None
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, ``until`` or ``max_events``.
-
-        Returns the final virtual time.
-        """
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                break
-            next_event = self._peek()
-            if next_event is None:
-                break
-            if until is not None and next_event.time > until:
-                # Clamp, never rewind: an ``until`` in the past must not
-                # move the monotonic clock backwards.
-                if until > self._now:
-                    self._now = until
-                break
-            self.step()
-            executed += 1
-        return self._now
-
-    def _peek(self) -> Optional[Event]:
-        # Opportunistically prune cancelled events so they do not pile up
-        # at the front of the heap (their live count was already released
-        # by ``Event.cancel``).
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
 
 
 @dataclass(slots=True)
@@ -217,31 +74,6 @@ class Server:
         self.busy_time += duration
         self.jobs += 1
         return Reservation(start, end, 0, start - arrival)
-
-    def reserve_batch(self, arrivals: List[float],
-                      duration: float) -> List[float]:
-        """Reserve one equal-duration job per arrival; return finish times.
-
-        Exactly equivalent to calling :meth:`reserve` once per arrival in
-        order (same start/finish chain, same busy time and job count), but
-        performed as one bulk booking so run-batched data movement can
-        reserve a whole contiguous page run with a single call.
-        """
-        if duration < 0:
-            raise SimulationError(
-                f"negative duration {duration} on server {self.name}")
-        free = self._free_at
-        busy = self.busy_time
-        ends: List[float] = []
-        append = ends.append
-        for arrival in arrivals:
-            free = (arrival if arrival > free else free) + duration
-            busy += duration
-            append(free)
-        self._free_at = free
-        self.busy_time = busy
-        self.jobs += len(ends)
-        return ends
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time this server spent busy."""
@@ -327,21 +159,6 @@ class SharedBus:
         """Reserve the bus for a transfer of ``size_bytes`` at ``arrival``."""
         self.bytes_moved += size_bytes
         return self._server.reserve(arrival, size_bytes / self.bandwidth)
-
-    def transfer_batch(self, arrivals: List[float],
-                       size_bytes_each: float) -> List[float]:
-        """Reserve back-to-back equal-sized transfers; return finish times.
-
-        The single sized booking of the run-batched data-movement engine:
-        one call occupies the bus exactly like ``len(arrivals)`` consecutive
-        :meth:`transfer` calls (bubbles included when a later arrival lands
-        after the previous transfer drains), so timing equivalence with the
-        per-page path is preserved by construction.
-        """
-        duration = self.transfer_time(size_bytes_each)
-        ends = self._server.reserve_batch(arrivals, duration)
-        self.bytes_moved += size_bytes_each * len(ends)
-        return ends
 
     def utilization(self, elapsed: float) -> float:
         return self._server.utilization(elapsed)

@@ -1,31 +1,20 @@
-"""Garbage collection.
+"""Garbage-collection policy.
 
-Greedy victim selection: when the fraction of free blocks drops below the
-configured start threshold, the garbage collector repeatedly picks the block
-with the most invalid pages, relocates its still-valid pages through the FTL
-and erases it, until the stop threshold is reached.  The caller (the SSD
-device model) charges read/program/erase latencies for the relocations so GC
+Decides *when* to collect (the free-block fraction dropped below the
+configured start threshold) and *which* block to reclaim (greedy
+most-invalid-pages-first, or the cost-benefit score).  The relocations and
+erases themselves run as background traffic on the shared flash channels
+(:class:`~repro.ssd.lifetime.engine.BackgroundFlashEngine`), so GC
 interferes with foreground work the way it does in the paper's simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.ssd.config import FTLConfig, GCVictimPolicy
 from repro.ssd.ftl import FlashTranslationLayer
-from repro.ssd.nand import FlashBlock, PhysicalBlockAddress
-
-
-@dataclass
-class GCResult:
-    """Summary of one garbage-collection invocation."""
-
-    triggered: bool
-    erased_blocks: int = 0
-    relocated_pages: int = 0
-    latency_ns: float = 0.0
+from repro.ssd.nand import FlashBlock
 
 
 class GarbageCollector:
@@ -34,9 +23,6 @@ class GarbageCollector:
     def __init__(self, ftl: FlashTranslationLayer, config: FTLConfig) -> None:
         self.ftl = ftl
         self.config = config
-        self.invocations = 0
-        self.total_erased = 0
-        self.total_relocated = 0
 
     # -- Victim selection ---------------------------------------------------
 
@@ -86,36 +72,3 @@ class GarbageCollector:
                 best = block
                 best_key = key
         return best
-
-    # -- Collection ----------------------------------------------------------
-
-    def collect(self) -> GCResult:
-        """Run garbage collection if needed; return a summary."""
-        if not self.needs_collection():
-            return GCResult(triggered=False)
-        self.invocations += 1
-        result = GCResult(triggered=True)
-        array = self.ftl.array
-        nand = array.config
-        while self.ftl.free_block_fraction() < self.config.gc_stop_threshold:
-            victim = self.select_victim()
-            if victim is None or victim.invalid_pages == 0:
-                break
-            # Drain until *live*-empty, not until a snapshot is consumed:
-            # the allocator may stripe a relocation into the victim block
-            # itself, and erasing on the stale snapshot would destroy it.
-            # Terminates because a full block receives no new allocations.
-            while victim.valid_pages > 0:
-                victims_lpas: List[int] = victim.valid_lpas()
-                for lpa in victims_lpas:
-                    self.ftl.relocate(lpa)
-                    result.relocated_pages += 1
-                    result.latency_ns += (nand.read_latency_ns +
-                                          nand.program_latency_ns)
-            address: PhysicalBlockAddress = victim.address
-            array.erase_block(address)
-            result.erased_blocks += 1
-            result.latency_ns += nand.erase_latency_ns
-        self.total_erased += result.erased_blocks
-        self.total_relocated += result.relocated_pages
-        return result

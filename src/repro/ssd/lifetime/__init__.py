@@ -1,28 +1,27 @@
 """Device-lifetime subsystem: background flash activity and drive aging.
 
-The seed model ships a garbage collector and a wear-leveler but runs them
-synchronously inside the foreground write path, and every simulation
-starts from a factory-fresh drive -- so no experiment ever sees GC.  This
-package makes device lifetime a first-class simulation axis:
+On a factory-fresh drive GC and wear-leveling never trigger, so a
+simulation that only ever starts fresh never sees them.  This package
+makes device lifetime a first-class simulation axis:
 
 * :class:`~repro.ssd.lifetime.aging.DriveAgeProfile` pre-ages the NAND
   array deterministically (static cold data, fragmented blocks with
   seeded invalid-page distributions, per-block erase counts) so a run
   starts mid-life or near end-of-life instead of factory fresh;
-* :class:`~repro.ssd.lifetime.engine.BackgroundFlashEngine` drives GC and
-  wear-leveling *during* the simulation, charging relocation reads,
-  programs and erases on the shared flash channels and dies -- foreground
-  movements genuinely queue behind background traffic, which the
-  contention monitor (:mod:`repro.core.contention`) then observes as
-  movement overrun with zero new coupling;
+* :class:`~repro.ssd.lifetime.engine.BackgroundFlashEngine`, owned by
+  every :class:`~repro.ssd.ssd.SSD`, drives GC and wear-leveling *during*
+  the simulation, charging relocation reads, programs and erases on the
+  shared flash channels and dies -- foreground movements genuinely queue
+  behind background traffic, which the contention monitor
+  (:mod:`repro.core.contention`) then observes as movement overrun with
+  zero new coupling;
 * :class:`~repro.ssd.lifetime.aging.LifetimeConfig` is the platform-level
-  knob bundle (engine on/off, per-step relocation budget, drive-age
-  profile), folded into the sweep cache key like every other
+  knob bundle (per-step relocation budget, wear-leveling budget,
+  drive-age profile), folded into the sweep cache key like every other
   :class:`~repro.core.platform.PlatformConfig` field.
 
-With the defaults (engine off, no profile) the storage model behaves
-bit-exactly like the seed, mirroring the ``contention_feedback``
-contract.
+With the default (no profile) the drive is factory fresh and the engine
+only idles.
 """
 
 from repro.ssd.lifetime.aging import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,

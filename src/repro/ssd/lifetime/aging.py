@@ -137,14 +137,10 @@ DRIVE_AGE_PROFILES: Dict[str, DriveAgeProfile] = {
 class LifetimeConfig:
     """Platform-level lifetime knobs (a :class:`PlatformConfig` field).
 
-    Defaults preserve the seed's behaviour bit-exactly: no pre-aging, no
-    background engine, maintenance handled by the legacy synchronous path.
+    The default is a factory-fresh drive, on which the background engine
+    never acts.
     """
 
-    #: Run GC / wear-leveling as background traffic on the shared flash
-    #: channels (:class:`~repro.ssd.lifetime.engine.BackgroundFlashEngine`)
-    #: instead of the legacy synchronous latency charge.
-    background_flash: bool = False
     #: Maximum page relocations one background step may issue; the engine
     #: is serialized (a step only starts after the previous one's flash
     #: reservations finished), so this bounds the background duty cycle.

@@ -1,17 +1,16 @@
 """Background flash-maintenance engine.
 
-The seed charges GC / wear-leveling as a scalar latency added to the
-triggering foreground write (:meth:`SSD.run_maintenance`) -- background
-traffic never touches the shared channels, so it can never contend with
-foreground data movement.  :class:`BackgroundFlashEngine` replaces that
-path when ``LifetimeConfig.background_flash`` is on: every relocation
-read/program and every erase is issued through
-:class:`~repro.ssd.flash_controller.FlashChannelSubsystem`, reserving the
-victim's channel and die like any foreground operation.  Foreground
-movements that land on the same channel or die genuinely queue behind the
-background chain, the movement-overrun those queues cause is exactly what
-the contention monitor (:mod:`repro.core.contention`) samples, and the
-cost model reprices offloading under GC pressure with zero new coupling.
+Every :class:`~repro.ssd.ssd.SSD` owns one :class:`BackgroundFlashEngine`,
+which runs garbage collection and wear-leveling as traffic on the shared
+flash channels: every relocation read/program and every erase is issued
+through :class:`~repro.ssd.flash_controller.FlashChannelSubsystem`,
+reserving the victim's channel and die like any foreground operation.
+Foreground movements that land on the same channel or die genuinely queue
+behind the background chain, the movement-overrun those queues cause is
+exactly what the contention monitor (:mod:`repro.core.contention`)
+samples, and the cost model reprices offloading under GC pressure with
+zero new coupling.  On a factory-fresh drive neither GC nor wear-leveling
+ever triggers, so the engine only idles.
 
 Like real firmware, background work is *serialized and budgeted*: one
 maintenance chain runs at a time (a pulse while the previous chain's
@@ -39,11 +38,9 @@ class MaintenanceStats:
     """Device-maintenance view of one run (attached to ExecutionResult).
 
     Populated by :meth:`SSDPlatform.maintenance_stats` from the background
-    engine's counters (or the legacy synchronous GC/WL counters when the
-    engine is off) plus the array's wear statistics.
+    engine's counters plus the array's wear statistics.
     """
 
-    background_enabled: bool = False
     drive_age: str = "fresh"
     gc_steps: int = 0
     gc_relocated_pages: int = 0
@@ -103,8 +100,8 @@ class BackgroundFlashEngine:
     def pulse(self, now: float) -> float:
         """Give the firmware a maintenance opportunity at time ``now``.
 
-        Called from the foreground write path (every write/eviction is a
-        free-block consumer).  Returns the foreground stall in ns: zero
+        Called from the foreground read and write paths (every
+        write/eviction is a free-block consumer).  Returns the foreground stall in ns: zero
         unless free blocks are critically scarce, in which case the write
         is throttled behind a synchronous GC step.
         """
@@ -112,9 +109,7 @@ class BackgroundFlashEngine:
         if ssd.ftl.free_block_fraction() < self._critical_fraction:
             self._gc_step(max(now, self._busy_until))
             stall = max(0.0, self._busy_until - now)
-            if stall:
-                self.foreground_stall_ns += stall
-                ssd.stats.maintenance_latency_ns += stall
+            self.foreground_stall_ns += stall
             return stall
         if now < self._busy_until:
             return 0.0
@@ -140,16 +135,12 @@ class BackgroundFlashEngine:
             self._gc_active = False
             return
         self._gc_active = True
-        gc.invocations += 1
-        ssd.stats.gc_invocations += 1
         self.gc_steps += 1
         t, relocated = self._drain(now, victim, self.config.gc_pages_per_step)
         self.gc_relocated_pages += relocated
-        gc.total_relocated += relocated
         if victim.valid_pages == 0 and victim.write_cursor > 0:
             t = self._erase(t, victim)
             self.gc_erased_blocks += 1
-            gc.total_erased += 1
         self._settle(now, t)
 
     # -- Wear-leveling -------------------------------------------------------
@@ -170,11 +161,8 @@ class BackgroundFlashEngine:
                 return
             self._wl_target = block.address
             self.wl_runs += 1
-            wl.invocations += 1
-            ssd.stats.wl_invocations += 1
         t, migrated = self._drain(now, block, self.config.gc_pages_per_step)
         self.wl_migrated_pages += migrated
-        wl.total_migrated += migrated
         if block.valid_pages == 0 and block.write_cursor > 0:
             t = self._erase(t, block)
             self.wl_erased_blocks += 1

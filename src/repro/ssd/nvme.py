@@ -15,7 +15,7 @@ Models the host<->SSD communication paths Conduit relies on (Section 4.4):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common import SimulationError
@@ -97,29 +97,6 @@ class NVMeInterface:
                                 size_bytes=size_bytes, direction=direction)
         self.transfers.append(record)
         return record
-
-    def host_transfer_run(self, arrivals: List[float], size_bytes_each: int,
-                          direction: str) -> List[float]:
-        """Move one equal-sized payload per arrival over PCIe; return ends.
-
-        Run-batched variant of :meth:`host_transfer`: each payload still
-        pays the NVMe command latency from its own arrival time, but the
-        PCIe link is reserved once for the whole run
-        (:meth:`repro.ssd.events.SharedBus.transfer_batch`), which occupies
-        the bus exactly like back-to-back per-page transfers.  A single
-        aggregate :class:`TransferRecord` covers the run.
-        """
-        if direction not in ("host-to-ssd", "ssd-to-host"):
-            raise SimulationError(f"unknown transfer direction {direction}")
-        if not arrivals:
-            return []
-        command = self.config.nvme_command_latency_ns
-        ends = self.pcie.transfer_batch([now + command for now in arrivals],
-                                        size_bytes_each)
-        self.transfers.append(TransferRecord(
-            start_ns=arrivals[0], end_ns=ends[-1],
-            size_bytes=size_bytes_each * len(ends), direction=direction))
-        return ends
 
     def host_transfer_latency(self, size_bytes: int) -> float:
         """Uncontended host transfer latency for ``size_bytes``."""

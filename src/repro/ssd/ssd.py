@@ -12,19 +12,22 @@ PuD-SSD, IFP) are layered on top by the platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.common import SimulationError
 from repro.ssd.allocator import AllocationPolicy
 from repro.ssd.config import SSDConfig
-from repro.ssd.flash_controller import (FlashChannelSubsystem,
-                                        FlashOperationTiming)
+from repro.ssd.flash_controller import FlashChannelSubsystem
 from repro.ssd.ftl import FlashTranslationLayer
-from repro.ssd.gc import GarbageCollector, GCResult
+from repro.ssd.gc import GarbageCollector
+from repro.ssd.lifetime import BackgroundFlashEngine, LifetimeConfig
 from repro.ssd.nand import NANDArray, PhysicalPageAddress
 from repro.ssd.nvme import NVMeInterface, SSDMode
-from repro.ssd.wear_leveling import WearLeveler, WearLevelingResult
+from repro.ssd.wear_leveling import WearLeveler
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.energy.model import EnergyAccount
 
 
 @dataclass
@@ -49,9 +52,6 @@ class SSDStatistics:
 
     logical_reads: int = 0
     logical_writes: int = 0
-    gc_invocations: int = 0
-    wl_invocations: int = 0
-    maintenance_latency_ns: float = 0.0
 
 
 class SSD:
@@ -59,7 +59,9 @@ class SSD:
 
     def __init__(self, config: Optional[SSDConfig] = None, *,
                  allocation_policy: AllocationPolicy =
-                 AllocationPolicy.CHANNEL_STRIPED) -> None:
+                 AllocationPolicy.CHANNEL_STRIPED,
+                 lifetime: Optional[LifetimeConfig] = None,
+                 energy: Optional["EnergyAccount"] = None) -> None:
         self.config = config or SSDConfig()
         self.array = NANDArray(self.config.nand)
         self.channels = FlashChannelSubsystem(self.config.nand)
@@ -69,10 +71,10 @@ class SSD:
         self.wear_leveler = WearLeveler(self.ftl, self.config.ftl)
         self.nvme = NVMeInterface(self.config.host_interface)
         self.stats = SSDStatistics()
-        #: Background maintenance engine (``repro.ssd.lifetime``); when
-        #: attached it replaces the legacy synchronous GC/WL latency
-        #: charge with real traffic on the shared channels.
-        self.background = None
+        #: Background maintenance engine: GC and wear-leveling run as
+        #: traffic on the shared channels (``repro.ssd.lifetime``).
+        self.background = BackgroundFlashEngine(
+            self, lifetime or LifetimeConfig(), energy)
 
     # -- Properties -------------------------------------------------------------
 
@@ -127,48 +129,15 @@ class SSD:
                                          ppa.die, transfer_out=transfer_out)
         self.stats.logical_reads += 1
         end = timing.end
-        if self.background is not None:
-            # Background maintenance runs while the device serves reads
-            # too (its relocations queue on the same channels/dies); the
-            # returned stall is nonzero only under critical free-block
-            # pressure, when GC preempts the foreground entirely.
-            end += self.background.pulse(end)
+        # Background maintenance runs while the device serves reads too
+        # (its relocations queue on the same channels/dies); the returned
+        # stall is nonzero only under critical free-block pressure, when
+        # GC preempts the foreground entirely.
+        end += self.background.pulse(end)
         return PageAccessTiming(lpa=lpa, ppa=ppa, start_ns=now,
                                 end_ns=end,
                                 translation_ns=translation_ns,
                                 flash_ns=timing.end - now - translation_ns)
-
-    def read_run(self, now: float, base_lpa: int, count: int, *,
-                 transfer_out: bool = True) -> List[PageAccessTiming]:
-        """Read a contiguous run of logical pages arriving together.
-
-        Run-batched variant of :meth:`read_page` used by the data-movement
-        engine: pages are still sensed and streamed individually (a run is
-        striped over channels and dies, and every page pays its own L2P
-        translation), but the loop is tight and the logical-read counter is
-        bumped once for the whole run.
-        """
-        lookup = self.ftl.lookup
-        read = self.channels.read_page
-        timings: List[PageAccessTiming] = []
-        for lpa in range(base_lpa, base_lpa + count):
-            ppa, translation_ns = lookup(lpa)
-            if ppa is None:
-                raise SimulationError(f"read of unmapped logical page {lpa}")
-            timing = read(now + translation_ns, ppa.channel, ppa.die,
-                          transfer_out=transfer_out)
-            timings.append(PageAccessTiming(
-                lpa=lpa, ppa=ppa, start_ns=now, end_ns=timing.end,
-                translation_ns=translation_ns,
-                flash_ns=timing.end - now - translation_ns))
-        self.stats.logical_reads += count
-        if timings and self.background is not None:
-            # One pulse per run (not per page): the engine's chains are
-            # milliseconds long, so a run-level duty cycle loses nothing,
-            # and a stall would surface at the next operation anyway via
-            # the engine's busy horizon.
-            self.background.pulse(timings[-1].end_ns)
-        return timings
 
     def write_page(self, now: float, lpa: int) -> PageAccessTiming:
         """Write one logical page (out-of-place update) with timing."""
@@ -177,9 +146,12 @@ class SSD:
         timing = self.channels.program_page(now + translation_ns,
                                             new_ppa.channel, new_ppa.die)
         self.stats.logical_writes += 1
-        maintenance = self.run_maintenance(timing.end)
+        # Every write consumes free space, so it gives background GC and
+        # wear-leveling a turn; the stall is nonzero only under critical
+        # free-block pressure (foreground write throttling).
+        stall = self.background.pulse(timing.end)
         return PageAccessTiming(lpa=lpa, ppa=new_ppa, start_ns=now,
-                                end_ns=timing.end + maintenance,
+                                end_ns=timing.end + stall,
                                 translation_ns=translation_ns,
                                 flash_ns=timing.end - now - translation_ns)
 
@@ -206,41 +178,6 @@ class SSD:
             access = self.write_page(transfer.end_ns, lpa)
             finish = max(finish, access.end_ns)
         return finish
-
-    # -- Maintenance -------------------------------------------------------------------
-
-    def attach_background_engine(self, engine) -> None:
-        """Route maintenance through a background flash engine.
-
-        ``engine`` is a :class:`~repro.ssd.lifetime.engine.
-        BackgroundFlashEngine` (duck-typed here so the storage substrate
-        does not import the lifetime subsystem).  Once attached,
-        :meth:`run_maintenance` pulses it with the foreground write's
-        completion time instead of charging the legacy synchronous
-        latency.
-        """
-        self.background = engine
-
-    def run_maintenance(self, now: float = 0.0) -> float:
-        """Run GC and wear-leveling if needed; return the added latency.
-
-        With a background engine attached, maintenance becomes channel
-        traffic at time ``now``; the returned latency is then zero except
-        under critical free-block pressure (foreground write throttling).
-        """
-        if self.background is not None:
-            return self.background.pulse(now)
-        latency = 0.0
-        gc_result: GCResult = self.gc.collect()
-        if gc_result.triggered:
-            self.stats.gc_invocations += 1
-            latency += gc_result.latency_ns
-        wl_result: WearLevelingResult = self.wear_leveler.level()
-        if wl_result.triggered:
-            self.stats.wl_invocations += 1
-            latency += wl_result.latency_ns
-        self.stats.maintenance_latency_ns += latency
-        return latency
 
     # -- Mode switching ------------------------------------------------------------------
 

@@ -1,32 +1,23 @@
-"""Wear-leveling.
+"""Wear-leveling policy.
 
 Static wear-leveling: when the spread between the most- and least-erased
-blocks exceeds a configurable multiple of the mean erase count, the
-wear-leveler migrates the valid pages of the least-erased (cold) block so
-that future writes wear it instead of the hot blocks.  This is the standard
-technique MQSim (and real FTL firmware) uses to extend SSD endurance; the
-paper relies on it for both regular I/O mode and computation mode
-(Section 4.4).
+blocks exceeds a configurable multiple of the mean erase count, the valid
+pages of the least-erased (cold) block are migrated so that future writes
+wear it instead of the hot blocks.  This is the standard technique MQSim
+(and real FTL firmware) uses to extend SSD endurance; the paper relies on
+it for both regular I/O mode and computation mode (Section 4.4).  This
+module decides when to level and which block to drain; the migration runs
+as background traffic
+(:class:`~repro.ssd.lifetime.engine.BackgroundFlashEngine`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.ssd.config import FTLConfig
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.nand import FlashBlock
-
-
-@dataclass
-class WearLevelingResult:
-    """Summary of one wear-leveling pass."""
-
-    triggered: bool
-    migrated_pages: int = 0
-    erased_blocks: int = 0
-    latency_ns: float = 0.0
 
 
 class WearLeveler:
@@ -35,8 +26,6 @@ class WearLeveler:
     def __init__(self, ftl: FlashTranslationLayer, config: FTLConfig) -> None:
         self.ftl = ftl
         self.config = config
-        self.invocations = 0
-        self.total_migrated = 0
         # Erase-count statistics only change when a block is erased, so the
         # (full-array) imbalance scan is re-run only after new erases.
         self._erases_at_last_check = -1
@@ -73,28 +62,3 @@ class WearLeveler:
                 coldest = block
                 coldest_key = key
         return coldest
-
-    def level(self) -> WearLevelingResult:
-        """Migrate the coldest block's data if the spread is too large."""
-        if not self.needs_leveling():
-            return WearLevelingResult(triggered=False)
-        coldest = self.coldest_block()
-        if coldest is None:
-            return WearLevelingResult(triggered=False)
-        self.invocations += 1
-        result = WearLevelingResult(triggered=True)
-        nand = self.ftl.array.config
-        # Drain until live-empty (the allocator may stripe a relocation
-        # back into the block being drained); erasing on a stale snapshot
-        # would lose the re-landed pages.
-        while coldest.valid_pages > 0:
-            for lpa in coldest.valid_lpas():
-                self.ftl.relocate(lpa)
-                result.migrated_pages += 1
-                result.latency_ns += (nand.read_latency_ns +
-                                      nand.program_latency_ns)
-        self.ftl.array.erase_block(coldest.address)
-        result.erased_blocks = 1
-        result.latency_ns += nand.erase_latency_ns
-        self.total_migrated += result.migrated_pages
-        return result

@@ -3,14 +3,13 @@
 ``PlatformConfig.batched_offload`` front-loads feature collection per
 dependence-free, page-disjoint wave (``repro.core.compiler.waves``) and
 decides each member from the precollected batch; the per-instruction
-path stays the bit-exact golden reference (mirroring the
-``batched_movement`` contract).  Bit-equality -- not float tolerance
+path stays the bit-exact golden reference.  Bit-equality -- not float tolerance
 -- is the contract: the two engines must produce *identical*
 :class:`ExecutionResult` trees, which is also what lets them share
 sweep-cache entries (the engine flag is popped from
 :func:`run_spec_key`).
 
-Four layers:
+Three layers:
 
 * property-based sweep points (Hypothesis): random (workload, policy,
   scale, platform-variant, contention-feedback) combinations run on
@@ -20,9 +19,6 @@ Four layers:
   streams (ops, operand overlap, dependency chains) on a tiny platform
   whose window pressure forces evictions, i.e. the hazard-counter
   fallback path;
-* the vectorized cost-model argmin: ``CostFunction.select_batch`` must
-  equal N sequential ``select`` calls on arbitrary feature matrices
-  (ties, unsupported candidates and ablation configs included);
 * the cache-key identity the engine split relies on, plus the wave
   slicer's structural invariants.
 """
@@ -31,17 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import KIB, MIB, OpType, Resource, SimulationError
+from repro.common import KIB, MIB, OpType
 from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
                                     VectorProgram)
 from repro.core.compiler.waves import wave_plan
 from repro.core.layout import ArrayLayout
-from repro.core.offload.cost_model import CostFunction, CostModelConfig
-from repro.core.offload.features import (InstructionFeatures,
-                                         ResourceFeatures)
 from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime
@@ -183,83 +175,6 @@ class TestWavePlanInvariants:
                                     and other_base < base + count)
                     own.append((base, base + count))
                 seen_intervals.extend(own)
-
-
-RESOURCES = [Resource.ISP, Resource.PUD, Resource.IFP]
-
-FEATURE_VALUES = st.sampled_from(
-    [0.0, 1.0, 100.0, 1e6, 3.14159e3, 2.5e9])
-
-RESOURCE_FEATURE = st.tuples(st.booleans(), FEATURE_VALUES, FEATURE_VALUES,
-                             FEATURE_VALUES, FEATURE_VALUES, FEATURE_VALUES)
-
-COST_CONFIG = st.builds(
-    CostModelConfig,
-    combine_delays_with_max=st.booleans(),
-    include_data_movement=st.booleans(),
-    include_queueing_delay=st.booleans(),
-    include_dependence_delay=st.booleans())
-
-
-def _features(uid, rows) -> InstructionFeatures:
-    per_resource = {
-        resource: ResourceFeatures(resource, supported, compute, movement,
-                                   queueing, dependence, contention)
-        for resource, (supported, compute, movement, queueing, dependence,
-                       contention) in zip(RESOURCES, rows)}
-    return InstructionFeatures(uid, OpType.ADD, {}, per_resource, 0.0)
-
-
-class TestSelectBatchEquivalence:
-    """``select_batch`` == N sequential ``select`` calls, provably."""
-
-    @given(matrix=st.lists(st.tuples(RESOURCE_FEATURE, RESOURCE_FEATURE,
-                                     RESOURCE_FEATURE),
-                           min_size=1, max_size=8),
-           config=COST_CONFIG)
-    @settings(max_examples=50, deadline=None)
-    def test_matches_sequential_select(self, matrix, config):
-        features_list = [_features(uid, rows)
-                         for uid, rows in enumerate(matrix)]
-        if not any(any(rows[i][0] for i in range(3)) for rows in matrix):
-            matrix = None  # every column unsupported: both must raise
-        sequential = CostFunction(config)
-        batched = CostFunction(config)
-        if matrix is None:
-            with pytest.raises(SimulationError):
-                for features in features_list:
-                    sequential.select(features)
-            with pytest.raises(SimulationError):
-                batched.select_batch(features_list)
-            return
-        try:
-            expected = [sequential.select(features)
-                        for features in features_list]
-        except SimulationError:
-            with pytest.raises(SimulationError):
-                batched.select_batch(features_list)
-            return
-        selected, totals = batched.select_batch(features_list)
-        assert selected == [target for target, _ in expected]
-        assert batched.evaluations == sequential.evaluations
-        for column, (_, estimates) in enumerate(expected):
-            for row, resource in enumerate(RESOURCES):
-                assert totals[row, column] == \
-                    estimates[resource].total_latency_ns
-
-    def test_exact_tie_breaks_by_registration_order(self):
-        rows = [(True, 10.0, 5.0, 0.0, 0.0, 0.0)] * 3
-        features = _features(0, rows)
-        cost = CostFunction()
-        selected, _ = cost.select_batch([features])
-        target, _ = cost.select(features)
-        assert selected[0] is RESOURCES[0]
-        assert target is RESOURCES[0]
-
-    def test_empty_batch(self):
-        selected, totals = CostFunction().select_batch([])
-        assert selected == []
-        assert totals.size == 0
 
 
 class TestCacheKeyIdentity:

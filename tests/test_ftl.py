@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import SimulationError
 from repro.ssd.allocator import AllocationPolicy, PageAllocator
-from repro.ssd.config import FTLConfig, NANDConfig
+from repro.ssd.config import FTLConfig, NANDConfig, SSDConfig
 from repro.ssd.ftl import FlashTranslationLayer, MappingCache
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.nand import NANDArray
+from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
 
 
@@ -138,21 +139,25 @@ class TestGarbageCollection:
     def test_gc_not_triggered_when_free(self):
         ftl = make_ftl()
         gc = GarbageCollector(ftl, ftl.config)
-        result = gc.collect()
-        assert not result.triggered
+        assert not gc.needs_collection()
+        assert gc.select_victim() is None
 
     def test_gc_reclaims_invalid_blocks(self):
-        ftl = make_ftl()
-        gc = GarbageCollector(ftl, FTLConfig(gc_start_threshold=0.95,
-                                             gc_stop_threshold=0.96))
-        # Overwrite the same LPAs repeatedly to create invalid pages.
+        ssd = SSD(SSDConfig(nand=nand_config(),
+                            ftl=FTLConfig(gc_start_threshold=0.95,
+                                          gc_stop_threshold=0.96)))
+        # Overwrite the same LPAs repeatedly to create invalid pages; each
+        # write lands after the previous maintenance chain finished.
+        t = 0.0
         for _ in range(4):
             for lpa in range(16):
-                ftl.write(lpa)
-        result = gc.collect()
-        assert result.triggered
-        assert result.erased_blocks > 0
-        assert result.latency_ns > 0
+                t = max(t, ssd.background._busy_until)
+                t = ssd.write_page(t, lpa).end_ns
+        # The background engine relocates the victims' valid pages and
+        # erases them on the shared channels.
+        assert ssd.background.gc_erased_blocks > 0
+        assert ssd.background.busy_ns > 0.0
+        assert set(ssd.ftl.mapping) == set(range(16))
 
     def test_victim_selection_prefers_most_invalid(self):
         ftl = make_ftl()
@@ -170,7 +175,8 @@ class TestWearLeveling:
         ftl = make_ftl()
         leveler = WearLeveler(ftl, ftl.config)
         assert not leveler.needs_leveling()
-        assert not leveler.level().triggered
+        assert leveler.imbalance() == 1.0
+        assert leveler.coldest_block() is None
 
     def test_imbalance_detection_after_erases(self):
         ftl = make_ftl()
@@ -187,6 +193,8 @@ class TestWearLeveling:
         for _ in range(5):
             ftl.array.erase_block(free_block.address)
         assert leveler.imbalance() > 1.1
-        result = leveler.level()
-        assert result.triggered
-        assert result.migrated_pages > 0
+        assert leveler.needs_leveling()
+        # The migration victim is the least-erased block holding data.
+        coldest = leveler.coldest_block()
+        assert coldest.address == block
+        assert coldest.erase_count == 0 and coldest.valid_pages > 0

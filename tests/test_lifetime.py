@@ -2,7 +2,7 @@
 
 Covers the drive-age profiles (determinism, validation, free-space
 targeting), the background flash engine (GC activity on aged drives,
-strict idleness -- bit-equality -- on fresh ones), the adaptive-FTL
+no maintenance at all on fresh ones), the adaptive-FTL
 policy axis, the deterministic tie-breaks of victim selection, and the
 core safety property: maintenance never loses a valid page.
 """
@@ -21,9 +21,8 @@ from repro.ssd.config import (FTLConfig, GCVictimPolicy, NANDConfig,
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.lifetime import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
-                                NEAR_EOL_PROFILE, BackgroundFlashEngine,
-                                DriveAgeProfile, LifetimeConfig,
-                                apply_drive_age)
+                                NEAR_EOL_PROFILE, DriveAgeProfile,
+                                LifetimeConfig, apply_drive_age)
 from repro.ssd.nand import NANDArray, PageState, PhysicalBlockAddress
 from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
@@ -34,9 +33,9 @@ def tiny_nand() -> NANDConfig:
                       blocks_per_plane=8, pages_per_block=4)
 
 
-def tiny_ssd(ftl: FTLConfig = None) -> SSD:
+def tiny_ssd(ftl: FTLConfig = None, lifetime: LifetimeConfig = None) -> SSD:
     config = SSDConfig(nand=tiny_nand(), ftl=ftl or FTLConfig())
-    return SSD(config)
+    return SSD(config, lifetime=lifetime)
 
 
 def aged_small_ssd(profile: DriveAgeProfile,
@@ -374,33 +373,10 @@ class TestFreeBlockSearch:
 # ------------------------------------------------------------------------
 
 
-def attach_engine(ssd: SSD,
-                  config: LifetimeConfig = None) -> BackgroundFlashEngine:
-    engine = BackgroundFlashEngine(
-        ssd, config or LifetimeConfig(background_flash=True))
-    ssd.attach_background_engine(engine)
-    return engine
-
-
 class TestBackgroundEngine:
-    def test_engine_idles_on_a_fresh_drive_bit_exactly(self):
-        """Engine attached to a fresh drive == no engine at all."""
-        plain, hooked = tiny_ssd(), tiny_ssd()
-        engine = attach_engine(hooked)
-        t_plain = t_hooked = 0.0
-        for lpa in range(16):
-            t_plain = plain.write_page(t_plain, lpa).end_ns
-            t_hooked = hooked.write_page(t_hooked, lpa).end_ns
-        for lpa in range(16):
-            t_plain = plain.read_page(t_plain, lpa).end_ns
-            t_hooked = hooked.read_page(t_hooked, lpa).end_ns
-        assert t_plain == t_hooked
-        assert engine.gc_steps == 0 and engine.wl_runs == 0
-        assert engine.busy_ns == 0.0
-
     def test_aged_drive_generates_gc_traffic(self):
         ssd = aged_small_ssd(NEAR_EOL_PROFILE)
-        engine = attach_engine(ssd)
+        engine = ssd.background
         t = 0.0
         for lpa in range(64):
             t = ssd.write_page(t, lpa).end_ns
@@ -412,7 +388,7 @@ class TestBackgroundEngine:
 
     def test_read_path_pulses_the_engine(self):
         ssd = aged_small_ssd(NEAR_EOL_PROFILE)
-        engine = attach_engine(ssd)
+        engine = ssd.background
         ssd.populate(range(8))
         t = 0.0
         for lpa in range(8):
@@ -422,7 +398,7 @@ class TestBackgroundEngine:
     def test_background_chain_is_serialized(self):
         """A pulse inside the in-flight chain's window does nothing."""
         ssd = aged_small_ssd(NEAR_EOL_PROFILE)
-        engine = attach_engine(ssd)
+        engine = ssd.background
         engine.pulse(0.0)
         first_steps = engine.gc_steps
         assert first_steps == 1
@@ -433,7 +409,6 @@ class TestBackgroundEngine:
 
     def test_erase_counts_are_monotone_under_maintenance(self):
         ssd = aged_small_ssd(NEAR_EOL_PROFILE)
-        attach_engine(ssd)
         before = dict()
         for block in ssd.array.iter_blocks():
             before[block.address] = block.erase_count
@@ -460,7 +435,7 @@ class TestBackgroundEngine:
         leveler = ssd.wear_leveler
         assert leveler.needs_leveling()
         before = leveler.imbalance()
-        engine = attach_engine(ssd)
+        engine = ssd.background
         engine.pulse(0.0)
         assert engine.wl_runs == 1
         assert engine.wl_migrated_pages > 0
@@ -468,9 +443,9 @@ class TestBackgroundEngine:
         assert leveler.imbalance() <= before
 
     def test_wl_budget_caps_migrated_blocks(self):
-        ssd = tiny_ssd(FTLConfig(wear_leveling_threshold=1.01))
-        config = LifetimeConfig(background_flash=True, wl_blocks_per_run=1)
-        engine = attach_engine(ssd, config)
+        ssd = tiny_ssd(FTLConfig(wear_leveling_threshold=1.01),
+                       LifetimeConfig(wl_blocks_per_run=1))
+        engine = ssd.background
         for lpa in range(8):
             ssd.ftl.write(lpa)
         plane = ssd.array.die(1, 0).plane(0)
@@ -493,7 +468,6 @@ class TestBackgroundEngine:
         survives, bit-for-bit, no matter how the victim blocks churn."""
         ssd = tiny_ssd(FTLConfig(gc_start_threshold=0.30,
                                  gc_stop_threshold=0.35))
-        attach_engine(ssd)
         t = 0.0
         for lpa in range(12):
             t = ssd.write_page(t, lpa).end_ns
@@ -515,42 +489,25 @@ def small_platform_config(**kwargs) -> PlatformConfig:
 class TestPlatformIntegration:
     def test_platform_builds_engine_and_applies_profile(self):
         platform = SSDPlatform(small_platform_config(
-            lifetime=LifetimeConfig(background_flash=True,
-                                    drive_age=NEAR_EOL_PROFILE)))
-        assert platform.ssd.background is not None
+            lifetime=LifetimeConfig(drive_age=NEAR_EOL_PROFILE)))
+        assert platform.ssd.background.energy is platform.energy
         stats = platform.maintenance_stats()
-        assert stats.background_enabled
         assert stats.drive_age == "near-eol"
         assert stats.free_block_fraction < 0.05
         assert stats.erase_count_max > 0
         assert stats.write_amplification == pytest.approx(
             NEAR_EOL_PROFILE.prior_write_amplification)
 
-    def test_default_platform_reports_fresh_legacy_stats(self):
-        platform = SSDPlatform(small_platform_config())
-        assert platform.ssd.background is None
-        stats = platform.maintenance_stats()
-        assert not stats.background_enabled
+    def test_fresh_drive_run_reports_no_maintenance(self):
+        """On a factory-fresh drive GC and wear-leveling never trigger."""
+        run = execute_run_spec(RunSpec(workload="AES", scale=0.05,
+                                       policy="Conduit"))
+        stats = run.maintenance
         assert stats.drive_age == "fresh"
-        assert stats.gc_relocated_pages == 0
+        assert (stats.gc_steps, stats.wl_runs) == (0, 0)
+        assert stats.background_busy_ns == 0.0
+        assert stats.foreground_stall_ns == 0.0
         assert stats.wear_imbalance == 1.0
-
-    @given(workload=st.sampled_from(["AES", "XOR Filter"]),
-           policy=st.sampled_from(["Conduit", "CPU"]))
-    @settings(max_examples=8, deadline=None)
-    def test_engine_without_profile_is_bit_exact_with_seed(self, workload,
-                                                           policy):
-        """Satellite property: background_flash=True on a fresh drive must
-        not perturb any result (the engine only ever idles)."""
-        spec = RunSpec(workload=workload, scale=0.05, policy=policy)
-        baseline = execute_run_spec(spec)
-        hooked = execute_run_spec(dataclasses.replace(
-            spec, platform=dataclasses.replace(
-                spec.platform,
-                lifetime=LifetimeConfig(background_flash=True))))
-        assert hooked.total_time_ns == baseline.total_time_ns
-        assert hooked.total_energy_nj == baseline.total_energy_nj
-        assert hooked.maintenance.gc_relocated_pages == 0
 
     def test_aged_platform_run_shifts_results_and_reports_pressure(self):
         spec = RunSpec(workload="AES", scale=0.05, policy="Conduit")
@@ -558,8 +515,7 @@ class TestPlatformIntegration:
         aged = execute_run_spec(dataclasses.replace(
             spec, platform=dataclasses.replace(
                 spec.platform, contention_feedback=True,
-                lifetime=LifetimeConfig(background_flash=True,
-                                        drive_age=NEAR_EOL_PROFILE))))
+                lifetime=LifetimeConfig(drive_age=NEAR_EOL_PROFILE))))
         assert aged.maintenance.gc_relocated_pages > 0
         assert aged.maintenance.gc_erased_blocks > 0
         assert aged.total_time_ns > fresh.total_time_ns

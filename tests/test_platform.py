@@ -114,6 +114,13 @@ class TestMoveEstimates:
                                               DataLocation.SSD_DRAM, 4)
         assert four == pytest.approx(4 * one)
 
+    def test_negative_page_count_raises(self, platform):
+        with pytest.raises(SimulationError, match="-1 pages"):
+            platform.estimate_move_latency(DataLocation.FLASH,
+                                           DataLocation.SSD_DRAM, -1)
+        assert platform.estimate_move_latency(
+            DataLocation.FLASH, DataLocation.SSD_DRAM, 0) == 0.0
+
 
 class TestComputeDispatch:
     def test_compute_latency_ordering_for_bitwise(self, platform):

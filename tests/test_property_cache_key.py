@@ -205,7 +205,7 @@ class TestEveryKnobPerturbsTheKey:
 #: ``.sweep_cache/`` entries; an intentional key change (a
 #: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
 PINNED_FIG7_KEY = (
-    "5ceb8b014a95d71263527281845185037ba4c716512403a6ac1b4413e12db840")
+    "e80ec6ee54718eb3e3014bd0b8e5d923c92cce8d1df09803cd71fea1465c6303")
 
 
 class TestKeyStability:

@@ -1,6 +1,6 @@
 """Golden regression suite for the full-scale experiment sweeps.
 
-Extends the pattern of ``tests/test_batched_movement.py`` to the sweep
+Extends the pattern of ``tests/test_movement.py`` to the sweep
 engine: the complete Fig. 7 speedup and energy tables (serial execution,
 ``workload_scale = 0.25``, the shared experiment platform configuration)
 are pinned as golden values, and a sharded ``sweep(parallel=True)`` must
@@ -43,7 +43,7 @@ GOLDEN_SCALE = 0.25
 REL_TOL = 1e-9
 
 #: Fig. 7(a): speedup over CPU per workload plus GMEAN, recorded from a
-#: serial sweep of the run-batched engine at ``workload_scale = 0.25``.
+#: serial sweep at ``workload_scale = 0.25``.
 GOLDEN_SPEEDUPS = {
     "AES": {
         "GPU": 3.7800568330504865,
