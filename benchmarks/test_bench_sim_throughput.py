@@ -61,7 +61,7 @@ def _single_run(bench_config):
     program = runner.program_for(workload)  # compile outside the clock
     started = time.perf_counter()
     platform = SSDPlatform(bench_config.platform)
-    runtime = ConduitRuntime(platform, bench_config.runtime)
+    runtime = ConduitRuntime(platform)
     result = runtime.execute(program, make_policy("Conduit"), workload.name)
     elapsed_s = time.perf_counter() - started
     return result, elapsed_s
@@ -118,7 +118,14 @@ def test_bench_sim_instruction_throughput(benchmark, bench_config):
     assert throughput > 500 * min(1.0, 0.25 / BENCH_SCALE)
 
 
+@pytest.mark.slow
 def test_bench_full_policy_sweep_wall_clock(benchmark, bench_config):
+    """Serial Fig. 7 sweep wall-clock.
+
+    ``slow``-marked: ``perfbench/run.py --workload fig7-paper`` measures
+    the same sweep with paired runs; serial == parallel equality stays in
+    tier-1 through ``tests/test_sweep_engine.py``.
+    """
     results, elapsed_s = run_once(benchmark, _full_sweep, bench_config)
     pairs = len(results)
     total_instructions = sum(len(r.records) for r in results.values())
@@ -138,8 +145,12 @@ def test_bench_full_policy_sweep_wall_clock(benchmark, bench_config):
     assert elapsed_s < seed_baseline_s / 2.0
 
 
+@pytest.mark.slow
 def test_bench_parallel_sweep_speedup(benchmark, bench_config):
-    """Sharded sweep: identical results, near-linear speedup on multicore."""
+    """Sharded sweep: identical results, near-linear speedup on multicore.
+
+    ``slow``-marked for the same reason as the serial sweep above.
+    """
     workers = min(resolve_sweep_workers(None), SPEEDUP_WORKERS)
     serial, serial_s, parallel, parallel_s = run_once(
         benchmark, _serial_vs_parallel_sweep, bench_config, workers)

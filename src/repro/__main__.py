@@ -21,8 +21,21 @@ the same behaviour.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
+
+
+def _scale(text: str) -> float:
+    """``--scale`` value: a finite, positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="platform variant to run on; repeat to sweep the "
                           "platform axis (default: the experiment's own "
                           "axis, usually just `default`)")
-    run.add_argument("--scale", type=float, default=None, metavar="S",
+    run.add_argument("--scale", type=_scale, default=None, metavar="S",
                      help=scale_help)
     run.add_argument("--trace", action="append", dest="traces",
                      metavar="FILE",
@@ -91,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "experiment (see `python -m repro list`)")
     compare.add_argument("base", help="baseline platform variant")
     compare.add_argument("other", help="variant compared against the base")
-    compare.add_argument("--scale", type=float, default=None, metavar="S",
+    compare.add_argument("--scale", type=_scale, default=None, metavar="S",
                          help=scale_help)
     compare_workers = compare.add_mutually_exclusive_group()
     compare_workers.add_argument("--serial", action="store_true",
@@ -120,10 +133,19 @@ PROFILE_PHASES = (
                 "core/offload/offloader")),
     ("transform", ("core/offload/transform",)),
     ("move", ("core/platform", "core/coherence", "core/contention",
-              "ssd/channels", "dram/")),
+              "ssd/flash_controller", "dram/dram", "dram/bank")),
     ("execute", ("ssd/queues", "ssd/events", "isp/", "ifp/", "host/",
-                 "ssd/")),
+                 "dram/pud", "dram/cxl", "ssd/")),
 )
+
+
+def profile_phase(path: str) -> str:
+    """The ``--profile`` phase a source file's exclusive time counts to."""
+    path = path.replace("\\", "/")
+    for phase, fragments in PROFILE_PHASES:
+        if any(fragment in path for fragment in fragments):
+            return phase
+    return "other"
 
 
 def _profile_breakdown(profile) -> List[str]:
@@ -134,13 +156,7 @@ def _profile_breakdown(profile) -> List[str]:
     totals["other"] = 0.0
     grand = 0.0
     for (filename, _, _), (_, _, tottime, _, _) in stats.stats.items():
-        path = filename.replace("\\", "/")
-        for phase, fragments in PROFILE_PHASES:
-            if any(fragment in path for fragment in fragments):
-                totals[phase] += tottime
-                break
-        else:
-            totals["other"] += tottime
+        totals[profile_phase(filename)] += tottime
         grand += tottime
     lines = ["[profile] phase breakdown (exclusive time):"]
     for phase in [name for name, _ in PROFILE_PHASES] + ["other"]:

@@ -41,11 +41,11 @@ class ArrayPlacement:
 class ArrayLayout:
     """Assigns logical page ranges to arrays and resolves operand pages."""
 
-    def __init__(self, page_size_bytes: int, base_lpa: int = 0) -> None:
+    def __init__(self, page_size_bytes: int) -> None:
         if page_size_bytes <= 0:
             raise SimulationError("page size must be positive")
         self.page_size_bytes = page_size_bytes
-        self._next_lpa = base_lpa
+        self._next_lpa = 0
         self._placements: Dict[str, ArrayPlacement] = {}
         #: Memoized operand resolutions keyed by (ref, element_bits).
         self._run_cache: Dict[Tuple[ArrayRef, int], Tuple[int, int]] = {}

@@ -50,7 +50,7 @@ from repro.ifp.unit import IFPBackend, IFPUnit
 from repro.isp.core import EmbeddedCoreComplex, ISPBackend
 from repro.ssd.config import SSDConfig
 from repro.ssd.events import Server
-from repro.ssd.lifetime import (LifetimeConfig, MaintenanceStats,
+from repro.ssd.lifetime import (DriveAgeProfile, MaintenanceStats,
                                 apply_drive_age)
 from repro.ssd.queues import ResourceQueueSet
 from repro.ssd.ssd import SSD
@@ -123,12 +123,12 @@ class PlatformConfig:
     #: point (see :mod:`repro.dram.cxl`).  ``None`` disables the tier.
     cxl_pud: Optional[CXLPuDConfig] = None
 
-    #: Device-lifetime axis (see :mod:`repro.ssd.lifetime`): drive-age
-    #: profile applied at construction and the budgets of the background
-    #: GC/wear engine that turns maintenance into live traffic on the
-    #: shared flash channels.  The default (no profile) is a factory-fresh
-    #: drive, on which the engine never acts.
-    lifetime: LifetimeConfig = field(default_factory=LifetimeConfig)
+    #: Device-lifetime axis (see :mod:`repro.ssd.lifetime`): the drive-age
+    #: profile applied at construction, after which the background GC/wear
+    #: engine turns maintenance into live traffic on the shared flash
+    #: channels.  The default (``None``) is a factory-fresh drive, on which
+    #: the engine never acts.
+    drive_age: Optional[DriveAgeProfile] = None
 
 
 class _LocationWindow:
@@ -224,8 +224,7 @@ class SSDPlatform:
                     f"({page} bytes)")
         self.energy = EnergyAccount(ssd_config.energy,
                                     self.config.host_memory)
-        lifetime = self.config.lifetime
-        self.ssd = SSD(ssd_config, lifetime=lifetime, energy=self.energy)
+        self.ssd = SSD(ssd_config, energy=self.energy)
         self.dram = DRAMDevice(self.config.dram)
         self.pud = PuDUnit(self.dram)
         self.isp = EmbeddedCoreComplex(ssd_config.controller,
@@ -233,11 +232,11 @@ class SSDPlatform:
         self.ifp = IFPUnit(ssd_config.nand, ssd_config.energy)
         self.host_cpu = HostCPU(self.config.host_cpu)
         self.host_gpu = HostGPU(self.config.host_gpu)
-        if lifetime.drive_age is not None:
+        if self.config.drive_age is not None:
             # Zero-time pre-history: fragments the array and seeds wear
             # before the dataset is placed, so allocation and GC see an
             # aged drive from the first write.
-            apply_drive_age(self.ssd, lifetime.drive_age)
+            apply_drive_age(self.ssd, self.config.drive_age)
         self.coherence = CoherenceDirectory(self.config.coherence_policy)
         #: Every compute engine of the system, keyed by identity; the
         #: offload stack discovers its candidates here.
@@ -630,7 +629,7 @@ class SSDPlatform:
         Attached to every :class:`~repro.core.metrics.ExecutionResult`.
         """
         ssd = self.ssd
-        lifetime = self.config.lifetime
+        drive_age = self.config.drive_age
         engine = ssd.background
         minimum, mean, maximum = ssd.array.erase_count_stats()
         ftl_stats = ssd.ftl.stats
@@ -638,14 +637,13 @@ class SSDPlatform:
         if ftl_stats.host_writes:
             amplification = 1.0 + (ftl_stats.relocated_pages /
                                    ftl_stats.host_writes)
-        if lifetime.drive_age is not None:
+        if drive_age is not None:
             # The profile's pre-history WA is a floor: an aged drive never
             # reports better amplification than the state it arrived in.
             amplification = max(amplification,
-                                lifetime.drive_age.prior_write_amplification)
+                                drive_age.prior_write_amplification)
         return MaintenanceStats(
-            drive_age=(lifetime.drive_age.name if lifetime.drive_age
-                       else "fresh"),
+            drive_age=drive_age.name if drive_age else "fresh",
             gc_steps=engine.gc_steps,
             gc_relocated_pages=engine.gc_relocated_pages,
             gc_erased_blocks=engine.gc_erased_blocks,

@@ -19,7 +19,6 @@ Two engines live here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common import DataLocation, Resource, SimulationError
@@ -41,38 +40,56 @@ from repro.ssd.events import Server
 MAX_OUTSTANDING = 64
 
 
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """Configuration of the execution engines."""
+def _place_program(platform: SSDPlatform, program: VectorProgram, *,
+                   colocate: bool) -> ArrayLayout:
+    """Lay ``program``'s arrays out on contiguous logical pages (in name
+    order) and place the dataset on flash.
 
-    #: Whether to place operand arrays colocated per block so in-flash
-    #: bitwise operations find their operands in one block (Section 4.4).
-    colocate_for_ifp: bool = True
+    ``colocate`` packs each array's pages into block-sized groups so
+    in-flash bitwise operations find their operands in one block
+    (Flash-Cosmos layout constraint, Section 4.4); the host path stripes.
+    """
+    if not program.instructions:
+        raise SimulationError("cannot execute an empty program")
+    layout = ArrayLayout(platform.page_size)
+    layout.place_all(sorted(program.arrays.values(),
+                            key=lambda spec: spec.name))
+    groups = None
+    if colocate:
+        groups = layout.colocation_groups(
+            platform.config.ssd.nand.pages_per_block)
+    platform.setup_dataset(layout.all_lpas(), colocated_groups=groups)
+    return layout
+
+
+def _result(platform: SSDPlatform, workload: str, policy: str,
+            total_time_ns: float, records: List[InstructionRecord],
+            **overheads: float) -> ExecutionResult:
+    """Assemble one run's :class:`ExecutionResult` from the platform's
+    energy and data-movement accounting."""
+    movement = platform.movement
+    breakdown = ExecutionBreakdown(
+        compute_ns=sum(record.compute_ns for record in records),
+        host_data_movement_ns=movement.host_latency_ns,
+        internal_data_movement_ns=max(
+            0.0, movement.internal_latency_ns -
+            movement.flash_read_latency_ns),
+        flash_read_ns=movement.flash_read_latency_ns)
+    return ExecutionResult(
+        workload=workload, policy=policy, total_time_ns=total_time_ns,
+        records=records, energy=platform.energy.breakdown(),
+        breakdown=breakdown, maintenance=platform.maintenance_stats(),
+        **overheads)
 
 
 class ConduitRuntime:
-    """Executes a vectorized program on the NDP-capable SSD platform."""
+    """Executes a vectorized program on the NDP-capable SSD platform.
 
-    def __init__(self, platform: Optional[SSDPlatform] = None,
-                 config: Optional[RuntimeConfig] = None) -> None:
+    Operand arrays are always placed colocated per block for IFP.
+    """
+
+    def __init__(self, platform: Optional[SSDPlatform] = None) -> None:
         self.platform = platform or SSDPlatform()
-        self.config = config or RuntimeConfig()
-
-    # -- Setup helpers -----------------------------------------------------------
-
-    def _build_layout(self, program: VectorProgram) -> ArrayLayout:
-        layout = ArrayLayout(self.platform.page_size)
-        layout.place_all(sorted(program.arrays.values(),
-                                key=lambda spec: spec.name))
-        return layout
-
-    def _place_dataset(self, layout: ArrayLayout) -> None:
-        groups = None
-        if self.config.colocate_for_ifp:
-            pages_per_block = self.platform.config.ssd.nand.pages_per_block
-            groups = layout.colocation_groups(pages_per_block)
-        self.platform.setup_dataset(layout.all_lpas(),
-                                    colocated_groups=groups)
 
     def _ship_binary(self, program: VectorProgram) -> float:
         """Model the one-time binary download over NVMe."""
@@ -84,11 +101,8 @@ class ConduitRuntime:
     def execute(self, program: VectorProgram, policy: OffloadingPolicy,
                 workload_name: Optional[str] = None) -> ExecutionResult:
         """Execute ``program`` under ``policy``; return the full result."""
-        if not program.instructions:
-            raise SimulationError("cannot execute an empty program")
         platform = self.platform
-        layout = self._build_layout(program)
-        self._place_dataset(layout)
+        layout = _place_program(platform, program, colocate=True)
         start_ns = self._ship_binary(program)
         platform.ssd.enter_computation_mode()
 
@@ -107,21 +121,10 @@ class ConduitRuntime:
             makespan - start_ns,
             energy_config.ssd_active_power_w + energy_config.host_idle_power_w,
             label="system-static")
-        movement = platform.movement
-        breakdown = ExecutionBreakdown(
-            compute_ns=sum(record.compute_ns for record in records),
-            host_data_movement_ns=movement.host_latency_ns,
-            internal_data_movement_ns=max(
-                0.0, movement.internal_latency_ns -
-                movement.flash_read_latency_ns),
-            flash_read_ns=movement.flash_read_latency_ns)
-        return ExecutionResult(
-            workload=workload_name or program.name, policy=policy.name,
-            total_time_ns=makespan - start_ns, records=records,
-            energy=platform.energy.breakdown(), breakdown=breakdown,
-            offload_overhead_avg_ns=offloader.average_overhead_ns,
-            offload_overhead_max_ns=offloader.max_overhead_ns,
-            maintenance=platform.maintenance_stats())
+        return _result(platform, workload_name or program.name, policy.name,
+                       makespan - start_ns, records,
+                       offload_overhead_avg_ns=offloader.average_overhead_ns,
+                       offload_overhead_max_ns=offloader.max_overhead_ns)
 
     # -- Dispatch loops ------------------------------------------------------------
 
@@ -230,24 +233,20 @@ class ConduitRuntime:
 
 
 class HostRuntime:
-    """Executes a vectorized program on the host CPU or GPU (OSP baseline)."""
+    """Executes a vectorized program on the host CPU or GPU (OSP baseline).
 
-    def __init__(self, platform: Optional[SSDPlatform] = None,
-                 config: Optional[RuntimeConfig] = None) -> None:
+    Operand arrays are striped over the flash channels, never colocated.
+    """
+
+    def __init__(self, platform: Optional[SSDPlatform] = None) -> None:
         self.platform = platform or SSDPlatform()
-        self.config = config or RuntimeConfig()
 
     def execute(self, program: VectorProgram, device: Resource,
                 workload_name: Optional[str] = None) -> ExecutionResult:
         if device not in (Resource.HOST_CPU, Resource.HOST_GPU):
             raise SimulationError(f"{device} is not a host device")
-        if not program.instructions:
-            raise SimulationError("cannot execute an empty program")
         platform = self.platform
-        layout = ArrayLayout(platform.page_size)
-        layout.place_all(sorted(program.arrays.values(),
-                                key=lambda spec: spec.name))
-        platform.setup_dataset(layout.all_lpas())
+        layout = _place_program(platform, program, colocate=False)
 
         compute_server = Server(f"{device.value}-pipeline")
         completion: Dict[int, float] = {}
@@ -297,17 +296,6 @@ class HostRuntime:
         platform.energy.charge_static(
             makespan, platform.config.ssd.energy.ssd_active_power_w,
             label="ssd-static")
-        movement = platform.movement
-        breakdown = ExecutionBreakdown(
-            compute_ns=sum(record.compute_ns for record in records),
-            host_data_movement_ns=movement.host_latency_ns,
-            internal_data_movement_ns=max(
-                0.0, movement.internal_latency_ns -
-                movement.flash_read_latency_ns),
-            flash_read_ns=movement.flash_read_latency_ns)
         name = "CPU" if device is Resource.HOST_CPU else "GPU"
-        return ExecutionResult(
-            workload=workload_name or program.name, policy=name,
-            total_time_ns=makespan, records=records,
-            energy=platform.energy.breakdown(), breakdown=breakdown,
-            maintenance=platform.maintenance_stats())
+        return _result(platform, workload_name or program.name, name,
+                       makespan, records)

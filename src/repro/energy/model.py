@@ -92,10 +92,8 @@ class EnergyAccount:
         self.add_data_movement("host-dram", nj)
         return nj
 
-    def charge_run(self, *, flash_read_pages: int = 0,
-                   flash_program_pages: int = 0, dma_pages: int = 0,
-                   dram_bytes: int = 0, pcie_bytes: int = 0,
-                   host_dram_bytes: int = 0) -> float:
+    def charge_run(self, *, flash_read_pages: int, flash_program_pages: int,
+                   dma_pages: int) -> float:
         """Bulk-charge the data-movement energy of a batch of pages.
 
         The background flash engine counts the pages one maintenance step
@@ -111,12 +109,6 @@ class EnergyAccount:
             total += self.charge_flash_program(flash_program_pages)
         if dma_pages:
             total += self.charge_channel_dma(dma_pages)
-        if dram_bytes:
-            total += self.charge_dram_access(dram_bytes)
-        if pcie_bytes:
-            total += self.charge_pcie(pcie_bytes)
-        if host_dram_bytes:
-            total += self.charge_host_dram(host_dram_bytes)
         return total
 
     def charge_static(self, duration_ns: float, watts: float,

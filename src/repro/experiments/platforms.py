@@ -132,9 +132,7 @@ def with_contention_feedback(config: PlatformConfig) -> PlatformConfig:
 def with_drive_age(config: PlatformConfig,
                    profile: DriveAgeProfile) -> PlatformConfig:
     """The same platform shape on an aged drive (background GC/WL act)."""
-    return dataclasses.replace(
-        config,
-        lifetime=dataclasses.replace(config.lifetime, drive_age=profile))
+    return dataclasses.replace(config, drive_age=profile)
 
 
 def with_adaptive_ftl(config: PlatformConfig) -> PlatformConfig:

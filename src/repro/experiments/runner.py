@@ -17,7 +17,7 @@ a fresh platform -- so :meth:`ExperimentRunner.sweep` can shard the pairs
 over a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * each pair becomes a pickle-able :class:`RunSpec` (workload name, scale,
-  policy name, platform and runtime configuration) executed by the
+  policy name, platform configuration) executed by the
   module-level :func:`execute_run_spec` worker;
 * shards are submitted and reassembled in deterministic (workload, policy)
   order, so the result grid is bit-identical to a serial sweep and
@@ -51,7 +51,7 @@ from repro.core.metrics import ExecutionResult, geometric_mean, speedup
 from repro.core.offload.policies import OffloadingPolicy, make_policy
 from repro.core.platform import (PlatformConfig, SSDPlatform,
                                  backend_roster)
-from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.core.runtime import ConduitRuntime, HostRuntime
 from repro.experiments.platforms import (experiment_platform_config,
                                          platform_variant)
 from repro.workloads import Workload, default_workloads, workload_by_name
@@ -119,7 +119,13 @@ DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 #: / ``channels`` and ``SSDConfig`` lost ``dram_capacity_bytes``;
 #: ``MaintenanceStats`` lost its engine-enabled field, so pre-version-7
 #: pickles are orphaned.
-SWEEP_CACHE_VERSION = 7
+#: Version 8: options no caller set were deleted -- ``RunSpec`` lost its
+#: ``runtime`` field (``RuntimeConfig.colocate_for_ifp``: Conduit always
+#: colocates, the host path always stripes) and ``PlatformConfig.lifetime``
+#: (``LifetimeConfig``) became ``PlatformConfig.drive_age`` (the GC and
+#: wear-leveling budgets are engine constants).  The canonical encoding
+#: changes with them, so every key moves; simulated results do not.
+SWEEP_CACHE_VERSION = 8
 
 #: The workload scale experiments (and the CLI's ``--scale``) default to.
 #: The CLI help strings derive from this constant so they can never drift
@@ -134,7 +140,6 @@ class ExperimentConfig:
     workload_scale: float = DEFAULT_WORKLOAD_SCALE
     platform: PlatformConfig = field(
         default_factory=experiment_platform_config)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def workloads(self) -> List[Workload]:
         return default_workloads(scale=self.workload_scale)
@@ -151,8 +156,8 @@ class RunSpec:
 
     The spec is a pure-data, pickle-able value: the workload is referenced
     by its registry name plus scale (workload generators are deterministic
-    functions of the scale, see :mod:`repro.workloads`), and the platform /
-    runtime configurations are frozen dataclass trees.  Two equal specs
+    functions of the scale, see :mod:`repro.workloads`), and the platform
+    configuration is a frozen dataclass tree.  Two equal specs
     therefore always produce bit-identical :class:`ExecutionResult`\\ s,
     which is what makes both process-pool execution and on-disk caching
     safe.
@@ -163,7 +168,6 @@ class RunSpec:
     policy: str
     platform: PlatformConfig = field(
         default_factory=experiment_platform_config)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     #: Display label of the platform-axis variant this spec belongs to
     #: (see :mod:`repro.experiments.platforms`).  A *label only*: the
     #: semantics live entirely in ``platform``, so the cache key excludes
@@ -204,7 +208,7 @@ def run_spec_key(spec: RunSpec) -> str:
     """Stable content hash of a :class:`RunSpec` (plus cache version).
 
     The key covers every code-relevant knob: workload identity and scale,
-    policy name, and the full platform/runtime configuration trees.  The
+    policy name, and the full platform configuration tree.  The
     enabled-backend roster is folded in explicitly (on top of the platform
     configuration that implies it), so entries recorded on a
     differently-shaped platform can never be served, even if a future
@@ -265,11 +269,10 @@ def _execute(program: VectorProgram, spec: RunSpec) -> ExecutionResult:
             if spec.policy in HOST_POLICIES:
                 device = (Resource.HOST_CPU if spec.policy == "CPU"
                           else Resource.HOST_GPU)
-                runtime = HostRuntime(platform, spec.runtime)
-                return runtime.execute(program, device, spec.workload)
-            runtime = ConduitRuntime(platform, spec.runtime)
-            return runtime.execute(program, make_policy(spec.policy),
-                                   spec.workload)
+                return HostRuntime(platform).execute(program, device,
+                                                     spec.workload)
+            return ConduitRuntime(platform).execute(
+                program, make_policy(spec.policy), spec.workload)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -444,7 +447,6 @@ class ExperimentRunner:
                        policy=policy_name,
                        platform=(platform if platform is not None
                                  else self.config.platform),
-                       runtime=self.config.runtime,
                        platform_name=platform_name,
                        workload_params=workload.cache_identity())
 
@@ -460,8 +462,8 @@ class ExperimentRunner:
         """Run one workload under an externally constructed policy."""
         program = self.program_for(workload)
         platform = SSDPlatform(self.config.platform)
-        runtime = ConduitRuntime(platform, self.config.runtime)
-        return runtime.execute(program, policy, workload.name)
+        return ConduitRuntime(platform).execute(program, policy,
+                                                workload.name)
 
     # -- Sweeps -----------------------------------------------------------------------
 
@@ -487,8 +489,8 @@ class ExperimentRunner:
         bit-identical results).
 
         :param parallel: shard the units over a process pool.  With one
-            resolved worker the sweep stays in-process (but still runs
-            through the shared :func:`execute_run_spec` path).
+            resolved worker the sweep stays in-process, exactly like a
+            serial sweep.
         :param workers: worker count; ``None`` defers to
             :func:`resolve_sweep_workers` (``REPRO_SWEEP_WORKERS`` env
             override, then ``os.cpu_count()``).
@@ -530,8 +532,6 @@ class ExperimentRunner:
             if parallel:
                 stats.workers = min(resolve_sweep_workers(workers),
                                     len(pending))
-            else:
-                stats.workers = 1
             pending_specs = [specs[index] for index in pending]
             if stats.workers > 1:
                 # ``Executor.map`` yields results in submission order, so
@@ -540,11 +540,8 @@ class ExperimentRunner:
                         max_workers=stats.workers) as pool:
                     executed = list(pool.map(execute_run_spec,
                                              pending_specs, chunksize=1))
-            elif parallel:
-                executed = [execute_run_spec(spec)
-                            for spec in pending_specs]
             else:
-                # Classic serial path: reuse the parent's program cache.
+                # In-process: reuse this runner's program cache.
                 by_name = {workload.name: workload for workload in workloads}
                 executed = [
                     _execute(self.program_for(by_name[spec.workload]), spec)
@@ -610,14 +607,17 @@ class ExperimentRunner:
                     "trace/parameters or run serially)")
 
 
+#: The policy every speedup and energy table is normalized to.
+TABLE_BASELINE = "CPU"
+
+
 def speedup_table(results: Dict[Tuple[str, str], ExecutionResult],
-                  policies: Sequence[str],
-                  baseline: str = "CPU") -> Dict[str, Dict[str, float]]:
-    """Speedups normalized to ``baseline`` plus a GMEAN row (Fig. 5 / 7a)."""
+                  policies: Sequence[str]) -> Dict[str, Dict[str, float]]:
+    """Speedups over the CPU baseline plus a GMEAN row (Fig. 5 / 7a)."""
     workloads = sorted({workload for workload, _ in results})
     table: Dict[str, Dict[str, float]] = {}
     for workload in workloads:
-        base = results[(workload, baseline)]
+        base = results[(workload, TABLE_BASELINE)]
         table[workload] = {
             policy: speedup(base, results[(workload, policy)])
             for policy in policies if (workload, policy) in results
@@ -631,13 +631,13 @@ def speedup_table(results: Dict[Tuple[str, str], ExecutionResult],
 
 
 def energy_table(results: Dict[Tuple[str, str], ExecutionResult],
-                 policies: Sequence[str],
-                 baseline: str = "CPU") -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Energy normalized to ``baseline``, split DM vs compute (Fig. 7b)."""
+                 policies: Sequence[str]
+                 ) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Energy over the CPU baseline, split DM vs compute (Fig. 7b)."""
     workloads = sorted({workload for workload, _ in results})
     table: Dict[str, Dict[str, Dict[str, float]]] = {}
     for workload in workloads:
-        base_energy = results[(workload, baseline)].total_energy_nj
+        base_energy = results[(workload, TABLE_BASELINE)].total_energy_nj
         if base_energy <= 0:
             # Normalizing by a zero-energy baseline is undefined; the old
             # behaviour silently emitted an all-zero row, which reads as
@@ -645,7 +645,7 @@ def energy_table(results: Dict[Tuple[str, str], ExecutionResult],
             # charges energy, so a zero here means the result grid is
             # broken -- fail loudly instead of flattening the figure.
             raise ValueError(
-                f"baseline {baseline!r} reported zero energy for workload "
+                f"baseline {TABLE_BASELINE!r} reported zero energy for workload "
                 f"{workload!r}; cannot normalize the energy table")
         row: Dict[str, Dict[str, float]] = {}
         for policy in policies:

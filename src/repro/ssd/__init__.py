@@ -1,6 +1,6 @@
 """SSD storage substrate: NAND SSD model on reservation servers (MQSim-style)."""
 
-from repro.ssd.allocator import AllocationPolicy, PageAllocator
+from repro.ssd.allocator import PageAllocator
 from repro.ssd.config import (ControllerConfig, FTLConfig,
                               HostInterfaceConfig, NANDConfig, SSDConfig,
                               SSDEnergyConfig, small_ssd_config)
@@ -19,7 +19,7 @@ from repro.ssd.ssd import SSD, PageAccessTiming, SSDStatistics
 from repro.ssd.wear_leveling import WearLeveler
 
 __all__ = [
-    "AllocationPolicy", "PageAllocator", "ControllerConfig", "FTLConfig",
+    "PageAllocator", "ControllerConfig", "FTLConfig",
     "HostInterfaceConfig", "NANDConfig", "SSDConfig", "SSDEnergyConfig",
     "small_ssd_config", "BusGroup", "MultiServer",
     "Reservation", "Server", "SharedBus", "FlashChannelSubsystem",

@@ -10,13 +10,13 @@ data-layout constraints of the NDP paradigms (Section 4.4):
   allocation, which places a group of logical pages into one block (or one
   plane).
 * **Striped allocation** spreads consecutive logical pages across channels
-  and dies to maximise internal parallelism, which is MQSim's default
-  channel-first striping.
+  and dies to maximise internal parallelism: every
+  :meth:`PageAllocator.allocate` follows MQSim's default channel-first
+  striping.
 """
 
 from __future__ import annotations
 
-import enum
 from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
@@ -25,29 +25,17 @@ from repro.ssd.nand import (FlashBlock, NANDArray, PhysicalBlockAddress,
                             PhysicalPageAddress)
 
 
-class AllocationPolicy(enum.Enum):
-    """How consecutive logical pages are spread over the flash array."""
-
-    CHANNEL_STRIPED = "channel-striped"
-    DIE_STRIPED = "die-striped"
-    COLOCATED_BLOCK = "colocated-block"
-    COLOCATED_PLANE = "colocated-plane"
-
-
 class PageAllocator:
     """Selects physical blocks/pages for incoming writes.
 
     The allocator keeps one "active" (partially written) block per
-    (channel, die, plane) and rotates across channels/dies according to the
-    allocation policy.  It never programs a page out of order within a block
+    (channel, die, plane) and rotates channel-first, then die, then plane.
+    It never programs a page out of order within a block
     (NAND constraint; enforced by :class:`FlashBlock`).
     """
 
-    def __init__(self, array: NANDArray,
-                 policy: AllocationPolicy = AllocationPolicy.CHANNEL_STRIPED
-                 ) -> None:
+    def __init__(self, array: NANDArray) -> None:
         self.array = array
-        self.policy = policy
         self.config = array.config
         self._next_channel = 0
         self._next_die = 0
@@ -104,21 +92,12 @@ class PageAllocator:
 
     def _advance_stripe(self) -> tuple:
         channel, die, plane = self._next_channel, self._next_die, self._next_plane
-        if self.policy is AllocationPolicy.CHANNEL_STRIPED:
-            self._next_channel = (self._next_channel + 1) % self.config.channels
-            if self._next_channel == 0:
-                self._next_die = (self._next_die + 1) % self.config.dies_per_channel
-                if self._next_die == 0:
-                    self._next_plane = ((self._next_plane + 1)
-                                        % self.config.planes_per_die)
-        else:  # DIE_STRIPED
+        self._next_channel = (self._next_channel + 1) % self.config.channels
+        if self._next_channel == 0:
             self._next_die = (self._next_die + 1) % self.config.dies_per_channel
             if self._next_die == 0:
-                self._next_channel = ((self._next_channel + 1)
-                                      % self.config.channels)
-                if self._next_channel == 0:
-                    self._next_plane = ((self._next_plane + 1)
-                                        % self.config.planes_per_die)
+                self._next_plane = ((self._next_plane + 1)
+                                    % self.config.planes_per_die)
         return channel, die, plane
 
     def allocate(self, lpa: int, *, cold: bool = False) -> PhysicalPageAddress:
@@ -128,12 +107,7 @@ class PageAllocator:
         blocks (hot/cold separation); the default path is bit-identical
         to the single-stream allocator.
         """
-        if self.policy in (AllocationPolicy.CHANNEL_STRIPED,
-                           AllocationPolicy.DIE_STRIPED):
-            channel, die, plane = self._advance_stripe()
-        else:
-            channel, die, plane = (self._next_channel, self._next_die,
-                                   self._next_plane)
+        channel, die, plane = self._advance_stripe()
         block = self._active_block(channel, die, plane, cold=cold)
         return self.array.program_page(block.address, lpa)
 

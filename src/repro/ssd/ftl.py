@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.common import SimulationError
-from repro.ssd.allocator import AllocationPolicy, PageAllocator
+from repro.ssd.allocator import PageAllocator
 from repro.ssd.config import FTLConfig, NANDConfig
 from repro.ssd.nand import NANDArray, PhysicalPageAddress
 
@@ -83,12 +83,10 @@ class MappingCache:
 class FlashTranslationLayer:
     """Page-level FTL with demand-cached mapping table."""
 
-    def __init__(self, array: NANDArray, config: FTLConfig,
-                 allocation_policy: AllocationPolicy =
-                 AllocationPolicy.CHANNEL_STRIPED) -> None:
+    def __init__(self, array: NANDArray, config: FTLConfig) -> None:
         self.array = array
         self.config = config
-        self.allocator = PageAllocator(array, allocation_policy)
+        self.allocator = PageAllocator(array)
         self.mapping: Dict[int, PhysicalPageAddress] = {}
         cache_entries = max(
             1, int(config.mapping_cache_coverage * array.config.pages))

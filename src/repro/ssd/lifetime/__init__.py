@@ -14,23 +14,21 @@ makes device lifetime a first-class simulation axis:
   shared flash channels and dies -- foreground movements genuinely queue
   behind background traffic, which the contention monitor
   (:mod:`repro.core.contention`) then observes as movement overrun with
-  zero new coupling;
-* :class:`~repro.ssd.lifetime.aging.LifetimeConfig` is the platform-level
-  knob bundle (per-step relocation budget, wear-leveling budget,
-  drive-age profile), folded into the sweep cache key like every other
-  :class:`~repro.core.platform.PlatformConfig` field.
+  zero new coupling.  Its per-step relocation and wear-leveling budgets
+  are the module constants ``GC_PAGES_PER_STEP`` and
+  ``WL_BLOCKS_PER_RUN`` in :mod:`repro.ssd.lifetime.engine`.
 
-With the default (no profile) the drive is factory fresh and the engine
-only idles.
+``PlatformConfig.drive_age`` selects the profile; with the default
+(``None``) the drive is factory fresh and the engine only idles.
 """
 
 from repro.ssd.lifetime.aging import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
                                       NEAR_EOL_PROFILE, DriveAgeProfile,
-                                      LifetimeConfig, apply_drive_age)
+                                      apply_drive_age)
 from repro.ssd.lifetime.engine import BackgroundFlashEngine, MaintenanceStats
 
 __all__ = [
     "DRIVE_AGE_PROFILES", "MID_LIFE_PROFILE", "NEAR_EOL_PROFILE",
-    "DriveAgeProfile", "LifetimeConfig", "apply_drive_age",
+    "DriveAgeProfile", "apply_drive_age",
     "BackgroundFlashEngine", "MaintenanceStats",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.common import ConfigurationError
 from repro.ssd.nand import PhysicalBlockAddress, PhysicalPageAddress
@@ -131,33 +131,6 @@ DRIVE_AGE_PROFILES: Dict[str, DriveAgeProfile] = {
     "mid-life": MID_LIFE_PROFILE,
     "near-eol": NEAR_EOL_PROFILE,
 }
-
-
-@dataclass(frozen=True)
-class LifetimeConfig:
-    """Platform-level lifetime knobs (a :class:`PlatformConfig` field).
-
-    The default is a factory-fresh drive, on which the background engine
-    never acts.
-    """
-
-    #: Maximum page relocations one background step may issue; the engine
-    #: is serialized (a step only starts after the previous one's flash
-    #: reservations finished), so this bounds the background duty cycle.
-    gc_pages_per_step: int = 24
-    #: Static wear-leveling migrates at most this many blocks per run
-    #: (real firmware runs static WL at a slow fixed cadence).
-    wl_blocks_per_run: int = 4
-    #: Pre-age the drive before the run (``None`` = factory fresh).
-    drive_age: Optional[DriveAgeProfile] = None
-
-    def __post_init__(self) -> None:
-        if self.gc_pages_per_step < 1:
-            raise ConfigurationError(
-                "LifetimeConfig.gc_pages_per_step must be >= 1")
-        if self.wl_blocks_per_run < 0:
-            raise ConfigurationError(
-                "LifetimeConfig.wl_blocks_per_run must be >= 0")
 
 
 def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:

@@ -15,7 +15,7 @@ ever triggers, so the engine only idles.
 Like real firmware, background work is *serialized and budgeted*: one
 maintenance chain runs at a time (a pulse while the previous chain's
 reservations are still in flight does nothing), and one chain relocates at
-most ``gc_pages_per_step`` pages.  Only when free blocks become critically
+most :data:`GC_PAGES_PER_STEP` pages.  Only when free blocks become critically
 scarce does the engine throttle the foreground write itself -- the
 near-EOL write cliff.
 """
@@ -25,12 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.ssd.lifetime.aging import LifetimeConfig
 from repro.ssd.nand import FlashBlock, PhysicalBlockAddress
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import EnergyAccount
     from repro.ssd.ssd import SSD
+
+#: Maximum page relocations one background step may issue; the engine is
+#: serialized (a step only starts after the previous one's flash
+#: reservations finished), so this bounds the background duty cycle.
+GC_PAGES_PER_STEP = 24
+
+#: Static wear-leveling migrates at most this many blocks per run (real
+#: firmware runs static WL at a slow fixed cadence).
+WL_BLOCKS_PER_RUN = 4
 
 
 @dataclass
@@ -69,10 +77,9 @@ class MaintenanceStats:
 class BackgroundFlashEngine:
     """Drives GC and wear-leveling as shared-channel background traffic."""
 
-    def __init__(self, ssd: "SSD", config: LifetimeConfig,
+    def __init__(self, ssd: "SSD",
                  energy: Optional["EnergyAccount"] = None) -> None:
         self.ssd = ssd
-        self.config = config
         self.energy = energy
         #: End time of the in-flight maintenance chain; a pulse before
         #: this does nothing (one chain at a time, like firmware).
@@ -115,7 +122,7 @@ class BackgroundFlashEngine:
             return 0.0
         if self._gc_active or ssd.gc.needs_collection():
             self._gc_step(now)
-        elif (self.wl_erased_blocks < self.config.wl_blocks_per_run
+        elif (self.wl_erased_blocks < WL_BLOCKS_PER_RUN
               and (self._wl_target is not None
                    or ssd.wear_leveler.needs_leveling())):
             self._wl_step(now)
@@ -136,7 +143,7 @@ class BackgroundFlashEngine:
             return
         self._gc_active = True
         self.gc_steps += 1
-        t, relocated = self._drain(now, victim, self.config.gc_pages_per_step)
+        t, relocated = self._drain(now, victim, GC_PAGES_PER_STEP)
         self.gc_relocated_pages += relocated
         if victim.valid_pages == 0 and victim.write_cursor > 0:
             t = self._erase(t, victim)
@@ -161,7 +168,7 @@ class BackgroundFlashEngine:
                 return
             self._wl_target = block.address
             self.wl_runs += 1
-        t, migrated = self._drain(now, block, self.config.gc_pages_per_step)
+        t, migrated = self._drain(now, block, GC_PAGES_PER_STEP)
         self.wl_migrated_pages += migrated
         if block.valid_pages == 0 and block.write_cursor > 0:
             t = self._erase(t, block)

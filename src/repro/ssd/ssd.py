@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.common import SimulationError
-from repro.ssd.allocator import AllocationPolicy
 from repro.ssd.config import SSDConfig
 from repro.ssd.flash_controller import FlashChannelSubsystem
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.gc import GarbageCollector
-from repro.ssd.lifetime import BackgroundFlashEngine, LifetimeConfig
+from repro.ssd.lifetime import BackgroundFlashEngine
 from repro.ssd.nand import NANDArray, PhysicalPageAddress
 from repro.ssd.nvme import NVMeInterface, SSDMode
 from repro.ssd.wear_leveling import WearLeveler
@@ -58,23 +57,18 @@ class SSD:
     """A simulated NAND-flash SSD (storage view)."""
 
     def __init__(self, config: Optional[SSDConfig] = None, *,
-                 allocation_policy: AllocationPolicy =
-                 AllocationPolicy.CHANNEL_STRIPED,
-                 lifetime: Optional[LifetimeConfig] = None,
                  energy: Optional["EnergyAccount"] = None) -> None:
         self.config = config or SSDConfig()
         self.array = NANDArray(self.config.nand)
         self.channels = FlashChannelSubsystem(self.config.nand)
-        self.ftl = FlashTranslationLayer(self.array, self.config.ftl,
-                                         allocation_policy)
+        self.ftl = FlashTranslationLayer(self.array, self.config.ftl)
         self.gc = GarbageCollector(self.ftl, self.config.ftl)
         self.wear_leveler = WearLeveler(self.ftl, self.config.ftl)
         self.nvme = NVMeInterface(self.config.host_interface)
         self.stats = SSDStatistics()
         #: Background maintenance engine: GC and wear-leveling run as
         #: traffic on the shared channels (``repro.ssd.lifetime``).
-        self.background = BackgroundFlashEngine(
-            self, lifetime or LifetimeConfig(), energy)
+        self.background = BackgroundFlashEngine(self, energy)
 
     # -- Properties -------------------------------------------------------------
 

@@ -14,12 +14,10 @@ Measures, for each workload, the three characteristics Table 3 reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common import LatencyClass, OpType
 from repro.core.compiler.ir import VectorProgram
-from repro.core.compiler.vectorizer import (VectorizationReport,
-                                            VectorizerConfig)
 from repro.core.layout import ArrayLayout
 from repro.workloads.base import Workload
 
@@ -81,11 +79,9 @@ def operation_mix(program: VectorProgram) -> Dict[LatencyClass, float]:
     return {cls: counts[cls] / total for cls in LatencyClass}
 
 
-def characterize(workload: Workload,
-                 vectorizer_config: Optional[VectorizerConfig] = None
-                 ) -> WorkloadCharacteristics:
+def characterize(workload: Workload) -> WorkloadCharacteristics:
     """Measure the Table 3 characteristics of one workload."""
-    program, report = workload.vector_program(vectorizer_config)
+    program, report = workload.vector_program()
     mix = operation_mix(program)
     return WorkloadCharacteristics(
         workload=workload.name,
@@ -99,13 +95,12 @@ def characterize(workload: Workload,
     )
 
 
-def characterization_table(workloads: Sequence[Workload],
-                           vectorizer_config: Optional[VectorizerConfig] = None
+def characterization_table(workloads: Sequence[Workload]
                            ) -> List[Dict[str, object]]:
     """Table 3: one row per workload, measured against the paper's values."""
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        measured = characterize(workload, vectorizer_config)
+        measured = characterize(workload)
         row = measured.as_row()
         row["paper_vectorizable_%"] = round(
             100 * workload.paper.vectorizable_fraction, 1)

@@ -1,14 +1,25 @@
-"""Guard: every settable config knob is read somewhere in the simulator.
+"""Guard: every settable config knob is read, and every behaviour option is
+set, somewhere in the simulator.
 
-Walks the dataclass trees of the platform, runtime, compiler and
-cost-model configurations and checks that each leaf field name appears as
-an attribute access (``ast.Attribute``) somewhere under ``src/repro``.  A
-field nothing reads is a knob that silently does nothing when set; it
-should be deleted (or wired up) rather than left in the surface.
+Two checks by name over the source tree under ``src/repro``:
 
-The check is by name, so it cannot prove that a *particular* config's
-field is read when another object shares the name -- it catches knobs
-that are read nowhere at all.
+* **Read** -- walks the dataclass trees of the platform, compiler and
+  cost-model configurations and checks that each leaf field name appears
+  as an attribute access (``ast.Attribute``).  A field nothing reads is a
+  knob that silently does nothing when set; it should be deleted (or
+  wired up) rather than left in the surface.
+* **Set** -- every field of the *behaviour* configs must appear as a
+  keyword argument (``ast.keyword``: a constructor call,
+  ``dataclasses.replace`` or a platform variant).  An option no caller
+  ever sets to another value is a constant in disguise and should become
+  one.  The behaviour configs are ``PlatformConfig``'s own fields,
+  ``VectorizerConfig`` and ``CostModelConfig``; the Table 2 hardware
+  sub-trees (``ssd``, ``dram``, ``host_*``, ``cxl_pud``) describe the
+  modelled system and are exempt.
+
+Both checks are by name, so they cannot prove that a *particular*
+config's field is read or set when another object shares the name -- they
+catch knobs that are read or set nowhere at all.
 """
 
 from __future__ import annotations
@@ -24,11 +35,16 @@ import pytest
 from repro.core.compiler.vectorizer import VectorizerConfig
 from repro.core.offload.cost_model import CostModelConfig
 from repro.core.platform import PlatformConfig
-from repro.core.runtime import RuntimeConfig
 
 SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-ROOTS = (PlatformConfig, RuntimeConfig, VectorizerConfig, CostModelConfig)
+ROOTS = (PlatformConfig, VectorizerConfig, CostModelConfig)
+
+#: Table 2 hardware sub-trees of ``PlatformConfig``: they describe the
+#: modelled system rather than select a behaviour, so the set-guard skips
+#: them.
+HARDWARE_FIELDS = frozenset({"ssd", "dram", "host_cpu", "host_gpu",
+                             "host_memory", "cxl_pud"})
 
 
 def _config_class(annotation: object) -> type | None:
@@ -41,38 +57,62 @@ def _config_class(annotation: object) -> type | None:
     return None
 
 
-def _leaf_fields(cls: type) -> Iterator[Tuple[str, str]]:
-    """``(owner class, field name)`` for every leaf of ``cls``'s tree."""
+def _leaf_fields(cls: type, skip: frozenset = frozenset()
+                 ) -> Iterator[Tuple[str, str]]:
+    """``(owner class, field name)`` for every leaf of ``cls``'s tree,
+    leaving out the fields (and sub-trees) named in ``skip``."""
     hints = typing.get_type_hints(cls)
     for spec_field in dataclasses.fields(cls):
+        if spec_field.name in skip:
+            continue
         child = _config_class(hints[spec_field.name])
         if child is not None:
-            yield from _leaf_fields(child)
+            yield from _leaf_fields(child, skip)
         else:
             yield cls.__name__, spec_field.name
 
 
-def _attribute_names() -> Set[str]:
-    names: Set[str] = set()
+def _source_trees() -> Iterator[ast.AST]:
     for path in SOURCE_ROOT.rglob("*.py"):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        names.update(node.attr for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute))
-    return names
+        yield ast.parse(path.read_text(), filename=str(path))
+
+
+def _attribute_names() -> Set[str]:
+    return {node.attr for tree in _source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def _keyword_names() -> Set[str]:
+    return {node.arg for tree in _source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg is not None}
 
 
 LEAVES = sorted({leaf for root in ROOTS for leaf in _leaf_fields(root)})
 
+BEHAVIOUR = sorted({leaf for root in ROOTS
+                    for leaf in _leaf_fields(root, HARDWARE_FIELDS)})
+
 
 def test_walk_reaches_the_nested_configs():
     owners = {owner for owner, _ in LEAVES}
-    assert {"NANDConfig", "DRAMConfig", "CXLPuDConfig", "LifetimeConfig",
+    assert {"NANDConfig", "DRAMConfig", "CXLPuDConfig", "PlatformConfig",
             "SSDEnergyConfig", "HostMemoryConfig"} <= owners
+
+
+def test_behaviour_walk_skips_the_hardware_trees():
+    names = {name for _, name in BEHAVIOUR}
+    assert {"drive_age", "isp_cores", "contention_feedback"} <= names
+    assert not names & (HARDWARE_FIELDS | {"page_size_bytes"})
 
 
 @pytest.fixture(scope="module")
 def attribute_names() -> Set[str]:
     return _attribute_names()
+
+
+@pytest.fixture(scope="module")
+def keyword_names() -> Set[str]:
+    return _keyword_names()
 
 
 @pytest.mark.parametrize("owner,name", LEAVES,
@@ -81,3 +121,11 @@ def test_config_field_is_read(owner, name, attribute_names):
     assert name in attribute_names, (
         f"{owner}.{name} is never read under src/repro; delete the knob "
         f"or wire it into the model")
+
+
+@pytest.mark.parametrize("owner,name", BEHAVIOUR,
+                         ids=[f"{owner}.{name}" for owner, name in BEHAVIOUR])
+def test_behaviour_option_is_set(owner, name, keyword_names):
+    assert name in keyword_names, (
+        f"{owner}.{name} is never set by keyword under src/repro, so every "
+        f"run uses its default; turn it into a constant")

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import PROFILE_PHASES, profile_phase
 from repro.__main__ import main as cli_main
 from repro.common import MIB
 from repro.core.platform import PlatformConfig, backend_roster
@@ -39,6 +41,8 @@ from repro.ssd.config import small_ssd_config
 from repro.workloads import Jacobi1DWorkload
 
 TINY_SCALE = 0.03
+
+SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Scale the CLI smoke runs use (full experiment platform, so keep small).
 CLI_SCALE = 0.05
@@ -450,6 +454,37 @@ class TestCLI:
         for phase in ("collect", "decide", "transform", "move", "execute",
                       "other", "total"):
             assert f"[profile]   {phase}" in out
+
+    def test_profile_phase_fragments_name_real_sources(self):
+        sources = [path.relative_to(SOURCE_ROOT).as_posix()
+                   for path in SOURCE_ROOT.rglob("*.py")]
+        for phase, fragments in PROFILE_PHASES:
+            for fragment in fragments:
+                assert any(fragment in source for source in sources), (
+                    f"--profile rule {phase!r} fragment {fragment!r} "
+                    "matches no file under src/repro")
+
+    @pytest.mark.parametrize("source,phase", [
+        ("dram/pud.py", "execute"), ("dram/cxl.py", "execute"),
+        ("dram/dram.py", "move"), ("ssd/flash_controller.py", "move"),
+        ("ssd/nand.py", "execute"), ("core/offload/features.py", "collect"),
+        ("experiments/runner.py", "other"),
+    ])
+    def test_profile_phase_of_source(self, source, phase):
+        assert profile_phase(str(SOURCE_ROOT / source)) == phase
+
+    @pytest.mark.parametrize("command", [["run", "fig8"],
+                                         ["compare", "fig8", "default",
+                                          "default-feedback"]],
+                             ids=["run", "compare"])
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale_is_a_usage_error(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*command, f"--scale={scale}", "--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err
+        assert repr(scale) in err
 
     def test_unknown_experiment_exit_code_and_message(self, capsys):
         rc = cli_main(["run", "fig99", "--no-cache"])

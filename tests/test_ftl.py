@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import SimulationError
-from repro.ssd.allocator import AllocationPolicy, PageAllocator
+from repro.ssd.allocator import PageAllocator
 from repro.ssd.config import FTLConfig, NANDConfig, SSDConfig
 from repro.ssd.ftl import FlashTranslationLayer, MappingCache
 from repro.ssd.gc import GarbageCollector
@@ -44,7 +44,7 @@ class TestMappingCache:
 class TestAllocator:
     def test_channel_striping_balances_channels(self):
         array = NANDArray(nand_config())
-        allocator = PageAllocator(array, AllocationPolicy.CHANNEL_STRIPED)
+        allocator = PageAllocator(array)
         for lpa in range(32):
             allocator.allocate(lpa)
         balance = allocator.allocation_balance()

@@ -22,7 +22,8 @@ from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.lifetime import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
                                 NEAR_EOL_PROFILE, DriveAgeProfile,
-                                LifetimeConfig, apply_drive_age)
+                                apply_drive_age)
+from repro.ssd.lifetime import engine as lifetime_engine
 from repro.ssd.nand import NANDArray, PageState, PhysicalBlockAddress
 from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
@@ -33,9 +34,9 @@ def tiny_nand() -> NANDConfig:
                       blocks_per_plane=8, pages_per_block=4)
 
 
-def tiny_ssd(ftl: FTLConfig = None, lifetime: LifetimeConfig = None) -> SSD:
+def tiny_ssd(ftl: FTLConfig = None) -> SSD:
     config = SSDConfig(nand=tiny_nand(), ftl=ftl or FTLConfig())
-    return SSD(config, lifetime=lifetime)
+    return SSD(config)
 
 
 def aged_small_ssd(profile: DriveAgeProfile,
@@ -218,8 +219,6 @@ class TestDriveAgeProfiles:
                             fragment_erase_count_max=5)
         with pytest.raises(ConfigurationError):
             DriveAgeProfile(prior_write_amplification=0.5)
-        with pytest.raises(ConfigurationError):
-            LifetimeConfig(gc_pages_per_step=0)
 
 
 def replay_drive_age(ssd: SSD, profile: DriveAgeProfile) -> None:
@@ -442,9 +441,11 @@ class TestBackgroundEngine:
         assert_readback_intact(ssd)
         assert leveler.imbalance() <= before
 
-    def test_wl_budget_caps_migrated_blocks(self):
-        ssd = tiny_ssd(FTLConfig(wear_leveling_threshold=1.01),
-                       LifetimeConfig(wl_blocks_per_run=1))
+    def test_wl_budget_caps_migrated_blocks(self, monkeypatch):
+        # The engine reads its budget at pulse time, so patching the
+        # module constant after construction still binds.
+        ssd = tiny_ssd(FTLConfig(wear_leveling_threshold=1.01))
+        monkeypatch.setattr(lifetime_engine, "WL_BLOCKS_PER_RUN", 1)
         engine = ssd.background
         for lpa in range(8):
             ssd.ftl.write(lpa)
@@ -489,7 +490,7 @@ def small_platform_config(**kwargs) -> PlatformConfig:
 class TestPlatformIntegration:
     def test_platform_builds_engine_and_applies_profile(self):
         platform = SSDPlatform(small_platform_config(
-            lifetime=LifetimeConfig(drive_age=NEAR_EOL_PROFILE)))
+            drive_age=NEAR_EOL_PROFILE))
         assert platform.ssd.background.energy is platform.energy
         stats = platform.maintenance_stats()
         assert stats.drive_age == "near-eol"
@@ -515,7 +516,7 @@ class TestPlatformIntegration:
         aged = execute_run_spec(dataclasses.replace(
             spec, platform=dataclasses.replace(
                 spec.platform, contention_feedback=True,
-                lifetime=LifetimeConfig(drive_age=NEAR_EOL_PROFILE))))
+                drive_age=NEAR_EOL_PROFILE)))
         assert aged.maintenance.gc_relocated_pages > 0
         assert aged.maintenance.gc_erased_blocks > 0
         assert aged.total_time_ns > fresh.total_time_ns

@@ -94,10 +94,9 @@ def programs():
 def run_scenario(config: ExperimentConfig, program, policy_name: str):
     platform = SSDPlatform(config.platform)
     if policy_name == "CPU":
-        result = HostRuntime(platform, config.runtime).execute(
-            program, Resource.HOST_CPU)
+        result = HostRuntime(platform).execute(program, Resource.HOST_CPU)
     else:
-        result = ConduitRuntime(platform, config.runtime).execute(
+        result = ConduitRuntime(platform).execute(
             program, make_policy(policy_name))
     movement = platform.movement
     return {

@@ -127,7 +127,7 @@ BASE_SPEC = RunSpec(workload="AES", scale=0.05, policy="Conduit")
 
 
 class TestEveryKnobPerturbsTheKey:
-    """Reflective sweep over all PlatformConfig leaves (107 today)."""
+    """Reflective sweep over all PlatformConfig leaves."""
 
     @pytest.mark.parametrize(
         "path", _leaf_paths(PlatformConfig()),
@@ -149,12 +149,11 @@ class TestEveryKnobPerturbsTheKey:
 
     def test_grown_drive_age_leaves_are_covered_too(self):
         """Leaves of the optional drive-age profile (None by default)."""
-        platform = _replace_at(BASE_SPEC.platform,
-                               ("lifetime", "drive_age"), MID_LIFE_PROFILE)
+        platform = dataclasses.replace(BASE_SPEC.platform,
+                                       drive_age=MID_LIFE_PROFILE)
         spec = dataclasses.replace(BASE_SPEC, platform=platform)
         base_key = run_spec_key(spec)
-        for path in _leaf_paths(platform.lifetime.drive_age,
-                                ("lifetime", "drive_age")):
+        for path in _leaf_paths(platform.drive_age, ("drive_age",)):
             perturbed = _perturb_leaf(platform, path)
             key = run_spec_key(dataclasses.replace(spec,
                                                    platform=perturbed))
@@ -205,7 +204,7 @@ class TestEveryKnobPerturbsTheKey:
 #: ``.sweep_cache/`` entries; an intentional key change (a
 #: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
 PINNED_FIG7_KEY = (
-    "e80ec6ee54718eb3e3014bd0b8e5d923c92cce8d1df09803cd71fea1465c6303")
+    "7a8118b3cbc47f80b02ca6cc8dbbfd10272e38f81f5b0ce043c6a7b40fe50cca")
 
 
 class TestKeyStability:

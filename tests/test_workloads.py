@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.common import LatencyClass, OpType
+from repro.common import LatencyClass, OpType, SimulationError
 from repro.workloads import (ALL_WORKLOADS, MIN_SCALED_ELEMENTS, AESWorkload,
                              Heat3DWorkload, Jacobi1DWorkload,
                              LLMTrainingWorkload, LlamaInferenceWorkload,
@@ -39,6 +39,11 @@ class TestWorkloadConstruction:
     def test_invalid_scale_rejected(self):
         with pytest.raises(Exception):
             AESWorkload(scale=0.0)
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(SimulationError, match="finite and positive"):
+            AESWorkload(scale=scale)
 
     def test_describe_contains_category(self, workload):
         description = workload.describe()
