@@ -35,6 +35,8 @@ def test_bench_ablation_coherence(benchmark, bench_config):
     strict = next(row for row in rows if row["coherence"] == "strict")
     # Strict coherence flushes on every write; lazy defers almost all of it.
     assert strict["flushes"] >= lazy["flushes"]
+    # Each strict write-through is a flash write-back the run pays for.
+    assert strict["time_ms"] > lazy["time_ms"]
 
 
 def test_bench_ablation_vector_width(benchmark, bench_config):

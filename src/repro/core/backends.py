@@ -7,7 +7,7 @@ layer, the platform builds a :class:`BackendRegistry` of
 offload stack -- feature collection, cost model, policies, transformation,
 dispatch -- discovers its candidates from the registry.  Adding a compute
 tier (per-core ISP queues, a CXL-attached PuD device, ...) is then a
-configuration entry plus one adapter class next to its device model; the
+configuration entry plus one backend class holding its device model; the
 offloader and cost model are untouched.
 
 A backend bundles everything the runtime offloader asks about one
@@ -22,8 +22,10 @@ computation resource:
   (drives the data-movement feature and the platform's movement engine);
 * ``supports`` / ``operation_latency`` / ``operation_energy`` -- the
   precomputed per-op capability/latency/energy points (Section 4.5);
-* ``execute`` -- actually run an operation, reserving the backend's
-  execution sub-units so contention emerges naturally;
+* ``execute`` -- actually run an operation.  The dispatcher already
+  reserves the backend's execution queue, so only an engine whose
+  operations occupy shared sub-units (PuD's DRAM banks, the CXL tier's
+  command link) overrides the default no-op;
 * ``utilization`` -- the bandwidth-utilization snapshot consumed by the
   BW-Offloading baseline;
 * ``link_backlog_ns`` / ``execution_channel_bytes`` -- backlog of any
@@ -50,7 +52,7 @@ from repro.ssd.queues import ExecutionQueue
 class ComputeBackend(abc.ABC):
     """One computation resource the SSD offloader can target.
 
-    Concrete backends live next to the device model they wrap
+    Each concrete backend is one class holding its own device model
     (:mod:`repro.isp.core`, :mod:`repro.dram.pud`, :mod:`repro.dram.cxl`,
     :mod:`repro.ifp.unit`, :mod:`repro.host.cpu`, :mod:`repro.host.gpu`).
     """
@@ -98,11 +100,15 @@ class ComputeBackend(abc.ABC):
 
     # -- Execution ----------------------------------------------------------
 
-    @abc.abstractmethod
     def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int):
-        """Execute ``op``, reserving sub-units; returns a timing object
-        exposing ``latency_ns``."""
+                element_bits: int) -> None:
+        """Run ``op`` from ``now``, reserving the shared sub-units it occupies.
+
+        The operation's latency and energy are the estimate points above,
+        and its execution slot is the queue reservation the dispatcher
+        makes; an engine whose operations reserve nothing else needs no
+        override.
+        """
 
     # -- Utilization snapshot (BW-Offloading input) --------------------------
 

@@ -30,6 +30,11 @@ from repro.common import DataLocation, SimulationError
 VERSION_BITS = 8
 _VERSION_WRAP = 2 ** VERSION_BITS
 
+#: Reason of the commit strict coherence issues after every write.  It is
+#: the only commit the platform performs as a flash write-back when the
+#: write happens (:meth:`~repro.core.platform.SSDPlatform.write_through`).
+STRICT_WRITE_THROUGH = "strict coherence write-through"
+
 #: Shared empty action list: returned (and never mutated) by the run-level
 #: hooks when no synchronisation is needed, so clean-path calls allocate
 #: nothing.
@@ -187,7 +192,7 @@ class CoherenceDirectory:
             self.version_wraps += 1
         if self.policy is CoherencePolicy.STRICT:
             actions.append(SyncAction(lpa=lpa, from_location=writer_location,
-                                      reason="strict coherence write-through"))
+                                      reason=STRICT_WRITE_THROUGH))
             self._commit(lpa, entry)
         return actions
 

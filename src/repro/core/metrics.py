@@ -81,8 +81,8 @@ class ExecutionResult:
     offload_overhead_avg_ns: float = 0.0
     offload_overhead_max_ns: float = 0.0
     #: Device-lifetime view of the run: background GC/WL traffic, wear
-    #: statistics and write amplification (``None`` only for results
-    #: pickled before the lifetime subsystem existed).
+    #: statistics and write amplification.  Every run the runtimes
+    #: execute carries one; ``None`` only on results built by hand.
     maintenance: Optional[MaintenanceStats] = None
 
     # -- Derived metrics ----------------------------------------------------------

@@ -286,7 +286,7 @@ class FeatureCollector:
         op, size_bytes, element_bits = static_key
         platform = self.platform
         backends = platform.backends
-        queues = platform.queues.queues
+        queues = platform.queues
         static = []
         for resource in platform.offload_candidates():
             backend = backends[resource]

@@ -30,12 +30,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import DataLocation, ResourceLike
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
-from repro.core.offload.features import (FeatureCollector,
-                                         InstructionFeatures, WaveBatch)
+from repro.core.offload.features import FeatureCollector, WaveBatch
 from repro.core.offload.policies import (OffloadingPolicy, PackedMember,
                                          PolicyContext)
-from repro.core.offload.transform import (InstructionTransformer,
-                                          TransformedInstruction)
+from repro.core.offload.transform import InstructionTransformer
 from repro.core.platform import SSDPlatform
 
 
@@ -48,12 +46,7 @@ PIPELINE_DEPTH = 8
 class OffloadDecision:
     """Everything the runtime needs to know about one offloaded instruction."""
 
-    instruction: VectorInstruction
     resource: ResourceLike
-    #: The full feature vector (``None`` on the wave-batched fast path,
-    #: which decides from packed scalars without materializing one).
-    features: Optional[InstructionFeatures]
-    transformed: Optional[TransformedInstruction]
     dispatch_ns: float
     ready_ns: float
     start_ns: float
@@ -73,7 +66,9 @@ class SSDOffloader:
         self.policy = policy
         self.collector = FeatureCollector(platform, layout)
         self.transformer = InstructionTransformer(platform)
-        self.decisions: List[OffloadDecision] = []
+        #: Offloading overhead of every decision, in issue order (the
+        #: Section 4.5 average/maximum are taken over it at the end).
+        self.overheads: List[float] = []
         # Dispatch-loop constants and handles, resolved once: the offload
         # path runs per instruction and per policy.
         self._is_ideal = policy.is_ideal
@@ -105,7 +100,7 @@ class SSDOffloader:
         """Retire queue entries whose completion time has passed."""
         if now < self._next_retire:
             return
-        queues = self.platform.queues.queues
+        queues = self.platform.queues
         next_retire = float("inf")
         for resource, heap in self._in_flight.items():
             if heap and heap[0][0] <= now:
@@ -139,10 +134,9 @@ class SSDOffloader:
         context.elapsed = elapsed_ns if elapsed_ns > 1.0 else 1.0
         resource = self._choose(instruction, features, context)
         overhead_ns = features.collection_latency_ns
-        transformed: Optional[TransformedInstruction] = None
         if not self._is_ideal:
-            transformed = self._transform(instruction, resource)
-            overhead_ns += transformed.lookup_latency_ns
+            overhead_ns += self._transform(instruction,
+                                           resource).lookup_latency_ns
         # Inlined single-server dispatch-core reservation (the serial
         # occupancy is always nonnegative, so the negative-duration guard
         # of Server.reserve cannot fire).
@@ -157,7 +151,7 @@ class SSDOffloader:
 
         if self._is_ideal:
             compute = features.per_resource[resource].expected_compute_latency_ns
-            return self._execute_ideal(instruction, features, resource,
+            return self._execute_ideal(instruction, resource,
                                        dispatch_start, issue_ns,
                                        deps_ready_ns, overhead_ns, compute)
         source_runs = features.source_runs
@@ -174,10 +168,10 @@ class SSDOffloader:
             compute = None
         movement_estimate = (chosen.data_movement_latency_ns
                              if chosen is not None else 0.0)
-        return self._execute_real(instruction, features, resource,
-                                  transformed, dispatch_start, issue_ns,
-                                  deps_ready_ns, overhead_ns, source_runs,
-                                  dest_run, compute, movement_estimate)
+        return self._execute_real(instruction, resource, dispatch_start,
+                                  issue_ns, deps_ready_ns, overhead_ns,
+                                  source_runs, dest_run, compute,
+                                  movement_estimate)
 
     # -- Wave-batched entry points (PlatformConfig.batched_offload) ---------------------
 
@@ -261,10 +255,9 @@ class SSDOffloader:
         context.elapsed = elapsed_ns if elapsed_ns > 1.0 else 1.0
         resource = self._choose_packed(packed, context)
         overhead_ns = collection_ns
-        transformed: Optional[TransformedInstruction] = None
         if not self._is_ideal:
-            transformed = self._transform(instruction, resource)
-            overhead_ns += transformed.lookup_latency_ns
+            overhead_ns += self._transform(instruction,
+                                           resource).lookup_latency_ns
         serial_ns = overhead_ns / PIPELINE_DEPTH
         core = self._dispatch_core
         free = core._free_at
@@ -285,7 +278,7 @@ class SSDOffloader:
             else:
                 compute = platform.backends._backends[
                     resource].operation_latency(op, size_bytes, element_bits)
-            return self._execute_ideal(instruction, None, resource,
+            return self._execute_ideal(instruction, resource,
                                        dispatch_start, issue_ns,
                                        deps_ready_ns, overhead_ns, compute)
         if chosen_index >= 0:
@@ -295,16 +288,15 @@ class SSDOffloader:
         else:
             compute = None
             movement_estimate = 0.0
-        return self._execute_real(instruction, None, resource, transformed,
-                                  dispatch_start, issue_ns, deps_ready_ns,
-                                  overhead_ns, batch.source_runs[pos],
+        return self._execute_real(instruction, resource, dispatch_start,
+                                  issue_ns, deps_ready_ns, overhead_ns,
+                                  batch.source_runs[pos],
                                   batch.dest_runs[pos], compute,
                                   movement_estimate)
 
     # -- Ideal execution (no contention, free data movement) ------------------------------
 
     def _execute_ideal(self, instruction: VectorInstruction,
-                       features: Optional[InstructionFeatures],
                        resource: ResourceLike,
                        dispatch_ns: float, issue_ns: float,
                        deps_ready_ns: float, overhead_ns: float,
@@ -314,20 +306,16 @@ class SSDOffloader:
         self.platform.record_compute(start, resource, instruction.op,
                                      instruction.size_bytes,
                                      instruction.element_bits)
-        decision = OffloadDecision(instruction, resource, features, None,
-                                   dispatch_ns, start, start, end, compute,
-                                   0.0, overhead_ns)
-        self.decisions.append(decision)
-        return decision
+        self.overheads.append(overhead_ns)
+        return OffloadDecision(resource, dispatch_ns, start, start, end,
+                               compute, 0.0, overhead_ns)
 
     # -- Real execution (moves data, reserves queues) ---------------------------------------
 
     def _execute_real(self, instruction: VectorInstruction,
-                      features: Optional[InstructionFeatures],
-                      resource: ResourceLike,
-                      transformed: TransformedInstruction,
-                      dispatch_ns: float, issue_ns: float,
-                      deps_ready_ns: float, overhead_ns: float,
+                      resource: ResourceLike, dispatch_ns: float,
+                      issue_ns: float, deps_ready_ns: float,
+                      overhead_ns: float,
                       source_runs, dest_run: Optional[Tuple[int, int]],
                       compute: Optional[float],
                       movement_estimate: float) -> OffloadDecision:
@@ -367,7 +355,7 @@ class SSDOffloader:
 
         if compute is None:
             compute = backend.operation_latency(op, size_bytes, element_bits)
-        queue = platform.queues.queues[resource]
+        queue = platform.queues[resource]
         queue.enqueue(uid, issue_ns, compute)
         ready = dm_end if dm_end >= deps_ready_ns else deps_ready_ns
         reservation = queue.reserve(uid, ready, compute)
@@ -388,28 +376,31 @@ class SSDOffloader:
             platform.ssd.channels.channels.transfer(reservation.start,
                                                     channel_bytes)
 
-        # The destination pages now live at the resource's home location.
+        # The destination pages now live at the resource's home location
+        # (and, under strict coherence, are written through to flash).
         if dest_run is not None:
-            platform.coherence.on_write_run(dest_run[0], dest_run[1], home)
-            platform.mark_produced_run(reservation.end, (dest_run,), home)
+            actions = platform.coherence.on_write_run(dest_run[0],
+                                                      dest_run[1], home)
+            platform.mark_produced_run(end_ns, (dest_run,), home)
+            if actions:
+                platform.write_through(end_ns, actions)
 
-        decision = OffloadDecision(instruction, resource, features,
-                                   transformed, dispatch_ns, ready,
-                                   reservation.start, end_ns, compute,
-                                   data_movement_ns, overhead_ns)
-        self.decisions.append(decision)
-        return decision
+        self.overheads.append(overhead_ns)
+        return OffloadDecision(resource, dispatch_ns, ready,
+                               reservation.start, end_ns, compute,
+                               data_movement_ns, overhead_ns)
 
     # -- Overhead statistics (Section 4.5) ---------------------------------------------------
 
     @property
     def average_overhead_ns(self) -> float:
-        if not self.decisions:
+        overheads = self.overheads
+        if not overheads:
             return 0.0
-        return sum(d.overhead_ns for d in self.decisions) / len(self.decisions)
+        # sum() over the issue-ordered floats rather than a running +=
+        # total: CPython 3.12's sum() is compensated, so the two differ.
+        return sum(overheads) / len(overheads)
 
     @property
     def max_overhead_ns(self) -> float:
-        if not self.decisions:
-            return 0.0
-        return max(d.overhead_ns for d in self.decisions)
+        return max(self.overheads, default=0.0)

@@ -36,23 +36,24 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common import (BackendId, DataLocation, MIB, OpType, Resource,
                           ResourceLike, SimulationError)
 from repro.core.backends import BackendRegistry
-from repro.core.coherence import CoherenceDirectory, CoherencePolicy
+from repro.core.coherence import (STRICT_WRITE_THROUGH, CoherenceDirectory,
+                                  CoherencePolicy, SyncAction)
 from repro.core.contention import LinkContentionMonitor
 from repro.dram.config import DRAMConfig
 from repro.dram.cxl import CXLPuDBackend, CXLPuDConfig
 from repro.dram.dram import DRAMDevice
-from repro.dram.pud import PuDBackend, PuDUnit
+from repro.dram.pud import PuDBackend
 from repro.energy.model import EnergyAccount
 from repro.host.config import HostCPUConfig, HostGPUConfig, HostMemoryConfig
-from repro.host.cpu import HostCPU, HostCPUBackend
-from repro.host.gpu import HostGPU, HostGPUBackend
-from repro.ifp.unit import IFPBackend, IFPUnit
-from repro.isp.core import EmbeddedCoreComplex, ISPBackend
+from repro.host.cpu import HostCPUBackend
+from repro.host.gpu import HostGPUBackend
+from repro.ifp.unit import IFPBackend
+from repro.isp.core import ISPBackend
 from repro.ssd.config import SSDConfig
 from repro.ssd.events import Server
 from repro.ssd.lifetime import (DriveAgeProfile, MaintenanceStats,
                                 apply_drive_age)
-from repro.ssd.queues import ResourceQueueSet
+from repro.ssd.queues import ExecutionQueue
 from repro.ssd.ssd import SSD
 
 
@@ -226,12 +227,6 @@ class SSDPlatform:
                                     self.config.host_memory)
         self.ssd = SSD(ssd_config, energy=self.energy)
         self.dram = DRAMDevice(self.config.dram)
-        self.pud = PuDUnit(self.dram)
-        self.isp = EmbeddedCoreComplex(ssd_config.controller,
-                                       ssd_config.energy)
-        self.ifp = IFPUnit(ssd_config.nand, ssd_config.energy)
-        self.host_cpu = HostCPU(self.config.host_cpu)
-        self.host_gpu = HostGPU(self.config.host_gpu)
         if self.config.drive_age is not None:
             # Zero-time pre-history: fragments the array and seeds wear
             # before the dataset is placed, so allocation and GC see an
@@ -241,8 +236,9 @@ class SSDPlatform:
         #: Every compute engine of the system, keyed by identity; the
         #: offload stack discovers its candidates here.
         self.backends = self._build_backends()
-        #: Aggregate view over the backends' execution queues.
-        self.queues = ResourceQueueSet(self.backends.queues())
+        #: Backend identity -> its execution queue, in registration order.
+        self.queues: Dict[ResourceLike, ExecutionQueue] = (
+            self.backends.queues())
         #: The controller core running the SSD offloader itself.
         self.dispatch_core = Server("offloader-core")
 
@@ -287,24 +283,25 @@ class SSDPlatform:
         ssd_config = config.ssd
         registry = BackendRegistry()
         if config.isp_cores <= 1:
-            registry.register(ISPBackend(Resource.ISP, self.isp))
+            registry.register(ISPBackend(Resource.ISP, ssd_config.controller,
+                                         ssd_config.energy))
         else:
             for core in range(config.isp_cores):
                 registry.register(ISPBackend(
                     BackendId(f"isp[{core}]", Resource.ISP),
-                    EmbeddedCoreComplex(ssd_config.controller,
-                                        ssd_config.energy),
+                    ssd_config.controller, ssd_config.energy,
                     queue_parallelism=1))
-        registry.register(PuDBackend(Resource.PUD, self.pud))
-        registry.register(IFPBackend(Resource.IFP, self.ifp,
-                                     self.ssd.channels))
+        registry.register(PuDBackend(Resource.PUD, self.dram))
+        registry.register(IFPBackend(Resource.IFP, self.ssd.channels,
+                                     ssd_config.nand, ssd_config.energy))
         if config.cxl_pud is not None:
             registry.register(CXLPuDBackend(
                 BackendId("cxl-pud", Resource.PUD), config.cxl_pud))
-        registry.register(HostCPUBackend(Resource.HOST_CPU, self.host_cpu,
-                                         self.ssd.nvme.pcie))
-        registry.register(HostGPUBackend(Resource.HOST_GPU, self.host_gpu,
-                                         self.ssd.nvme.pcie))
+        pcie = self.ssd.nvme.pcie
+        registry.register(HostCPUBackend(Resource.HOST_CPU, pcie,
+                                         config.host_cpu))
+        registry.register(HostGPUBackend(Resource.HOST_GPU, pcie,
+                                         config.host_gpu))
         expected = backend_roster(config)
         if registry.roster() != expected:
             raise SimulationError(
@@ -499,6 +496,24 @@ class SSDPlatform:
                                 writeback=True)
         self._residence[lpa] = DataLocation.FLASH
 
+    def write_through(self, now: float, actions: List[SyncAction]) -> None:
+        """Write back to flash the pages strict coherence commits on a write.
+
+        Each write-through is the same flash write-back a dirty eviction
+        performs: the page leaves its writer's location over the shared
+        buses and is programmed on its die, paying channel and program
+        energy.  It is issued when the page is produced and, like an
+        eviction write-back, does not delay its producer.  The directory's
+        other commits (remote writes, version wraps) are not performed
+        here, and neither is a write-through of a page produced in flash
+        (IFP computes in place), which is already at its durable home.
+        """
+        for action in actions:
+            if (action.reason == STRICT_WRITE_THROUGH
+                    and action.from_location is not DataLocation.FLASH):
+                self._transfer_page(now, action.lpa, action.from_location,
+                                    DataLocation.FLASH, writeback=True)
+
     def _dram_address(self, lpa: int) -> int:
         """Spread logical pages across DRAM banks for realistic parallelism."""
         span = self.config.dram.capacity_bytes - self._page_size
@@ -588,13 +603,12 @@ class SSDPlatform:
                                                          element_bits)
 
     def record_compute(self, now: float, resource: ResourceLike, op: OpType,
-                       size_bytes: int, element_bits: int) -> float:
-        """Record execution on the compute backend; returns its latency."""
+                       size_bytes: int, element_bits: int) -> None:
+        """Run one operation on the compute backend and charge its energy."""
         backend = self.backends[resource]
-        timing = backend.execute(now, op, size_bytes, element_bits)
+        backend.execute(now, op, size_bytes, element_bits)
         self.energy.add_compute(
             resource, backend.operation_energy(op, size_bytes, element_bits))
-        return timing.latency_ns
 
     # ------------------------------------------------------------------------
     # Utilization snapshot (BW-Offloading input)

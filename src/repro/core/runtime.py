@@ -259,6 +259,7 @@ class HostRuntime:
         host = DataLocation.HOST
         on_write_run = platform.coherence.on_write_run
         mark_produced_run = platform.mark_produced_run
+        write_through = platform.write_through
         reserve = compute_server.reserve
         append_record = records.append
         for instruction in program.instructions:
@@ -282,8 +283,10 @@ class HostRuntime:
                 op, size_bytes, element_bits))
             if instruction.dest is not None:
                 dest_run = run_of(instruction.dest, element_bits)
-                on_write_run(dest_run[0], dest_run[1], host)
+                actions = on_write_run(dest_run[0], dest_run[1], host)
                 mark_produced_run(reservation.end, (dest_run,), host)
+                if actions:
+                    write_through(reservation.end, actions)
             end_ns = reservation.end
             completion[instruction.uid] = end_ns
             if end_ns > makespan:

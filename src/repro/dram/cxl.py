@@ -18,13 +18,11 @@ edits to the offloader, cost model or feature collector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.common import DataLocation, GIB, OpType, ResourceLike
-from repro.core.backends import ComputeBackend
 from repro.dram.config import DRAMConfig
 from repro.dram.dram import DRAMDevice
-from repro.dram.pud import PuDOperationTiming, PuDUnit
+from repro.dram.pud import PuDBackend
 from repro.ssd.events import SharedBus
 
 
@@ -56,54 +54,41 @@ class CXLPuDConfig:
     command_bytes: int = 64
 
 
-class CXLPuDBackend(ComputeBackend):
+class CXLPuDBackend(PuDBackend):
     """PuD compute on a CXL memory expander.
 
-    Wraps its own :class:`DRAMDevice`/:class:`PuDUnit` pair (bank
-    reservations and utilization are private to the tier) and charges the
-    CXL link round-trip on every operation.
+    Computes on its own :class:`DRAMDevice` (bank reservations and
+    utilization are private to the tier) and charges the CXL link
+    round-trip on every operation.
     """
 
     def __init__(self, resource: ResourceLike, config: CXLPuDConfig) -> None:
-        self.config = config
-        self.dram = DRAMDevice(config.dram)
-        self.unit = PuDUnit(self.dram)
+        super().__init__(resource, DRAMDevice(config.dram), DataLocation.HOST)
+        self.cxl = config
         #: The CXL command/completion link.  Operation descriptors are
         #: serialized on it, so a tier absorbing a burst of work shows a
         #: real backlog here -- the signal the contention-aware cost model
         #: samples via :meth:`link_backlog_ns`.
         self.link = SharedBus(f"{resource.value}-link",
                               config.link_bandwidth_bytes_per_ns)
-        super().__init__(resource, DataLocation.HOST, config.dram.banks)
-
-    @property
-    def native_chunk_bytes(self) -> Optional[int]:
-        return self.unit.row_bytes
-
-    def supports(self, op: OpType) -> bool:
-        return self.unit.supports(op)
 
     def operation_latency(self, op: OpType, size_bytes: int,
                           element_bits: int) -> float:
-        return (self.config.link_latency_ns +
-                self.unit.operation_latency(op, size_bytes, element_bits))
+        return (self.cxl.link_latency_ns +
+                super().operation_latency(op, size_bytes, element_bits))
 
     def operation_energy(self, op: OpType, size_bytes: int,
                          element_bits: int) -> float:
-        return (self.config.link_energy_nj +
-                self.unit.operation_energy(op, size_bytes, element_bits))
+        return (self.cxl.link_energy_nj +
+                super().operation_energy(op, size_bytes, element_bits))
 
     def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> PuDOperationTiming:
+                element_bits: int) -> None:
         # The operation descriptor serializes on the shared CXL link, then
         # pays the command round-trip before the in-expander compute runs.
-        command = self.link.transfer(now, self.config.command_bytes)
-        inner = self.unit.execute(command.end + self.config.link_latency_ns,
-                                  op, size_bytes, element_bits)
-        # Report the link round-trip as part of the operation's latency.
-        return PuDOperationTiming(start_ns=now, end_ns=inner.end_ns,
-                                  rows=inner.rows,
-                                  steps_per_row=inner.steps_per_row)
+        command = self.link.transfer(now, self.cxl.command_bytes)
+        super().execute(command.end + self.cxl.link_latency_ns, op,
+                        size_bytes, element_bits)
 
     def utilization(self, elapsed: float) -> float:
         # The execution-queue occupancy, not the tier's private DRAM bus

@@ -24,8 +24,7 @@ Latency model
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import FrozenSet, Optional
 
 from repro.common import DataLocation, OpType, ResourceLike, SimulationError
 from repro.core.backends import ComputeBackend
@@ -44,32 +43,21 @@ PUD_SUPPORTED_OPS: FrozenSet[OpType] = frozenset({
 })
 
 
-@dataclass
-class PuDOperationTiming:
-    """Timing of one PuD operation."""
+class PuDBackend(ComputeBackend):
+    """Processing-using-DRAM execution over a :class:`DRAMDevice`.
 
-    start_ns: float
-    end_ns: float
-    rows: int
-    steps_per_row: int
+    The SSD's own PuD unit computes in the SSD DRAM.  Queue parallelism
+    follows the bank count (rows in different banks operate concurrently);
+    the utilization snapshot is the DRAM data bus, which PuD operations
+    share with the data-movement engine.
+    """
 
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
-
-class PuDUnit:
-    """Processing-using-DRAM execution model over a :class:`DRAMDevice`."""
-
-    #: bbop steps per element bit, keyed by operation.
-    _STEP_MODEL: Dict[OpType, str] = {}
-
-    def __init__(self, dram: DRAMDevice) -> None:
+    def __init__(self, resource: ResourceLike, dram: DRAMDevice,
+                 home_location: DataLocation = DataLocation.SSD_DRAM
+                 ) -> None:
         self.dram = dram
         self.config: DRAMConfig = dram.config
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
+        super().__init__(resource, home_location, self.config.banks)
         # Memoized estimate points (pure in their arguments + immutable
         # config): the precomputed latency/energy tables of Section 4.5.
         self._steps_table: dict = {}
@@ -78,14 +66,17 @@ class PuDUnit:
 
     # -- Capability and latency estimation ---------------------------------------
 
-    @staticmethod
-    def supports(op: OpType) -> bool:
+    def supports(self, op: OpType) -> bool:
         return op in PUD_SUPPORTED_OPS
 
     @property
     def row_bytes(self) -> int:
         """Maximum data one bbop step covers (one DRAM row)."""
         return self.config.row_size_bytes
+
+    @property
+    def native_chunk_bytes(self) -> Optional[int]:
+        return self.row_bytes
 
     def steps_for(self, op: OpType, element_bits: int) -> int:
         """Number of bbop row-activation steps one row-worth of data needs."""
@@ -148,55 +139,20 @@ class PuDUnit:
     # -- Execution (reserves banks) ----------------------------------------------
 
     def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> PuDOperationTiming:
-        """Execute an operation, reserving DRAM banks for its duration."""
+                element_bits: int) -> None:
+        """Occupy the DRAM banks the operation's rows map to.
+
+        A regular DRAM access to one of those banks issued while the
+        operation runs waits for it to finish.
+        """
         if size_bytes <= 0:
             raise SimulationError("PuD operation size must be positive")
         rows = max(1, math.ceil(size_bytes / self.row_bytes))
         steps = self.steps_for(op, element_bits)
-        finish = now
+        banks = self.dram.banks
         for row_index in range(rows):
-            bank = self.dram.banks[row_index % self.config.banks]
-            done = bank.bulk_bitwise_operation(now, steps)
-            finish = max(finish, done)
-        self.operations += 1
-        self.total_busy_ns += finish - now
-        self.energy_nj += self.operation_energy(op, size_bytes, element_bits)
-        return PuDOperationTiming(start_ns=now, end_ns=finish, rows=rows,
-                                  steps_per_row=steps)
-
-
-class PuDBackend(ComputeBackend):
-    """Compute backend adapting :class:`PuDUnit` over the SSD DRAM.
-
-    Queue parallelism follows the bank count (rows in different banks
-    operate concurrently); the utilization snapshot is the DRAM data bus,
-    which PuD operations share with the data-movement engine.
-    """
-
-    def __init__(self, resource: ResourceLike, unit: PuDUnit) -> None:
-        super().__init__(resource, DataLocation.SSD_DRAM,
-                         unit.config.banks)
-        self.unit = unit
-
-    @property
-    def native_chunk_bytes(self) -> Optional[int]:
-        return self.unit.row_bytes
-
-    def supports(self, op: OpType) -> bool:
-        return self.unit.supports(op)
-
-    def operation_latency(self, op: OpType, size_bytes: int,
-                          element_bits: int) -> float:
-        return self.unit.operation_latency(op, size_bytes, element_bits)
-
-    def operation_energy(self, op: OpType, size_bytes: int,
-                         element_bits: int) -> float:
-        return self.unit.operation_energy(op, size_bytes, element_bits)
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> PuDOperationTiming:
-        return self.unit.execute(now, op, size_bytes, element_bits)
+            banks[row_index % self.config.banks].bulk_bitwise_operation(
+                now, steps)
 
     def utilization(self, elapsed: float) -> float:
-        return self.unit.dram.utilization(elapsed)
+        return self.dram.utilization(elapsed)

@@ -79,53 +79,9 @@ SWEEP_CACHE_ENV = "REPRO_SWEEP_CACHE"
 #: Default location of the on-disk sweep result cache.
 DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 
-#: Bump whenever simulation semantics change in a way that is not captured
-#: by the configuration objects, so stale cache entries are never reused.
-#: Version 2: the compute-backend registry refactor (dispatch, tie-breaks
-#: and candidate discovery now flow through the platform's backend roster).
-#: Version 3: the contention-aware cost model -- ``PlatformConfig`` grew
-#: ``contention_feedback`` / ``contention_ewma_alpha`` / ``contention_gain``
-#: (the canonical config encoding folds them into every key, orphaning
-#: pre-field entries), the CXL tier gained a modelled command link, and
-#: IFP execution-channel traffic moved behind the backend protocol.
-#: Version 4: the device-lifetime subsystem -- ``PlatformConfig`` grew a
-#: ``lifetime`` axis (background GC/wear engine, drive-age profiles) and
-#: ``FTLConfig`` grew the adaptive-FTL knobs (``gc_victim_policy``,
-#: ``hot_cold_separation``); all fold into every key via the canonical
-#: config encoding, and ``ExecutionResult`` grew a ``maintenance`` field,
-#: so pre-lifetime pickles are orphaned.
-#: Version 5: the open workload registry -- ``RunSpec`` grew
-#: ``workload_params`` (the workload's ``cache_identity()``: trace content
-#: hash, zipf generator parameters), so content-defined workloads key the
-#: cache by *what* they run, not just their registry name, and pre-field
-#: pickles are orphaned rather than silently matched without it.
-#: Version 6: knobs no run read or varied were deleted -- ``PlatformConfig``
-#: lost ``contention_ewma_alpha`` / ``contention_gain`` /
-#: ``contention_decay``; ``DRAMConfig`` lost ``t_ras_ns`` / ``t_rrd_ns`` /
-#: ``t_wr_ns`` / ``t_rfc_ns`` / ``refresh_interval_ns`` /
-#: ``compute_row_fraction``; ``ControllerConfig`` lost ``sram_bytes``;
-#: ``FTLConfig`` lost ``mapping_entry_bytes`` / ``overprovisioning``;
-#: ``SSDEnergyConfig`` lost ``dram_bbop_nj`` /
-#: ``controller_core_idle_power_mw`` / ``host_dram_nj_per_kb``;
-#: ``HostCPUConfig`` lost ``l3_cache_bytes`` / ``idle_power_w``;
-#: ``HostGPUConfig`` lost ``hbm_capacity_bytes`` / ``l2_cache_bytes`` /
-#: ``idle_power_w``; ``HostMemoryConfig`` lost ``bandwidth_gbps`` /
-#: ``access_latency_ns``.  The canonical config encoding changes with
-#: them, so every key moves; simulated results do not.
-#: Version 7: one engine per storage layer -- ``PlatformConfig`` lost its
-#: run-batched movement flag (movement is always per page),
-#: ``LifetimeConfig`` lost its background-engine flag (every SSD owns the
-#: background GC/WL engine), ``HostMemoryConfig`` lost ``capacity_bytes``
-#: / ``channels`` and ``SSDConfig`` lost ``dram_capacity_bytes``;
-#: ``MaintenanceStats`` lost its engine-enabled field, so pre-version-7
-#: pickles are orphaned.
-#: Version 8: options no caller set were deleted -- ``RunSpec`` lost its
-#: ``runtime`` field (``RuntimeConfig.colocate_for_ifp``: Conduit always
-#: colocates, the host path always stripes) and ``PlatformConfig.lifetime``
-#: (``LifetimeConfig``) became ``PlatformConfig.drive_age`` (the GC and
-#: wear-leveling budgets are engine constants).  The canonical encoding
-#: changes with them, so every key moves; simulated results do not.
-SWEEP_CACHE_VERSION = 8
+#: Bump whenever a cached result could differ from a fresh run of its spec
+#: (simulation semantics or the canonical config encoding changed).
+SWEEP_CACHE_VERSION = 9
 
 #: The workload scale experiments (and the CLI's ``--scale``) default to.
 #: The CLI help strings derive from this constant so they can never drift

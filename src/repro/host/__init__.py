@@ -1,11 +1,10 @@
 """Host substrate: analytical CPU/GPU models for OSP baselines."""
 
 from repro.host.config import HostCPUConfig, HostGPUConfig, HostMemoryConfig
-from repro.host.cpu import HostCPU, HostCPUBackend, HostOperationTiming
-from repro.host.gpu import GPUOperationTiming, HostGPU, HostGPUBackend
+from repro.host.cpu import HostCPUBackend
+from repro.host.gpu import HostGPUBackend
 
 __all__ = [
-    "HostCPUConfig", "HostGPUConfig", "HostMemoryConfig", "HostCPU",
-    "HostCPUBackend", "HostOperationTiming", "GPUOperationTiming",
-    "HostGPU", "HostGPUBackend",
+    "HostCPUConfig", "HostGPUConfig", "HostMemoryConfig", "HostCPUBackend",
+    "HostGPUBackend",
 ]

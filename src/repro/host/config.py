@@ -42,7 +42,6 @@ class HostGPUConfig:
     clock_ghz: float = 1.4
     lanes_per_sm: int = 64               # INT32 lanes per SM
     hbm_bandwidth_gbps: float = 1555.0
-    kernel_launch_overhead_ns: float = 8_000.0
     active_power_w: float = 300.0
 
     @property

@@ -12,7 +12,6 @@ SSD-resident data (Fig. 4, OSP bars).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.common import DataLocation, OpType, ResourceLike, SimulationError
 from repro.core.backends import ComputeBackend
@@ -28,37 +27,30 @@ _CPU_CYCLES: dict = {
 }
 
 
-@dataclass
-class HostOperationTiming:
-    start_ns: float
-    end_ns: float
-    compute_ns: float
-    memory_ns: float
+class HostCPUBackend(ComputeBackend):
+    """Analytical host CPU model (OSP baseline engine).
 
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
+    Host engines are not offload candidates -- the SSD offloader never
+    targets them -- but exposing them through the same protocol lets the
+    host runtime, energy accounting and contract tests treat every engine
+    uniformly.  The utilization snapshot is the PCIe link all host-bound
+    operands cross.
+    """
 
+    offloadable = False
 
-class HostCPU:
-    """Analytical host CPU model."""
-
-    def __init__(self, config: HostCPUConfig = None) -> None:
-        self.config = config or HostCPUConfig()
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
+    def __init__(self, resource: ResourceLike, pcie,
+                 config: HostCPUConfig) -> None:
+        self.config = config
+        self.pcie = pcie
+        super().__init__(resource, DataLocation.HOST, self.config.cores)
         # Memoized estimate points (pure in their arguments + immutable
         # config), mirroring the SSD backends' precomputed tables.
         self._latency_table: dict = {}
         self._energy_table: dict = {}
 
-    @staticmethod
-    def supports(op: OpType) -> bool:
+    def supports(self, op: OpType) -> bool:
         return True
-
-    def _cycles_per_simd_op(self, op: OpType) -> float:
-        return _CPU_CYCLES.get(op, 1.0)
 
     def operation_latency(self, op: OpType, size_bytes: int,
                           element_bits: int) -> float:
@@ -69,7 +61,7 @@ class HostCPU:
         if size_bytes <= 0:
             raise SimulationError("host CPU operation size must be positive")
         simd_ops = math.ceil(size_bytes / self.config.simd_width_bytes)
-        compute_ns = (simd_ops * self._cycles_per_simd_op(op) *
+        compute_ns = (simd_ops * _CPU_CYCLES.get(op, 1.0) *
                       self.config.cycle_ns / self.config.cores)
         # Two source streams plus one destination stream through DRAM.
         memory_bytes = 3 * size_bytes
@@ -89,56 +81,6 @@ class HostCPU:
         energy = latency_ns * self.config.active_power_w  # ns * W = nJ
         self._energy_table[key] = energy
         return energy
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> HostOperationTiming:
-        simd_ops = math.ceil(size_bytes / self.config.simd_width_bytes)
-        compute_ns = (simd_ops * self._cycles_per_simd_op(op) *
-                      self.config.cycle_ns / self.config.cores)
-        memory_bytes = 3 * size_bytes
-        memory_ns = (self.config.memory_latency_ns +
-                     memory_bytes / self.config.memory_bandwidth_gbps)
-        latency = max(compute_ns, memory_ns)
-        self.operations += 1
-        self.total_busy_ns += latency
-        self.energy_nj += self.operation_energy(op, size_bytes, element_bits)
-        return HostOperationTiming(start_ns=now, end_ns=now + latency,
-                                   compute_ns=compute_ns,
-                                   memory_ns=memory_ns)
-
-
-class HostCPUBackend(ComputeBackend):
-    """Compute backend adapting :class:`HostCPU` (OSP baseline engine).
-
-    Host engines are not offload candidates -- the SSD offloader never
-    targets them -- but exposing them through the same protocol lets the
-    host runtime, energy accounting and contract tests treat every engine
-    uniformly.  The utilization snapshot is the PCIe link all host-bound
-    operands cross.
-    """
-
-    offloadable = False
-
-    def __init__(self, resource: ResourceLike, unit: HostCPU,
-                 pcie) -> None:
-        super().__init__(resource, DataLocation.HOST, unit.config.cores)
-        self.unit = unit
-        self.pcie = pcie
-
-    def supports(self, op: OpType) -> bool:
-        return self.unit.supports(op)
-
-    def operation_latency(self, op: OpType, size_bytes: int,
-                          element_bits: int) -> float:
-        return self.unit.operation_latency(op, size_bytes, element_bits)
-
-    def operation_energy(self, op: OpType, size_bytes: int,
-                         element_bits: int) -> float:
-        return self.unit.operation_energy(op, size_bytes, element_bits)
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> HostOperationTiming:
-        return self.unit.execute(now, op, size_bytes, element_bits)
 
     def utilization(self, elapsed: float) -> float:
         return self.pcie.utilization(elapsed)

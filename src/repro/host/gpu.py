@@ -11,7 +11,6 @@ every operand must cross PCIe from the SSD and its power draw is high
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.common import DataLocation, OpType, ResourceLike, SimulationError
 from repro.core.backends import ComputeBackend
@@ -26,41 +25,28 @@ _GPU_CYCLES: dict = {
 }
 
 
-@dataclass
-class GPUOperationTiming:
-    start_ns: float
-    end_ns: float
-    compute_ns: float
-    memory_ns: float
+class HostGPUBackend(ComputeBackend):
+    """Analytical host GPU model (OSP baseline engine).
 
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
+    Like the host CPU, the GPU is modelled through the backend protocol but
+    excluded from the SSD offloader's candidate set; operands reach it over
+    PCIe, which is also its utilization snapshot.
+    """
 
+    offloadable = False
 
-class HostGPU:
-    """Analytical host GPU model."""
-
-    def __init__(self, config: HostGPUConfig = None) -> None:
-        self.config = config or HostGPUConfig()
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
-        #: Kernel launch overhead is charged once per batch of back-to-back
-        #: instructions, approximated as once every ``launch_batch`` ops.
-        self.launch_batch = 256
-        self._ops_since_launch = 0
+    def __init__(self, resource: ResourceLike, pcie,
+                 config: HostGPUConfig) -> None:
+        super().__init__(resource, DataLocation.HOST)
+        self.config = config
+        self.pcie = pcie
         # Memoized estimate points (pure in their arguments + immutable
-        # config); the launch-overhead state above only affects execute().
+        # config), mirroring the SSD backends' precomputed tables.
         self._latency_table: dict = {}
         self._energy_table: dict = {}
 
-    @staticmethod
-    def supports(op: OpType) -> bool:
+    def supports(self, op: OpType) -> bool:
         return True
-
-    def _cycles(self, op: OpType) -> float:
-        return _GPU_CYCLES.get(op, 1.0)
 
     def operation_latency(self, op: OpType, size_bytes: int,
                           element_bits: int) -> float:
@@ -72,13 +58,14 @@ class HostGPU:
             raise SimulationError("GPU operation size must be positive")
         element_bytes = max(1, element_bits // 8)
         elements = size_bytes // element_bytes
+        cycles = _GPU_CYCLES.get(op, 1.0)
         if op in (OpType.SCALAR, OpType.BRANCH, OpType.CALL):
             # Control-intensive code does not spread across SIMT lanes; it
             # effectively runs serially on a single SM at GPU clock rate.
-            latency = elements * self._cycles(op) * self.config.cycle_ns
+            latency = elements * cycles * self.config.cycle_ns
         else:
             waves = math.ceil(elements / self.config.total_lanes)
-            compute_ns = waves * self._cycles(op) * self.config.cycle_ns
+            compute_ns = waves * cycles * self.config.cycle_ns
             memory_bytes = 3 * size_bytes
             memory_ns = memory_bytes / self.config.hbm_bandwidth_gbps
             latency = max(compute_ns, memory_ns)
@@ -95,56 +82,6 @@ class HostGPU:
         energy = latency_ns * self.config.active_power_w
         self._energy_table[key] = energy
         return energy
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> GPUOperationTiming:
-        latency = self.operation_latency(op, size_bytes, element_bits)
-        launch = 0.0
-        if self._ops_since_launch % self.launch_batch == 0:
-            launch = self.config.kernel_launch_overhead_ns
-        self._ops_since_launch += 1
-        element_bytes = max(1, element_bits // 8)
-        elements = size_bytes // element_bytes
-        waves = math.ceil(elements / self.config.total_lanes)
-        compute_ns = waves * self._cycles(op) * self.config.cycle_ns
-        memory_ns = 3 * size_bytes / self.config.hbm_bandwidth_gbps
-        self.operations += 1
-        self.total_busy_ns += latency + launch
-        self.energy_nj += self.operation_energy(op, size_bytes, element_bits)
-        return GPUOperationTiming(start_ns=now, end_ns=now + latency + launch,
-                                  compute_ns=compute_ns, memory_ns=memory_ns)
-
-
-class HostGPUBackend(ComputeBackend):
-    """Compute backend adapting :class:`HostGPU` (OSP baseline engine).
-
-    Like the host CPU, the GPU is modelled through the backend protocol but
-    excluded from the SSD offloader's candidate set; operands reach it over
-    PCIe, which is also its utilization snapshot.
-    """
-
-    offloadable = False
-
-    def __init__(self, resource: ResourceLike, unit: HostGPU,
-                 pcie) -> None:
-        super().__init__(resource, DataLocation.HOST)
-        self.unit = unit
-        self.pcie = pcie
-
-    def supports(self, op: OpType) -> bool:
-        return self.unit.supports(op)
-
-    def operation_latency(self, op: OpType, size_bytes: int,
-                          element_bits: int) -> float:
-        return self.unit.operation_latency(op, size_bytes, element_bits)
-
-    def operation_energy(self, op: OpType, size_bytes: int,
-                         element_bits: int) -> float:
-        return self.unit.operation_energy(op, size_bytes, element_bits)
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> GPUOperationTiming:
-        return self.unit.execute(now, op, size_bytes, element_bits)
 
     def utilization(self, elapsed: float) -> float:
         return self.pcie.utilization(elapsed)

@@ -38,9 +38,6 @@ class AresFlashUnit:
                  energy: SSDEnergyConfig = None) -> None:
         self.nand = nand or NANDConfig()
         self.energy_config = energy or SSDEnergyConfig()
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
 
     @staticmethod
     def supports(op: OpType) -> bool:
@@ -77,11 +74,3 @@ class AresFlashUnit:
                                   latch_steps=latch_steps,
                                   controller_transfers=transfers,
                                   latency_ns=latency, energy_nj=energy)
-
-    def execute(self, now: float, op: OpType,
-                element_bits: int = 8) -> AresFlashOperation:
-        descriptor = self.operation(op, element_bits)
-        self.operations += 1
-        self.total_busy_ns += descriptor.latency_ns
-        self.energy_nj += descriptor.energy_nj
-        return descriptor

@@ -41,9 +41,6 @@ class FlashCosmosUnit:
                  energy: SSDEnergyConfig = None) -> None:
         self.nand = nand or NANDConfig()
         self.energy_config = energy or SSDEnergyConfig()
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
 
     @staticmethod
     def supports(op: OpType) -> bool:
@@ -89,12 +86,3 @@ class FlashCosmosUnit:
         return MWSOperation(op=op, operand_pages=operand_pages,
                             sensing_rounds=rounds, latency_ns=latency,
                             energy_nj=energy)
-
-    def execute(self, now: float, op: OpType,
-                operand_pages: int = 2) -> MWSOperation:
-        """Account for one executed MWS operation; returns its descriptor."""
-        descriptor = self.operation(op, operand_pages)
-        self.operations += 1
-        self.total_busy_ns += descriptor.latency_ns
-        self.energy_nj += descriptor.energy_nj
-        return descriptor

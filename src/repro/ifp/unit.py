@@ -1,21 +1,18 @@
-"""Combined in-flash processing (IFP) unit.
+"""In-flash processing (IFP) compute backend.
 
-Wraps the Flash-Cosmos bitwise model and the Ares-Flash arithmetic model
-into one computation resource with the interface the runtime offloader
-expects (``supports`` / ``operation_latency`` / ``operation_energy`` /
-``execute``), matching the interfaces of :class:`repro.isp.EmbeddedCoreComplex`
-and :class:`repro.dram.PuDUnit`.
+Combines the Flash-Cosmos bitwise model and the Ares-Flash arithmetic
+model into one computation resource.
 
 Parallelism: every flash die can run an in-flash operation independently, so
 a vector instruction that spans multiple pages spreads across dies.  The
 platform layer models die contention through the IFP execution queue; this
-unit reports the per-page latency and the die-level parallelism available.
+backend reports the per-page latency and the die-level parallelism
+available.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common import DataLocation, OpType, ResourceLike, SimulationError
@@ -26,30 +23,25 @@ from repro.ifp.isa import ARES_FLASH_OPS, FLASH_COSMOS_OPS, IFP_SUPPORTED_OPS
 from repro.ssd.config import NANDConfig, SSDEnergyConfig
 
 
-@dataclass
-class IFPOperationTiming:
-    start_ns: float
-    end_ns: float
-    pages: int
-    waves: int
+class IFPBackend(ComputeBackend):
+    """In-flash processing resource combining Flash-Cosmos and Ares-Flash.
 
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
+    Operands live in flash (in-place computation).  The utilization
+    snapshot is the flash-die pool's occupancy by regular
+    reads/programs/erases; in-flash operations do not reserve those dies
+    -- their die-level parallelism is modelled by the IFP execution queue
+    alone.  ``channels`` is the platform's
+    :class:`~repro.ssd.flash_controller.FlashChannelSubsystem`.
+    """
 
-
-class IFPUnit:
-    """In-flash processing resource combining Flash-Cosmos and Ares-Flash."""
-
-    def __init__(self, nand: NANDConfig = None,
-                 energy: SSDEnergyConfig = None) -> None:
-        self.nand = nand or NANDConfig()
-        self.energy_config = energy or SSDEnergyConfig()
+    def __init__(self, resource: ResourceLike, channels, nand: NANDConfig,
+                 energy: SSDEnergyConfig) -> None:
+        self.nand = nand
+        self.energy_config = energy
+        self.channels = channels
         self.flash_cosmos = FlashCosmosUnit(self.nand, self.energy_config)
         self.ares_flash = AresFlashUnit(self.nand, self.energy_config)
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
+        super().__init__(resource, DataLocation.FLASH, self.die_parallelism)
         # Memoized per-page estimate points (pure in their arguments +
         # immutable config): the precomputed tables of Section 4.5.
         self._page_latency_table: dict = {}
@@ -57,14 +49,17 @@ class IFPUnit:
 
     # -- Capability -----------------------------------------------------------
 
-    @staticmethod
-    def supports(op: OpType) -> bool:
+    def supports(self, op: OpType) -> bool:
         return op in IFP_SUPPORTED_OPS
 
     @property
     def page_bytes(self) -> int:
         """Data covered by one in-flash operation (one flash page)."""
         return self.nand.page_size_bytes
+
+    @property
+    def native_chunk_bytes(self) -> Optional[int]:
+        return self.page_bytes
 
     @property
     def die_parallelism(self) -> int:
@@ -123,65 +118,6 @@ class IFPUnit:
         return pages * self.page_operation_energy(op, element_bits,
                                                   operand_pages)
 
-    # -- Execution ------------------------------------------------------------------
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int, operand_pages: int = 2
-                ) -> IFPOperationTiming:
-        pages = max(1, math.ceil(size_bytes / self.page_bytes))
-        waves = math.ceil(pages / self.die_parallelism)
-        latency = self.operation_latency(op, size_bytes, element_bits,
-                                         operand_pages)
-        energy = self.operation_energy(op, size_bytes, element_bits,
-                                       operand_pages)
-        if op in FLASH_COSMOS_OPS:
-            self.flash_cosmos.operations += pages
-        else:
-            self.ares_flash.operations += pages
-        self.operations += 1
-        self.total_busy_ns += latency
-        self.energy_nj += energy
-        return IFPOperationTiming(start_ns=now, end_ns=now + latency,
-                                  pages=pages, waves=waves)
-
-
-class IFPBackend(ComputeBackend):
-    """Compute backend adapting :class:`IFPUnit`.
-
-    Operands live in flash (in-place computation).  The utilization
-    snapshot is the flash-die pool's occupancy by regular
-    reads/programs/erases; in-flash operations do not reserve those dies
-    -- their die-level parallelism is modelled by the IFP execution queue
-    alone.  ``channels`` is the platform's
-    :class:`~repro.ssd.flash_controller.FlashChannelSubsystem`.
-    """
-
-    def __init__(self, resource: ResourceLike, unit: IFPUnit,
-                 channels) -> None:
-        super().__init__(resource, DataLocation.FLASH,
-                         unit.die_parallelism)
-        self.unit = unit
-        self.channels = channels
-
-    @property
-    def native_chunk_bytes(self) -> Optional[int]:
-        return self.unit.page_bytes
-
-    def supports(self, op: OpType) -> bool:
-        return self.unit.supports(op)
-
-    def operation_latency(self, op: OpType, size_bytes: int,
-                          element_bits: int) -> float:
-        return self.unit.operation_latency(op, size_bytes, element_bits)
-
-    def operation_energy(self, op: OpType, size_bytes: int,
-                         element_bits: int) -> float:
-        return self.unit.operation_energy(op, size_bytes, element_bits)
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> IFPOperationTiming:
-        return self.unit.execute(now, op, size_bytes, element_bits)
-
     def utilization(self, elapsed: float) -> float:
         return self.channels.die_utilization(elapsed)
 
@@ -197,7 +133,7 @@ class IFPBackend(ComputeBackend):
         beyond the command.
         """
         if op in (OpType.MUL, OpType.MAC):
-            return float(element_bits * self.unit.page_bytes)
+            return float(element_bits * self.page_bytes)
         if op in (OpType.ADD, OpType.SUB):
-            return float(self.unit.page_bytes)
+            return float(self.page_bytes)
         return 0.0

@@ -21,7 +21,6 @@ highlights (Section 2.2 / 3.1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common import DataLocation, OpType, ResourceLike, SimulationError
@@ -30,31 +29,32 @@ from repro.isp.isa import ISP_SUPPORTED_OPS, cycles_per_beat
 from repro.ssd.config import ControllerConfig, SSDEnergyConfig
 
 
-@dataclass
-class ISPOperationTiming:
-    start_ns: float
-    end_ns: float
-    beats: int
+class ISPBackend(ComputeBackend):
+    """The controller cores available for offloaded computation.
 
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
+    The default roster registers one backend for the whole compute-core
+    pool (queue parallelism = ``compute_cores``); a multi-core platform
+    configuration registers one backend per core (``isp[0..n)``), each with
+    its own single-slot queue, so per-core contention becomes visible to
+    the cost function.
 
-
-class EmbeddedCoreComplex:
-    """The pool of controller cores available for offloaded computation."""
+    ISP operands are staged in SSD DRAM (the controller SRAM only holds
+    working registers/tiles, Section 3.1 footnote 2), hence the home
+    location.
+    """
 
     #: Load/store cycles that accompany every SIMD beat (two operand loads
     #: plus one result store against the SSD DRAM / local buffers).
     MEMORY_CYCLES_PER_BEAT = 3.0
 
-    def __init__(self, config: ControllerConfig = None,
-                 energy: SSDEnergyConfig = None) -> None:
-        self.config = config or ControllerConfig()
-        self.energy_config = energy or SSDEnergyConfig()
-        self.operations = 0
-        self.total_busy_ns = 0.0
-        self.energy_nj = 0.0
+    def __init__(self, resource: ResourceLike, config: ControllerConfig,
+                 energy: SSDEnergyConfig,
+                 queue_parallelism: Optional[int] = None) -> None:
+        self.config = config
+        self.energy_config = energy
+        if queue_parallelism is None:
+            queue_parallelism = self.config.compute_cores
+        super().__init__(resource, DataLocation.SSD_DRAM, queue_parallelism)
         # Memoized (op, size, bits) -> latency/energy points: the model is
         # a pure function of its arguments and the immutable config, so
         # the cache realizes the paper's precomputed estimate tables
@@ -64,20 +64,8 @@ class EmbeddedCoreComplex:
 
     # -- Capability / estimation ---------------------------------------------------
 
-    @staticmethod
-    def supports(op: OpType) -> bool:
+    def supports(self, op: OpType) -> bool:
         return op in ISP_SUPPORTED_OPS
-
-    @property
-    def simd_width_bytes(self) -> int:
-        return self.config.simd_width_bytes
-
-    @property
-    def compute_cores(self) -> int:
-        return self.config.compute_cores
-
-    def beats_for(self, size_bytes: int) -> int:
-        return max(1, math.ceil(size_bytes / self.config.simd_width_bytes))
 
     def operation_latency(self, op: OpType, size_bytes: int,
                           element_bits: int) -> float:
@@ -88,7 +76,7 @@ class EmbeddedCoreComplex:
             return cached
         if size_bytes <= 0:
             raise SimulationError("ISP operation size must be positive")
-        beats = self.beats_for(size_bytes)
+        beats = max(1, math.ceil(size_bytes / self.config.simd_width_bytes))
         cycles = beats * (cycles_per_beat(op) + self.MEMORY_CYCLES_PER_BEAT)
         # Narrower elements pack more lanes per beat but do not change the
         # beat count; wider elements (64-bit) double the effective beats.
@@ -109,55 +97,6 @@ class EmbeddedCoreComplex:
         energy = latency_ns * power_w  # ns * W = nJ
         self._energy_table[key] = energy
         return energy
-
-    # -- Execution --------------------------------------------------------------------
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> ISPOperationTiming:
-        latency = self.operation_latency(op, size_bytes, element_bits)
-        self.operations += 1
-        self.total_busy_ns += latency
-        self.energy_nj += self.operation_energy(op, size_bytes, element_bits)
-        return ISPOperationTiming(start_ns=now, end_ns=now + latency,
-                                  beats=self.beats_for(size_bytes))
-
-
-class ISPBackend(ComputeBackend):
-    """Compute backend adapting :class:`EmbeddedCoreComplex`.
-
-    The default roster registers one backend for the whole compute-core
-    pool (queue parallelism = ``compute_cores``); a multi-core platform
-    configuration registers one backend per core (``isp[0..n)``), each with
-    its own single-slot queue, so per-core contention becomes visible to
-    the cost function.
-
-    ISP operands are staged in SSD DRAM (the controller SRAM only holds
-    working registers/tiles, Section 3.1 footnote 2), hence the home
-    location.
-    """
-
-    def __init__(self, resource: ResourceLike,
-                 unit: EmbeddedCoreComplex,
-                 queue_parallelism: Optional[int] = None) -> None:
-        if queue_parallelism is None:
-            queue_parallelism = unit.compute_cores
-        super().__init__(resource, DataLocation.SSD_DRAM, queue_parallelism)
-        self.unit = unit
-
-    def supports(self, op: OpType) -> bool:
-        return self.unit.supports(op)
-
-    def operation_latency(self, op: OpType, size_bytes: int,
-                          element_bits: int) -> float:
-        return self.unit.operation_latency(op, size_bytes, element_bits)
-
-    def operation_energy(self, op: OpType, size_bytes: int,
-                         element_bits: int) -> float:
-        return self.unit.operation_energy(op, size_bytes, element_bits)
-
-    def execute(self, now: float, op: OpType, size_bytes: int,
-                element_bits: int) -> ISPOperationTiming:
-        return self.unit.execute(now, op, size_bytes, element_bits)
 
     def utilization(self, elapsed: float) -> float:
         return self.queue.utilization(elapsed)

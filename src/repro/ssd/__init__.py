@@ -14,7 +14,7 @@ from repro.ssd.nand import (FlashBlock, FlashDie, FlashPlane, NANDArray,
                             PhysicalPageAddress)
 from repro.ssd.nvme import (AdminCommand, AdminOpcode, NVMeInterface,
                             SSDMode)
-from repro.ssd.queues import ExecutionQueue, ResourceQueueSet
+from repro.ssd.queues import ExecutionQueue
 from repro.ssd.ssd import SSD, PageAccessTiming, SSDStatistics
 from repro.ssd.wear_leveling import WearLeveler
 
@@ -27,6 +27,6 @@ __all__ = [
     "FlashBlock", "FlashDie", "FlashPlane", "NANDArray", "PageState",
     "PhysicalBlockAddress", "PhysicalPageAddress", "AdminCommand",
     "AdminOpcode", "NVMeInterface", "SSDMode", "ExecutionQueue",
-    "ResourceQueueSet", "SSD", "PageAccessTiming", "SSDStatistics",
+    "SSD", "PageAccessTiming", "SSDStatistics",
     "WearLeveler",
 ]

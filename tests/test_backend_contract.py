@@ -10,8 +10,9 @@ Invariants (the properties the offload stack relies on):
 * ``operation_latency`` is positive and monotone in ``size_bytes`` for
   every supported operation;
 * ``operation_energy`` is non-negative;
-* ``supports(op)`` is consistent with ``execute`` (supported operations
-  execute and report positive latency; unsupported ones raise);
+* ``supports(op)`` is consistent with the estimates and ``execute``
+  (supported operations report positive latency and execute; unsupported
+  ones raise);
 * ``utilization`` stays within [0, 1] before and after activity;
 * identity plumbing: the home location is a real location, the queue
   carries the backend's identity, and the registry's roster matches the
@@ -91,8 +92,9 @@ class TestBackendContract:
         for backend in shaped_platform.backends:
             for op in SAMPLE_OPS:
                 if backend.supports(op):
-                    timing = backend.execute(0.0, op, 16 * KIB, ELEMENT_BITS)
-                    assert timing.latency_ns > 0, (backend.resource, op)
+                    assert backend.operation_latency(
+                        op, 16 * KIB, ELEMENT_BITS) > 0, (backend.resource, op)
+                    backend.execute(0.0, op, 16 * KIB, ELEMENT_BITS)
                 else:
                     with pytest.raises(SimulationError):
                         backend.operation_latency(op, 16 * KIB, ELEMENT_BITS)

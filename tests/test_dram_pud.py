@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import KIB, OpType, SimulationError
+from repro.common import KIB, OpType, Resource, SimulationError
 from repro.dram.bank import DRAMBank
 from repro.dram.config import DRAMConfig
 from repro.dram.dram import DRAMDevice
-from repro.dram.pud import PUD_SUPPORTED_OPS, PuDUnit
+from repro.dram.pud import PUD_SUPPORTED_OPS, PuDBackend
 
 
 def small_dram() -> DRAMConfig:
@@ -76,8 +76,8 @@ class TestDRAMDevice:
 
 
 class TestPuDUnit:
-    def unit(self) -> PuDUnit:
-        return PuDUnit(DRAMDevice(small_dram()))
+    def unit(self) -> PuDBackend:
+        return PuDBackend(Resource.PUD, DRAMDevice(small_dram()))
 
     def test_supported_operations(self):
         unit = self.unit()
@@ -115,11 +115,18 @@ class TestPuDUnit:
             self.unit().steps_for(OpType.GATHER, 8)
 
     def test_execute_accumulates_energy_and_busy_time(self):
+        # Each row runs its bbop steps on its bank; on idle banks the
+        # busiest one finishes exactly at the estimated latency.
         unit = self.unit()
-        timing = unit.execute(0.0, OpType.XOR, 16 * KIB, 8)
-        assert timing.latency_ns > 0
-        assert unit.operations == 1
-        assert unit.energy_nj > 0
+        size = 16 * KIB
+        unit.execute(0.0, OpType.XOR, size, 8)
+        banks = unit.dram.banks
+        rows = size // unit.row_bytes
+        assert (sum(bank.stats.bbop_activations for bank in banks) ==
+                rows * unit.steps_for(OpType.XOR, 8))
+        assert (max(bank.busy_until for bank in banks) ==
+                pytest.approx(unit.operation_latency(OpType.XOR, size, 8)))
+        assert unit.operation_energy(OpType.XOR, size, 8) > 0
 
     @given(st.sampled_from(sorted(PUD_SUPPORTED_OPS, key=lambda o: o.value)),
            st.integers(min_value=1, max_value=64))

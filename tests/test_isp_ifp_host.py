@@ -2,56 +2,57 @@
 
 import pytest
 
-from repro.common import KIB, OpType, SimulationError
-from repro.host.cpu import HostCPU
-from repro.host.gpu import HostGPU
+from repro.common import KIB, OpType, Resource, SimulationError
 from repro.ifp.aresflash import AresFlashUnit
 from repro.ifp.flashcosmos import FlashCosmosUnit
 from repro.ifp.isa import (ARES_FLASH_OPS, FLASH_COSMOS_OPS,
                            IFP_SUPPORTED_OPS, primitive)
-from repro.ifp.unit import IFPUnit
-from repro.isp.core import EmbeddedCoreComplex
 from repro.isp.isa import cycles_per_beat, mnemonic
 
 
 class TestISP:
-    def test_supports_everything(self):
-        isp = EmbeddedCoreComplex()
+    def test_supports_everything(self, platform):
+        isp = platform.backends[Resource.ISP]
         for op in OpType:
             assert isp.supports(op)
 
-    def test_latency_scales_with_size(self):
-        isp = EmbeddedCoreComplex()
+    def test_latency_scales_with_size(self, platform):
+        isp = platform.backends[Resource.ISP]
         assert (isp.operation_latency(OpType.ADD, 32 * KIB, 32) >
                 isp.operation_latency(OpType.ADD, 16 * KIB, 32))
 
-    def test_multiplication_slower_than_addition(self):
-        isp = EmbeddedCoreComplex()
+    def test_multiplication_slower_than_addition(self, platform):
+        isp = platform.backends[Resource.ISP]
         assert (isp.operation_latency(OpType.MUL, 16 * KIB, 32) >
                 isp.operation_latency(OpType.ADD, 16 * KIB, 32))
 
-    def test_throughput_is_limited_by_narrow_simd(self):
+    def test_throughput_is_limited_by_narrow_simd(self, platform):
         # A 16 KiB ADD should take on the order of microseconds on the
         # controller core (the limitation Section 2.2 highlights), far more
         # than PuD-SSD's tens of bbop steps.
-        isp = EmbeddedCoreComplex()
+        isp = platform.backends[Resource.ISP]
         latency = isp.operation_latency(OpType.ADD, 16 * KIB, 8)
         assert latency > 5_000.0  # > 5 us
 
-    def test_invalid_size_raises(self):
+    def test_invalid_size_raises(self, platform):
         with pytest.raises(SimulationError):
-            EmbeddedCoreComplex().operation_latency(OpType.ADD, 0, 32)
+            platform.backends[Resource.ISP].operation_latency(
+                OpType.ADD, 0, 32)
 
     def test_every_op_has_a_mnemonic_and_cycles(self):
         for op in OpType:
             assert mnemonic(op)
             assert cycles_per_beat(op) > 0
 
-    def test_execute_tracks_energy(self):
-        isp = EmbeddedCoreComplex()
-        isp.execute(0.0, OpType.XOR, 16 * KIB, 8)
-        assert isp.energy_nj > 0
-        assert isp.operations == 1
+    def test_execute_tracks_energy(self, platform):
+        # Running an operation charges its energy point to the platform's
+        # energy account.
+        energy = platform.backends[Resource.ISP].operation_energy(
+            OpType.XOR, 16 * KIB, 8)
+        assert energy > 0
+        before = platform.energy.compute_nj
+        platform.record_compute(0.0, Resource.ISP, OpType.XOR, 16 * KIB, 8)
+        assert platform.energy.compute_nj - before == pytest.approx(energy)
 
 
 class TestFlashCosmos:
@@ -117,60 +118,77 @@ class TestIFPUnit:
         for op in IFP_SUPPORTED_OPS:
             assert primitive(op)
 
-    def test_die_parallelism_matches_geometry(self):
-        unit = IFPUnit()
+    def test_die_parallelism_matches_geometry(self, platform):
+        unit = platform.backends[Resource.IFP]
+        assert unit.queue.parallelism == unit.die_parallelism
         assert unit.die_parallelism == (unit.nand.channels *
                                         unit.nand.dies_per_channel)
 
-    def test_pages_beyond_die_count_serialize(self):
-        unit = IFPUnit()
+    def test_pages_beyond_die_count_serialize(self, platform):
+        unit = platform.backends[Resource.IFP]
         one_wave = unit.operation_latency(
             OpType.AND, unit.die_parallelism * unit.page_bytes, 8)
         two_waves = unit.operation_latency(
             OpType.AND, 2 * unit.die_parallelism * unit.page_bytes, 8)
         assert two_waves == pytest.approx(2 * one_wave)
 
-    def test_unsupported_operation_raises(self):
+    def test_unsupported_operation_raises(self, platform):
         with pytest.raises(SimulationError):
-            IFPUnit().operation_latency(OpType.SELECT, 16 * KIB, 8)
+            platform.backends[Resource.IFP].operation_latency(
+                OpType.SELECT, 16 * KIB, 8)
 
-    def test_execute_routes_to_correct_subunit(self):
-        unit = IFPUnit()
-        unit.execute(0.0, OpType.AND, 16 * KIB, 8)
-        unit.execute(0.0, OpType.ADD, 16 * KIB, 8)
-        assert unit.flash_cosmos.operations >= 1
-        assert unit.ares_flash.operations >= 1
-        assert unit.energy_nj > 0
+    def test_execute_routes_to_correct_subunit(self, platform):
+        # Bitwise operations are priced by Flash-Cosmos, arithmetic by
+        # Ares-Flash (one page of two operands per die).
+        unit = platform.backends[Resource.IFP]
+        page = unit.page_bytes
+        bitwise = unit.flash_cosmos.operation(OpType.AND, 2)
+        arithmetic = unit.ares_flash.operation(OpType.ADD, 8)
+        assert (unit.operation_latency(OpType.AND, page, 8) ==
+                bitwise.latency_ns)
+        assert unit.operation_energy(OpType.AND, page, 8) == bitwise.energy_nj
+        assert (unit.operation_latency(OpType.ADD, page, 8) ==
+                arithmetic.latency_ns)
+        assert (unit.operation_energy(OpType.ADD, page, 8) ==
+                arithmetic.energy_nj > 0)
 
 
 class TestHostModels:
-    def test_cpu_memory_bound_for_bulk_bitwise(self):
-        cpu = HostCPU()
-        timing = cpu.execute(0.0, OpType.XOR, 64 * KIB, 8)
-        assert timing.memory_ns >= timing.compute_ns
+    def test_cpu_memory_bound_for_bulk_bitwise(self, platform):
+        # The latency is the memory-streaming time (two sources plus one
+        # destination over DDR4), not the SIMD compute time.
+        cpu = platform.backends[Resource.HOST_CPU]
+        size = 64 * KIB
+        memory_ns = (cpu.config.memory_latency_ns +
+                     3 * size / cpu.config.memory_bandwidth_gbps)
+        assert (cpu.operation_latency(OpType.XOR, size, 8) ==
+                pytest.approx(memory_ns))
 
-    def test_cpu_latency_scales_with_size(self):
-        cpu = HostCPU()
+    def test_cpu_latency_scales_with_size(self, platform):
+        cpu = platform.backends[Resource.HOST_CPU]
         assert (cpu.operation_latency(OpType.ADD, 64 * KIB, 32) >
                 cpu.operation_latency(OpType.ADD, 16 * KIB, 32))
 
-    def test_cpu_invalid_size_raises(self):
+    def test_cpu_invalid_size_raises(self, platform):
         with pytest.raises(SimulationError):
-            HostCPU().operation_latency(OpType.ADD, 0, 32)
+            platform.backends[Resource.HOST_CPU].operation_latency(
+                OpType.ADD, 0, 32)
 
-    def test_gpu_faster_than_cpu_for_data_parallel_ops(self):
-        cpu, gpu = HostCPU(), HostGPU()
+    def test_gpu_faster_than_cpu_for_data_parallel_ops(self, platform):
+        cpu = platform.backends[Resource.HOST_CPU]
+        gpu = platform.backends[Resource.HOST_GPU]
         size = 1 << 20
         assert (gpu.operation_latency(OpType.MUL, size, 8) <
                 cpu.operation_latency(OpType.MUL, size, 8))
 
-    def test_gpu_scalar_code_does_not_parallelize(self):
-        gpu = HostGPU()
+    def test_gpu_scalar_code_does_not_parallelize(self, platform):
+        gpu = platform.backends[Resource.HOST_GPU]
         scalar = gpu.operation_latency(OpType.SCALAR, 16 * KIB, 32)
         vector = gpu.operation_latency(OpType.ADD, 16 * KIB, 32)
         assert scalar > vector
 
-    def test_gpu_energy_reflects_high_power(self):
-        gpu = HostGPU()
-        gpu.execute(0.0, OpType.MUL, 1 << 20, 8)
-        assert gpu.energy_nj > 0
+    def test_gpu_energy_reflects_high_power(self, platform):
+        gpu = platform.backends[Resource.HOST_GPU]
+        latency = gpu.operation_latency(OpType.MUL, 1 << 20, 8)
+        assert (gpu.operation_energy(OpType.MUL, 1 << 20, 8) ==
+                pytest.approx(latency * gpu.config.active_power_w))

@@ -160,8 +160,9 @@ class TestTransformer:
         transformer = InstructionTransformer(platform)
         instruction = make_instruction()
         subs, chunk = transformer.split(instruction, Resource.PUD)
-        assert subs == pytest.approx(
-            instruction.size_bytes / platform.pud.row_bytes, abs=1)
+        row_bytes = platform.backends[Resource.PUD].row_bytes
+        assert subs == pytest.approx(instruction.size_bytes / row_bytes,
+                                     abs=1)
         subs_ifp, _ = transformer.split(instruction, Resource.IFP)
         assert subs_ifp >= 1
 

@@ -1,10 +1,14 @@
 """Tests for the integrated NDP platform (locations, movement, energy)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common import (DataLocation, KIB, MIB, OpType, Resource,
                           SimulationError)
 from repro.core.platform import PlatformConfig, SSDPlatform
+from repro.dram.cxl import CXLPuDConfig
+from repro.dram.dram import DRAMDevice
 from repro.energy.model import EnergyAccount
 from repro.ssd.config import small_ssd_config
 
@@ -143,10 +147,44 @@ class TestComputeDispatch:
 
     def test_record_compute_accumulates_energy(self, platform):
         before = platform.energy.compute_nj
-        latency = platform.record_compute(0.0, Resource.PUD, OpType.ADD,
-                                          16 * KIB, 8)
-        assert latency > 0
-        assert platform.energy.compute_nj > before
+        platform.record_compute(0.0, Resource.PUD, OpType.ADD, 16 * KIB, 8)
+        assert platform.energy.compute_nj - before == pytest.approx(
+            platform.backends[Resource.PUD].operation_energy(
+                OpType.ADD, 16 * KIB, 8))
+
+    def test_pud_operation_occupies_the_dram_banks_it_touches(self, platform):
+        # 16 KiB spans the first two rows, i.e. banks 0 and 1.
+        latency = platform.compute_latency(Resource.PUD, OpType.MUL,
+                                           16 * KIB, 8)
+        platform.record_compute(0.0, Resource.PUD, OpType.MUL, 16 * KIB, 8)
+        dram = platform.dram
+        mid_op = latency / 2
+        last_bank = (dram.config.banks - 1) * dram.config.row_size_bytes
+
+        def idle_end(address: int) -> float:
+            return DRAMDevice(dram.config).read(mid_op, address, 64).end_ns
+
+        # An access to an untouched bank is served as on an idle DRAM; one
+        # to a touched bank starts only when the operation finishes.
+        assert dram.read(mid_op, last_bank, 64).end_ns == idle_end(last_bank)
+        assert dram.read(mid_op, 0, 64).end_ns == pytest.approx(
+            idle_end(0) + latency - mid_op)
+
+    def test_cxl_burst_leaves_a_link_backlog(self, platform_config):
+        platform = SSDPlatform(dataclasses.replace(platform_config,
+                                                   cxl_pud=CXLPuDConfig()))
+        cxl = next(backend for backend in platform.backends
+                   if backend.resource.value == "cxl-pud")
+        assert cxl.link_backlog_ns(0.0) == 0.0
+        for _ in range(8):
+            platform.record_compute(0.0, cxl.resource, OpType.AND,
+                                    16 * KIB, 8)
+        assert cxl.link_backlog_ns(0.0) > 0.0
+        assert cxl.link_backlog_ns(1e9) == 0.0
+        # The burst serializes on the expander's own banks, not the SSD's.
+        assert (max(bank.busy_until for bank in cxl.dram.banks) >
+                cxl.operation_latency(OpType.AND, 16 * KIB, 8))
+        assert all(bank.busy_until == 0.0 for bank in platform.dram.banks)
 
     def test_bandwidth_utilization_zero_before_activity(self, platform):
         for resource in (Resource.ISP, Resource.PUD, Resource.IFP):

@@ -204,7 +204,7 @@ class TestEveryKnobPerturbsTheKey:
 #: ``.sweep_cache/`` entries; an intentional key change (a
 #: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
 PINNED_FIG7_KEY = (
-    "7a8118b3cbc47f80b02ca6cc8dbbfd10272e38f81f5b0ce043c6a7b40fe50cca")
+    "bd863f25e3ab3eb7d5c4837fa67c6f2fcb974290147645254247c57a75cd3c52")
 
 
 class TestKeyStability:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import Resource
-from repro.ssd.queues import ExecutionQueue, ResourceQueueSet
+from repro.ssd.queues import ExecutionQueue
 
 
 class TestExecutionQueue:
@@ -11,19 +11,26 @@ class TestExecutionQueue:
         queue = ExecutionQueue(Resource.ISP, parallelism=1)
         queue.enqueue(1, now=0.0, estimated_latency=100.0)
         queue.enqueue(2, now=0.0, estimated_latency=50.0)
-        assert queue.pending_latency() == pytest.approx(150.0)
+        assert queue.queueing_delay(0.0) == pytest.approx(150.0)
         queue.complete(1)
-        assert queue.pending_latency() == pytest.approx(50.0)
+        assert queue.queueing_delay(0.0) == pytest.approx(50.0)
         queue.complete(2)
-        assert queue.pending_latency() == 0.0
+        assert queue.queueing_delay(0.0) == 0.0
 
     def test_depth_tracks_outstanding_instructions(self):
+        # Each enqueued instruction stays outstanding until it completes,
+        # exactly once; only outstanding instructions may reserve a slot.
         queue = ExecutionQueue(Resource.PUD, parallelism=2)
         queue.enqueue(1, 0.0, 10.0)
         queue.enqueue(2, 0.0, 10.0)
-        assert queue.depth == 2
         queue.complete(2)
-        assert queue.depth == 1
+        with pytest.raises(KeyError):
+            queue.complete(2)
+        with pytest.raises(KeyError):
+            queue.reserve(2, 0.0, 10.0)
+        queue.reserve(1, 0.0, 10.0)
+        queue.complete(1)
+        assert queue.queueing_delay(0.0) == 0.0
 
     def test_queueing_delay_scales_with_backlog(self):
         queue = ExecutionQueue(Resource.IFP, parallelism=4)
@@ -44,46 +51,28 @@ class TestExecutionQueue:
         assert first.start == 0.0 and second.start == 0.0
         assert third.start == pytest.approx(100.0)
 
-    def test_completion_records_are_kept(self):
-        queue = ExecutionQueue(Resource.ISP, parallelism=1)
-        queue.enqueue(1, 0.0, 10.0)
-        queue.reserve(1, 0.0, 10.0)
-        entry = queue.complete(1)
-        assert entry.completion_time == pytest.approx(10.0)
-        assert len(queue.completed) == 1
-
 
 class TestResourceQueueSet:
-    def queues(self) -> ResourceQueueSet:
-        return ResourceQueueSet.of(
-            ExecutionQueue(Resource.ISP, parallelism=1),
-            ExecutionQueue(Resource.PUD, parallelism=8),
-            ExecutionQueue(Resource.IFP, parallelism=16))
+    """``platform.queues``: backend identity -> that backend's queue."""
 
-    def test_all_three_resources_present(self):
-        queues = self.queues()
+    def test_all_three_resources_present(self, platform):
         for resource in (Resource.ISP, Resource.PUD, Resource.IFP):
-            assert queues[resource].resource is resource
+            assert platform.queues[resource].resource is resource
 
     def test_platform_queue_set_follows_backend_registry(self, platform):
-        # The platform's queue set is a view over the registry's queues:
-        # same identities, same queue objects.
-        assert set(platform.queues.queues) == set(platform.backends.ids())
+        # Same identities, same queue objects, in registration order.
+        assert tuple(platform.queues) == platform.backends.ids()
         for backend in platform.backends:
             assert platform.queues[backend.resource] is backend.queue
 
-    def test_queueing_delays_reports_all_resources(self):
-        queues = self.queues()
-        delays = queues.queueing_delays(0.0)
-        assert set(delays) == {Resource.ISP, Resource.PUD, Resource.IFP}
+    def test_queueing_delays_reports_all_resources(self, platform):
+        delays = {resource: queue.queueing_delay(0.0)
+                  for resource, queue in platform.queues.items()}
+        assert set(platform.offload_candidates()) <= set(delays)
+        assert not any(delays.values())
 
-    def test_busiest_identifies_loaded_resource(self):
-        queues = self.queues()
-        queues[Resource.ISP].enqueue(1, 0.0, 1000.0)
-        assert queues.busiest(0.0) is Resource.ISP
-
-    def test_total_completed(self):
-        queues = self.queues()
-        queues[Resource.PUD].enqueue(1, 0.0, 5.0)
-        queues[Resource.PUD].complete(1)
-        assert queues.total_completed() == 1
+    def test_busiest_identifies_loaded_resource(self, platform):
+        platform.queues[Resource.ISP].enqueue(1, 0.0, 1000.0)
+        delays = {resource: queue.queueing_delay(0.0)
+                  for resource, queue in platform.queues.items()}
+        assert max(delays, key=delays.get) is Resource.ISP

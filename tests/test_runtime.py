@@ -1,14 +1,18 @@
 """End-to-end tests: offloader + runtimes executing whole programs."""
 
+import dataclasses
+
 import pytest
 
 from repro.common import MIB, OpType, Resource
+from repro.core.coherence import CoherencePolicy
 from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
                                 energy_reduction, geometric_mean, speedup)
 from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime, HostRuntime
 from repro.energy.model import EnergyBreakdown
+from repro.experiments import ExperimentConfig, coherence_ablation_rows
 from repro.ssd.config import small_ssd_config
 
 
@@ -111,6 +115,33 @@ class TestHostRuntime:
                                                 platform_config):
         result = run(tiny_vector_program, "CPU", platform_config)
         assert result.energy.per_transfer_kind_nj.get("pcie", 0.0) > 0
+
+
+class TestStrictCoherence:
+    """Strict coherence writes every produced page through to flash."""
+
+    def test_offloaded_writes_go_through_to_flash(self):
+        rows = {row["coherence"]: row for row in coherence_ablation_rows(
+            ExperimentConfig(workload_scale=0.1))}
+        assert rows["lazy"]["flushes"] == 0 < rows["strict"]["flushes"]
+        assert rows["strict"]["time_ms"] > rows["lazy"]["time_ms"]
+
+    def test_host_writes_go_through_to_flash(self, tiny_vector_program,
+                                             platform_config):
+        runs = {}
+        for policy in CoherencePolicy:
+            platform = SSDPlatform(dataclasses.replace(
+                platform_config, coherence_policy=policy))
+            result = HostRuntime(platform).execute(tiny_vector_program,
+                                                   Resource.HOST_CPU)
+            runs[policy] = (result, platform)
+        lazy, _ = runs[CoherencePolicy.LAZY]
+        strict, strict_platform = runs[CoherencePolicy.STRICT]
+        # Every strict commit is one page written back over the buses.
+        flushes = strict_platform.coherence.flushes
+        assert strict_platform.movement.writeback_pages == flushes > 0
+        assert strict.total_time_ns > lazy.total_time_ns
+        assert strict.total_energy_nj > lazy.total_energy_nj
 
 
 class TestMetricsHelpers:
