@@ -34,6 +34,15 @@ class InstructionRecord:
     data_movement_ns: float
     overhead_ns: float
 
+    def __reduce__(self):
+        # One positional tuple per record: a run pickles thousands of
+        # them into the sweep cache, and the default slot-state dict costs
+        # about three times as much to dump.
+        return (InstructionRecord,
+                (self.uid, self.op, self.resource, self.dispatch_ns,
+                 self.ready_ns, self.start_ns, self.end_ns, self.compute_ns,
+                 self.data_movement_ns, self.overhead_ns))
+
     @property
     def latency_ns(self) -> float:
         """End-to-end latency from dispatch to completion."""

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common import (BackendId, DataLocation, MIB, OpType, Resource,
                           ResourceLike, SimulationError)
@@ -132,6 +133,15 @@ class PlatformConfig:
     drive_age: Optional[DriveAgeProfile] = None
 
 
+def _run_pages(runs: Sequence[Tuple[int, int]]) -> Iterable[int]:
+    """The pages of contiguous ``(base_lpa, count)`` runs, in order."""
+    if len(runs) == 1:
+        base, count = runs[0]
+        return range(base, base + count)
+    return chain.from_iterable(range(base, base + count)
+                               for base, count in runs)
+
+
 class _LocationWindow:
     """LRU-managed capacity window for a temporary operand location."""
 
@@ -145,16 +155,18 @@ class _LocationWindow:
         if lpa in self._pages:
             self._pages.move_to_end(lpa)
 
-    def add(self, lpa: int) -> List[int]:
+    def add(self, lpa: int) -> Sequence[int]:
         """Insert a page; return the pages evicted to make room."""
+        pages = self._pages
+        if lpa in pages:
+            pages.move_to_end(lpa)
+            return ()
+        pages[lpa] = True
+        if len(pages) <= self.capacity_pages:
+            return ()
         evicted: List[int] = []
-        if lpa in self._pages:
-            self._pages.move_to_end(lpa)
-            return evicted
-        self._pages[lpa] = True
-        while len(self._pages) > self.capacity_pages:
-            victim, _ = self._pages.popitem(last=False)
-            evicted.append(victim)
+        while len(pages) > self.capacity_pages:
+            evicted.append(pages.popitem(last=False)[0])
             self.evictions += 1
         return evicted
 
@@ -355,9 +367,6 @@ class SSDPlatform:
             histogram[location] = histogram.get(location, 0) + 1
         return histogram
 
-    def _window_for(self, location: DataLocation) -> Optional[_LocationWindow]:
-        return self._windows.get(location)
-
     # ------------------------------------------------------------------------
     # Precomputed data-movement latency table (Section 4.5)
     # ------------------------------------------------------------------------
@@ -413,50 +422,42 @@ class SSDPlatform:
         position.  Dirty pages owned elsewhere are committed to flash first
         (lazy coherence).  Evictions caused by capacity pressure consume
         channel bandwidth but are written back asynchronously, so they do
-        not extend the returned finish time.
+        not extend the returned finish time.  Pages are processed in
+        order, so a later page's residence reflects an earlier page's
+        evictions.
         """
+        residence = self._residence
+        windows = self._windows
+        window = windows.get(destination)
+        transfer = self._transfer_page
+        flash = DataLocation.FLASH
         finish = now
         for lpa in lpas:
-            finish = max(finish, self._move_page(now, lpa, destination))
+            source = residence.get(lpa, flash)
+            if source is destination:
+                if window is not None:
+                    window.touch(lpa)
+                continue
+            end = transfer(now, lpa, source, destination)
+            if end > finish:
+                finish = end
+            source_window = windows.get(source)
+            if source_window is not None:
+                source_window.remove(lpa)
+            residence[lpa] = destination
+            if window is not None:
+                for victim in window.add(lpa):
+                    self._evict_page(now, victim)
         return finish
 
-    def ensure_runs_at(self, now: float, runs: Iterable[Tuple[int, int]],
+    def ensure_runs_at(self, now: float, runs: Sequence[Tuple[int, int]],
                        destination: DataLocation) -> float:
         """Move contiguous LPA runs to ``destination``; return finish time.
 
-        ``runs`` is an iterable of ``(base_lpa, count)`` pairs, processed in
-        order, each page through :meth:`ensure_pages_at` (so a later page's
-        residence reflects an earlier page's evictions).
+        ``runs`` is a sequence of ``(base_lpa, count)`` pairs, moved in
+        order by one :meth:`ensure_pages_at` pass over their pages.
         """
-        finish = now
-        for base, count in runs:
-            finish = max(finish, self.ensure_pages_at(
-                now, range(base, base + count), destination))
-        return finish
-
-    def _move_page(self, now: float, lpa: int,
-                   destination: DataLocation) -> float:
-        source = self.location_of(lpa)
-        if source is destination:
-            window = self._window_for(destination)
-            if window is not None:
-                window.touch(lpa)
-            return now
-        finish = self._transfer_page(now, lpa, source, destination)
-        self._set_residence(lpa, source, destination, now)
-        return finish
-
-    def _set_residence(self, lpa: int, source: DataLocation,
-                       destination: DataLocation, now: float) -> None:
-        source_window = self._window_for(source)
-        if source_window is not None:
-            source_window.remove(lpa)
-        self._residence[lpa] = destination
-        destination_window = self._window_for(destination)
-        if destination_window is None:
-            return
-        for victim in destination_window.add(lpa):
-            self._evict_page(now, victim)
+        return self.ensure_pages_at(now, _run_pages(runs), destination)
 
     def mark_produced(self, now: float, lpas: Iterable[int],
                       location: DataLocation) -> None:
@@ -467,25 +468,27 @@ class SSDPlatform:
         coherence directory) and occupy its capacity window, possibly
         evicting older pages.
         """
-        window = self._window_for(location)
+        residence = self._residence
+        windows = self._windows
+        window = windows.get(location)
+        flash = DataLocation.FLASH
         for lpa in lpas:
-            source_window = self._window_for(self.location_of(lpa))
+            source_window = windows.get(residence.get(lpa, flash))
             if source_window is not None and source_window is not window:
                 source_window.remove(lpa)
-            self._residence[lpa] = location
+            residence[lpa] = location
             if window is not None:
                 for victim in window.add(lpa):
                     self._evict_page(now, victim)
 
-    def mark_produced_run(self, now: float, runs: Iterable[Tuple[int, int]],
+    def mark_produced_run(self, now: float, runs: Sequence[Tuple[int, int]],
                           location: DataLocation) -> None:
         """:meth:`mark_produced` over contiguous ``(base_lpa, count)`` runs."""
-        for base, count in runs:
-            self.mark_produced(now, range(base, base + count), location)
+        self.mark_produced(now, _run_pages(runs), location)
 
     def _evict_page(self, now: float, lpa: int) -> None:
         """Evict a page from a temporary location back to flash."""
-        location = self.location_of(lpa)
+        location = self._residence.get(lpa, DataLocation.FLASH)
         if location is DataLocation.FLASH:
             return
         self.eviction_epoch += 1
@@ -524,67 +527,57 @@ class SSDPlatform:
                        writeback: bool = False) -> float:
         """Reserve the buses needed to move one page; charge energy."""
         stats = self.movement
-        finish = now
+        energy = self.energy
+        page = self._page_size
         if source is DataLocation.FLASH:
-            access = self.ssd.read_page(now, lpa, transfer_out=True)
-            self.energy.charge_flash_read()
-            self.energy.charge_channel_dma()
-            finish = access.end_ns
+            finish = self.ssd.read_page(now, lpa, transfer_out=True)
+            energy.charge_flash_read()
+            energy.charge_channel_dma()
             stats.flash_read_latency_ns += finish - now
             if destination is DataLocation.SSD_DRAM:
-                dram_access = self.dram.write(
-                    finish, self._dram_address(lpa), self._page_size)
-                self.energy.charge_dram_access(self._page_size)
-                finish = dram_access.end_ns
+                finish = self.dram.write(finish, self._dram_address(lpa),
+                                         page)
+                energy.charge_dram_access(page)
                 stats.flash_to_dram_pages += 1
             elif destination is DataLocation.CTRL_SRAM:
                 stats.flash_to_sram_pages += 1
             elif destination is DataLocation.HOST:
-                transfer = self.ssd.nvme.host_transfer(finish,
-                                                       self._page_size,
-                                                       "ssd-to-host")
-                self.energy.charge_pcie(self._page_size)
-                self.energy.charge_host_dram(self._page_size)
-                finish = transfer.end_ns
+                finish = self.ssd.nvme.host_transfer(finish, page,
+                                                     "ssd-to-host")
+                energy.charge_pcie(page)
+                energy.charge_host_dram(page)
                 stats.host_pages += 1
                 stats.host_latency_ns += finish - now
         elif destination is DataLocation.FLASH:
+            finish = now
             if source is DataLocation.SSD_DRAM:
-                read = self.dram.read(now, self._dram_address(lpa),
-                                      self._page_size)
-                self.energy.charge_dram_access(self._page_size)
-                finish = read.end_ns
+                finish = self.dram.read(now, self._dram_address(lpa), page)
+                energy.charge_dram_access(page)
             elif source is DataLocation.HOST:
-                transfer = self.ssd.nvme.host_transfer(now, self._page_size,
-                                                       "host-to-ssd")
-                self.energy.charge_pcie(self._page_size)
-                finish = transfer.end_ns
-            access = self.ssd.write_page(finish, lpa)
-            self.energy.charge_flash_program()
-            self.energy.charge_channel_dma()
-            finish = access.end_ns
+                finish = self.ssd.nvme.host_transfer(now, page,
+                                                     "host-to-ssd")
+                energy.charge_pcie(page)
+            finish = self.ssd.write_page(finish, lpa)
+            energy.charge_flash_program()
+            energy.charge_channel_dma()
             stats.writeback_pages += 1
+        elif DataLocation.HOST in (source, destination):
+            # DRAM/SRAM <-> host transfers go over PCIe.
+            finish = self.ssd.nvme.host_transfer(
+                now, page,
+                "ssd-to-host" if destination is DataLocation.HOST
+                else "host-to-ssd")
+            energy.charge_pcie(page)
+            stats.host_pages += 1
+            stats.host_latency_ns += finish - now
         else:
-            # DRAM <-> SRAM <-> host transfers go over the SSD DRAM bus
-            # and/or PCIe.
-            if DataLocation.HOST in (source, destination):
-                transfer = self.ssd.nvme.host_transfer(
-                    now, self._page_size,
-                    "ssd-to-host" if destination is DataLocation.HOST
-                    else "host-to-ssd")
-                self.energy.charge_pcie(self._page_size)
-                finish = transfer.end_ns
-                stats.host_pages += 1
-                stats.host_latency_ns += finish - now
+            # DRAM <-> SRAM transfers go over the SSD DRAM bus.
+            finish = self.dram.read(now, self._dram_address(lpa), page)
+            energy.charge_dram_access(page)
+            if destination is DataLocation.CTRL_SRAM:
+                stats.dram_to_sram_pages += 1
             else:
-                access = self.dram.read(now, self._dram_address(lpa),
-                                        self._page_size)
-                self.energy.charge_dram_access(self._page_size)
-                finish = access.end_ns
-                if destination is DataLocation.CTRL_SRAM:
-                    stats.dram_to_sram_pages += 1
-                else:
-                    stats.sram_to_dram_pages += 1
+                stats.sram_to_dram_pages += 1
         if not writeback and DataLocation.HOST not in (source, destination):
             stats.internal_latency_ns += finish - now
         return finish

@@ -3,11 +3,11 @@
 from repro.dram.bank import BankStatistics, DRAMBank
 from repro.dram.config import DRAMConfig
 from repro.dram.cxl import CXLPuDBackend, CXLPuDConfig
-from repro.dram.dram import DRAMAccessTiming, DRAMDevice
+from repro.dram.dram import DRAMDevice
 from repro.dram.pud import PUD_SUPPORTED_OPS, PuDBackend
 
 __all__ = [
     "BankStatistics", "DRAMBank", "DRAMConfig", "CXLPuDBackend",
-    "CXLPuDConfig", "DRAMAccessTiming", "DRAMDevice", "PUD_SUPPORTED_OPS",
+    "CXLPuDConfig", "DRAMDevice", "PUD_SUPPORTED_OPS",
     "PuDBackend",
 ]

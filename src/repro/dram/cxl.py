@@ -86,8 +86,8 @@ class CXLPuDBackend(PuDBackend):
                 element_bits: int) -> None:
         # The operation descriptor serializes on the shared CXL link, then
         # pays the command round-trip before the in-expander compute runs.
-        command = self.link.transfer(now, self.cxl.command_bytes)
-        super().execute(command.end + self.cxl.link_latency_ns, op,
+        command_end = self.link.transfer(now, self.cxl.command_bytes)
+        super().execute(command_end + self.cxl.link_latency_ns, op,
                         size_bytes, element_bits)
 
     def utilization(self, elapsed: float) -> float:

@@ -8,24 +8,12 @@ the substrate PuD-SSD (:mod:`repro.dram.pud`) computes on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.common import SimulationError
 from repro.dram.bank import DRAMBank
 from repro.dram.config import DRAMConfig
 from repro.ssd.events import SharedBus
-
-
-@dataclass
-class DRAMAccessTiming:
-    start_ns: float
-    end_ns: float
-    bank: int
-
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
 
 
 class DRAMDevice:
@@ -53,36 +41,32 @@ class DRAMDevice:
 
     # -- Data accesses -----------------------------------------------------------
 
-    def read(self, now: float, address: int, size_bytes: int
-             ) -> DRAMAccessTiming:
-        """Read ``size_bytes`` starting at ``address``; returns timing."""
+    def read(self, now: float, address: int, size_bytes: int) -> float:
+        """Read ``size_bytes`` starting at ``address``; return the end time."""
         return self._access(now, address, size_bytes, is_write=False)
 
-    def write(self, now: float, address: int, size_bytes: int
-              ) -> DRAMAccessTiming:
+    def write(self, now: float, address: int, size_bytes: int) -> float:
+        """Write ``size_bytes`` starting at ``address``; return the end time."""
         return self._access(now, address, size_bytes, is_write=True)
 
     def _access(self, now: float, address: int, size_bytes: int, *,
-                is_write: bool) -> DRAMAccessTiming:
+                is_write: bool) -> float:
         if size_bytes <= 0:
             raise SimulationError("DRAM access size must be positive")
         if address < 0 or address + size_bytes > self.config.capacity_bytes:
             raise SimulationError("DRAM access out of range")
-        bank_index = self.bank_of(address)
-        bank = self.banks[bank_index]
+        bank = self.banks[self.bank_of(address)]
         # Row activations for every touched row, then stream over the bus.
         first_row = self.row_of(address)
         last_row = self.row_of(address + size_bytes - 1)
         finish = now
         for row in range(first_row, last_row + 1):
             finish = bank.access(finish, row % self.config.rows_per_bank)
-        transfer = self.bus.transfer(finish, size_bytes)
         if is_write:
             self.bytes_written += size_bytes
         else:
             self.bytes_read += size_bytes
-        return DRAMAccessTiming(start_ns=now, end_ns=transfer.end,
-                                bank=bank_index)
+        return self.bus.transfer(finish, size_bytes)
 
     # -- Estimation helpers ---------------------------------------------------------
 

@@ -29,16 +29,6 @@ class Reservation:
 
     start: float
     end: float
-    server_index: int = 0
-
-    # ``wait`` is filled in by the resources below; dataclass fields keep it
-    # explicit rather than recomputing from an arrival time we do not store.
-    _wait: float = 0.0
-
-    @property
-    def wait(self) -> float:
-        """Queueing delay experienced before the work started."""
-        return self._wait
 
 
 class Server:
@@ -73,7 +63,7 @@ class Server:
         self._free_at = end
         self.busy_time += duration
         self.jobs += 1
-        return Reservation(start, end, 0, start - arrival)
+        return Reservation(start, end)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time this server spent busy."""
@@ -104,23 +94,36 @@ class MultiServer:
     def queueing_delay(self, arrival: float) -> float:
         return max(0.0, min(self._free_at) - arrival)
 
-    def reserve(self, arrival: float, duration: float,
-                server_index: Optional[int] = None) -> Reservation:
+    def reserve(self, arrival: float, duration: float) -> Reservation:
+        """Book a job on the first server to free up."""
         if duration < 0:
             raise SimulationError(
                 f"negative duration {duration} on pool {self.name}")
         free = self._free_at
-        if server_index is None:
-            # First-least-loaded server; list.index(min(...)) keeps the
-            # same first-minimum tie-break as an argmin scan.
-            server_index = free.index(min(free))
+        # First-least-loaded server; list.index(min(...)) keeps the same
+        # first-minimum tie-break as an argmin scan.
+        server_index = free.index(min(free))
         server_free = free[server_index]
         start = arrival if arrival >= server_free else server_free
         end = start + duration
         free[server_index] = end
         self.busy_time += duration
         self.jobs += 1
-        return Reservation(start, end, server_index, start - arrival)
+        return Reservation(start, end)
+
+    def reserve_on(self, server_index: int, arrival: float,
+                   duration: float) -> float:
+        """Book a job on one given server (a page's die); return its end."""
+        if duration < 0:
+            raise SimulationError(
+                f"negative duration {duration} on pool {self.name}")
+        free = self._free_at
+        server_free = free[server_index]
+        end = (arrival if arrival >= server_free else server_free) + duration
+        free[server_index] = end
+        self.busy_time += duration
+        self.jobs += 1
+        return end
 
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
@@ -133,7 +136,9 @@ class SharedBus:
 
     Transfers occupy the bus for ``size / bandwidth`` and are serialized:
     this captures the flash-channel contention the paper identifies as the
-    main cost of naively combining ISP and IFP (Section 3.1).
+    main cost of naively combining ISP and IFP (Section 3.1).  The bus is
+    one FCFS server with its own clock, and a transfer returns its end
+    time.
     """
 
     def __init__(self, name: str, bandwidth_bytes_per_ns: float) -> None:
@@ -141,27 +146,40 @@ class SharedBus:
             raise SimulationError(f"{name}: bandwidth must be positive")
         self.name = name
         self.bandwidth = bandwidth_bytes_per_ns
-        self._server = Server(name)
+        self._free_at = 0.0
+        self.busy_time = 0.0
+        self.jobs = 0
         self.bytes_moved = 0.0
 
     @property
     def free_at(self) -> float:
-        return self._server.free_at
+        return self._free_at
 
     def transfer_time(self, size_bytes: float) -> float:
         """Uncontended time to move ``size_bytes`` over this bus."""
         return size_bytes / self.bandwidth
 
     def queueing_delay(self, arrival: float) -> float:
-        return self._server.queueing_delay(arrival)
+        return max(0.0, self._free_at - arrival)
 
-    def transfer(self, arrival: float, size_bytes: float) -> Reservation:
-        """Reserve the bus for a transfer of ``size_bytes`` at ``arrival``."""
+    def transfer(self, arrival: float, size_bytes: float) -> float:
+        """Move ``size_bytes`` once the bus is free; return the end time."""
+        duration = size_bytes / self.bandwidth
+        if duration < 0:
+            raise SimulationError(
+                f"negative duration {duration} on bus {self.name}")
         self.bytes_moved += size_bytes
-        return self._server.reserve(arrival, size_bytes / self.bandwidth)
+        free = self._free_at
+        end = (arrival if arrival >= free else free) + duration
+        self._free_at = end
+        self.busy_time += duration
+        self.jobs += 1
+        return end
 
     def utilization(self, elapsed: float) -> float:
-        return self._server.utilization(elapsed)
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.busy_time / elapsed)
 
 
 class BusGroup:
@@ -190,15 +208,17 @@ class BusGroup:
         return min(bus.queueing_delay(arrival) for bus in self.buses)
 
     def transfer(self, arrival: float, size_bytes: float,
-                 channel: Optional[int] = None) -> Reservation:
+                 channel: Optional[int] = None) -> float:
+        """Move ``size_bytes`` over one bus; return the end time.
+
+        The least-loaded bus carries it unless ``channel`` pins one.
+        """
         buses = self.buses
         if channel is None:
             # First-least-loaded bus (same tie-break as an argmin scan).
-            free_ats = [bus._server._free_at for bus in buses]
+            free_ats = [bus._free_at for bus in buses]
             channel = free_ats.index(min(free_ats))
-        reservation = buses[channel].transfer(arrival, size_bytes)
-        reservation.server_index = channel
-        return reservation
+        return buses[channel].transfer(arrival, size_bytes)
 
     @property
     def bytes_moved(self) -> float:

@@ -19,29 +19,16 @@ simulator needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common import SimulationError
 from repro.ssd.config import NANDConfig
-from repro.ssd.events import BusGroup, MultiServer, Reservation
-
-
-@dataclass
-class FlashOperationTiming:
-    """Timing of one flash operation decomposed into its phases."""
-
-    start: float
-    die_done: float
-    end: float
-    channel_busy_ns: float = 0.0
-
-    @property
-    def latency(self) -> float:
-        return self.end - self.start
+from repro.ssd.events import BusGroup, MultiServer
 
 
 class FlashChannelSubsystem:
-    """Reservation model of all flash channels, controllers and dies."""
+    """Reservation model of all flash channels, controllers and dies.
+
+    Every operation reserves its channel and die and returns its end time.
+    """
 
     def __init__(self, config: NANDConfig) -> None:
         self.config = config
@@ -53,6 +40,9 @@ class FlashChannelSubsystem:
                      for c in range(config.channels)]
         # ECC decode latency approximated as part of the FC pipeline.
         self.ecc_latency_ns = 500.0
+        # A command occupies the channel for the command latency.
+        self._command_bytes = (config.command_latency_ns *
+                               config.channel_bandwidth_bytes_per_ns)
 
     def _check_channel(self, channel: int) -> None:
         if not 0 <= channel < self.config.channels:
@@ -61,55 +51,37 @@ class FlashChannelSubsystem:
     # -- Data-path operations -----------------------------------------------
 
     def read_page(self, now: float, channel: int, die: int, *,
-                  transfer_out: bool = True) -> FlashOperationTiming:
+                  transfer_out: bool = True) -> float:
         """Sense a page and (optionally) transfer it to the controller."""
         self._check_channel(channel)
-        # Command transfer over the channel.
-        cmd = self.channels.transfer(
-            now, self.config.command_latency_ns *
-            self.config.channel_bandwidth_bytes_per_ns, channel=channel)
-        # Page sensing occupies the die.
-        sense = self.dies[channel].reserve(cmd.end,
-                                           self.config.read_latency_ns,
-                                           server_index=die)
+        config = self.config
+        bus = self.channels.buses[channel]
+        # Command transfer over the channel, then page sensing on the die.
+        sensed = self.dies[channel].reserve_on(
+            die, bus.transfer(now, self._command_bytes),
+            config.read_latency_ns)
         if not transfer_out:
-            return FlashOperationTiming(start=now, die_done=sense.end,
-                                        end=sense.end,
-                                        channel_busy_ns=cmd.end - cmd.start)
+            return sensed
         # Page transfer: tDMA plus streaming the page over the channel bus.
-        dma_end = sense.end + self.config.dma_latency_ns
-        out = self.channels.transfer(dma_end, self.config.page_size_bytes,
-                                     channel=channel)
-        end = out.end + self.ecc_latency_ns
-        busy = (cmd.end - cmd.start) + (out.end - out.start)
-        return FlashOperationTiming(start=now, die_done=sense.end, end=end,
-                                    channel_busy_ns=busy)
+        return bus.transfer(sensed + config.dma_latency_ns,
+                            config.page_size_bytes) + self.ecc_latency_ns
 
-    def program_page(self, now: float, channel: int,
-                     die: int) -> FlashOperationTiming:
+    def program_page(self, now: float, channel: int, die: int) -> float:
         """Transfer a page into the die and program it (SLC mode)."""
         self._check_channel(channel)
-        xfer = self.channels.transfer(now, self.config.page_size_bytes,
-                                      channel=channel)
-        dma_end = xfer.end + self.config.dma_latency_ns
-        program = self.dies[channel].reserve(
-            dma_end, self.config.program_latency_ns, server_index=die)
-        return FlashOperationTiming(start=now, die_done=program.end,
-                                    end=program.end,
-                                    channel_busy_ns=xfer.end - xfer.start)
+        config = self.config
+        loaded = self.channels.buses[channel].transfer(
+            now, config.page_size_bytes)
+        return self.dies[channel].reserve_on(
+            die, loaded + config.dma_latency_ns, config.program_latency_ns)
 
-    def erase_block(self, now: float, channel: int,
-                    die: int) -> FlashOperationTiming:
+    def erase_block(self, now: float, channel: int, die: int) -> float:
+        """Send the erase command and erase the block on its die."""
         self._check_channel(channel)
-        cmd = self.channels.transfer(
-            now, self.config.command_latency_ns *
-            self.config.channel_bandwidth_bytes_per_ns, channel=channel)
-        erase = self.dies[channel].reserve(cmd.end,
-                                           self.config.erase_latency_ns,
-                                           server_index=die)
-        return FlashOperationTiming(start=now, die_done=erase.end,
-                                    end=erase.end,
-                                    channel_busy_ns=cmd.end - cmd.start)
+        command = self.channels.buses[channel].transfer(
+            now, self._command_bytes)
+        return self.dies[channel].reserve_on(die, command,
+                                             self.config.erase_latency_ns)
 
     # -- Estimation helpers (no reservation) ----------------------------------
 

@@ -93,6 +93,12 @@ class BackgroundFlashEngine:
         #: GC (write throttling; real drives hit this cliff near EOL).
         self._critical_fraction = (
             ssd.config.ftl.gc_start_threshold / 2.0)
+        #: Free-block and erase counts at which a pulse last found nothing
+        #: to do; while both still hold, a pulse returns at once (the
+        #: pulse is offered on every foreground page access).
+        self._array = ssd.array
+        self._idle_free_blocks = -1
+        self._idle_erases = -1
         self.gc_steps = 0
         self.gc_relocated_pages = 0
         self.gc_erased_blocks = 0
@@ -108,10 +114,16 @@ class BackgroundFlashEngine:
         """Give the firmware a maintenance opportunity at time ``now``.
 
         Called from the foreground read and write paths (every
-        write/eviction is a free-block consumer).  Returns the foreground stall in ns: zero
-        unless free blocks are critically scarce, in which case the write
-        is throttled behind a synchronous GC step.
+        write/eviction is a free-block consumer).  Returns the foreground
+        stall in ns: zero unless free blocks are critically scarce, in
+        which case the write is throttled behind a synchronous GC step.
+        Once a pulse finds the drive idle, later pulses return at once
+        until a block is opened, freed or erased.
         """
+        array = self._array
+        if (array.erases == self._idle_erases
+                and array.free_block_count() == self._idle_free_blocks):
+            return 0.0
         ssd = self.ssd
         if ssd.ftl.free_block_fraction() < self._critical_fraction:
             self._gc_step(max(now, self._busy_until))
@@ -126,6 +138,13 @@ class BackgroundFlashEngine:
               and (self._wl_target is not None
                    or ssd.wear_leveler.needs_leveling())):
             self._wl_step(now)
+        else:
+            # Idle, and every check above reads only the free-block and
+            # erase counts while no chain is active.  A block comes back
+            # free only through an erase and erases only grow, so once
+            # either count moves these never match again.
+            self._idle_free_blocks = array.free_block_count()
+            self._idle_erases = array.erases
         return 0.0
 
     # -- GC ------------------------------------------------------------------
@@ -204,9 +223,7 @@ class BackgroundFlashEngine:
             read = channels.read_page(t, address.channel, address.die,
                                       transfer_out=True)
             new_ppa = ftl.relocate(lpa, cold=cold)
-            program = channels.program_page(read.end, new_ppa.channel,
-                                            new_ppa.die)
-            t = program.end
+            t = channels.program_page(read, new_ppa.channel, new_ppa.die)
             relocated += 1
         if relocated and self.energy is not None:
             self.energy.charge_run(flash_read_pages=relocated,
@@ -217,14 +234,14 @@ class BackgroundFlashEngine:
     def _erase(self, now: float, block: FlashBlock) -> float:
         """Erase a fully-drained block on its channel/die; return end time."""
         address = block.address
-        timing = self.ssd.channels.erase_block(now, address.channel,
-                                               address.die)
+        end = self.ssd.channels.erase_block(now, address.channel,
+                                            address.die)
         self.ssd.array.erase_block(address)
         if self.energy is not None:
             self.energy.add_data_movement(
                 "flash-erase",
                 self.energy.ssd_energy.flash_erase_nj_per_block)
-        return timing.end
+        return end
 
     def _settle(self, now: float, finish: float) -> None:
         if finish > now:

@@ -50,20 +50,6 @@ class AdminCommand:
 
 
 @dataclass
-class TransferRecord:
-    """Completed host<->SSD transfer, for statistics and tests."""
-
-    start_ns: float
-    end_ns: float
-    size_bytes: int
-    direction: str
-
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
-
-@dataclass
 class CommittedBinary:
     """A Conduit binary that has been downloaded and committed."""
 
@@ -79,7 +65,9 @@ class NVMeInterface:
         self.config = config
         self.pcie = SharedBus("pcie", config.pcie_bandwidth_bytes_per_ns)
         self.mode = SSDMode.REGULAR_IO
-        self.transfers: List[TransferRecord] = []
+        #: Bytes moved over PCIe in each direction.
+        self.bytes_to_host = 0
+        self.bytes_from_host = 0
         self.committed_binaries: List[CommittedBinary] = []
         self._staged_binary_bytes = 0
         self._staged_is_conduit = False
@@ -87,16 +75,20 @@ class NVMeInterface:
     # -- Data path -------------------------------------------------------------
 
     def host_transfer(self, now: float, size_bytes: int,
-                      direction: str) -> TransferRecord:
-        """Move ``size_bytes`` between host memory and the SSD over PCIe."""
+                      direction: str) -> float:
+        """Move ``size_bytes`` between host memory and the SSD over PCIe.
+
+        Returns the end time of the transfer.
+        """
         if direction not in ("host-to-ssd", "ssd-to-host"):
             raise SimulationError(f"unknown transfer direction {direction}")
-        start = now + self.config.nvme_command_latency_ns
-        reservation = self.pcie.transfer(start, size_bytes)
-        record = TransferRecord(start_ns=now, end_ns=reservation.end,
-                                size_bytes=size_bytes, direction=direction)
-        self.transfers.append(record)
-        return record
+        end = self.pcie.transfer(now + self.config.nvme_command_latency_ns,
+                                 size_bytes)
+        if direction == "ssd-to-host":
+            self.bytes_to_host += size_bytes
+        else:
+            self.bytes_from_host += size_bytes
+        return end
 
     def host_transfer_latency(self, size_bytes: int) -> float:
         """Uncontended host transfer latency for ``size_bytes``."""
@@ -124,8 +116,7 @@ class NVMeInterface:
         time = now
         while remaining > 0:
             piece = min(chunk, remaining)
-            record = self.host_transfer(time, piece, "host-to-ssd")
-            time = record.end_ns
+            time = self.host_transfer(time, piece, "host-to-ssd")
             remaining -= piece
         self._staged_binary_bytes += command.payload_bytes
         self._staged_is_conduit = command.conduit_binary
@@ -168,15 +159,3 @@ class NVMeInterface:
         if self.mode is SSDMode.COMPUTATION:
             raise SimulationError(
                 "host I/O is suspended while the SSD is in computation mode")
-
-    # -- Statistics -----------------------------------------------------------------
-
-    @property
-    def bytes_to_host(self) -> int:
-        return sum(t.size_bytes for t in self.transfers
-                   if t.direction == "ssd-to-host")
-
-    @property
-    def bytes_from_host(self) -> int:
-        return sum(t.size_bytes for t in self.transfers
-                   if t.direction == "host-to-ssd")

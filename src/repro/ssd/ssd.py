@@ -30,22 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class PageAccessTiming:
-    """Timing of one logical-page access through the full storage path."""
-
-    lpa: int
-    ppa: Optional[PhysicalPageAddress]
-    start_ns: float
-    end_ns: float
-    translation_ns: float
-    flash_ns: float
-
-    @property
-    def latency_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
-
-@dataclass
 class SSDStatistics:
     """Aggregate counters for the storage device."""
 
@@ -114,40 +98,34 @@ class SSD:
         return self.ftl.translate(lpa)
 
     def read_page(self, now: float, lpa: int, *,
-                  transfer_out: bool = True) -> PageAccessTiming:
-        """Read one logical page from flash (into the flash controller)."""
+                  transfer_out: bool = True) -> float:
+        """Read one logical page from flash (into the flash controller).
+
+        Returns the end time: address translation, then the flash read.
+        """
         ppa, translation_ns = self.ftl.lookup(lpa)
         if ppa is None:
             raise SimulationError(f"read of unmapped logical page {lpa}")
-        timing = self.channels.read_page(now + translation_ns, ppa.channel,
-                                         ppa.die, transfer_out=transfer_out)
+        end = self.channels.read_page(now + translation_ns, ppa.channel,
+                                      ppa.die, transfer_out=transfer_out)
         self.stats.logical_reads += 1
-        end = timing.end
         # Background maintenance runs while the device serves reads too
         # (its relocations queue on the same channels/dies); the returned
         # stall is nonzero only under critical free-block pressure, when
         # GC preempts the foreground entirely.
-        end += self.background.pulse(end)
-        return PageAccessTiming(lpa=lpa, ppa=ppa, start_ns=now,
-                                end_ns=end,
-                                translation_ns=translation_ns,
-                                flash_ns=timing.end - now - translation_ns)
+        return end + self.background.pulse(end)
 
-    def write_page(self, now: float, lpa: int) -> PageAccessTiming:
-        """Write one logical page (out-of-place update) with timing."""
-        ppa, translation_ns = self.ftl.lookup(lpa)
+    def write_page(self, now: float, lpa: int) -> float:
+        """Write one logical page (out-of-place update); return the end time."""
+        translation_ns = self.ftl.lookup(lpa)[1]
         new_ppa = self.ftl.write(lpa)
-        timing = self.channels.program_page(now + translation_ns,
-                                            new_ppa.channel, new_ppa.die)
+        end = self.channels.program_page(now + translation_ns,
+                                         new_ppa.channel, new_ppa.die)
         self.stats.logical_writes += 1
         # Every write consumes free space, so it gives background GC and
         # wear-leveling a turn; the stall is nonzero only under critical
         # free-block pressure (foreground write throttling).
-        stall = self.background.pulse(timing.end)
-        return PageAccessTiming(lpa=lpa, ppa=new_ppa, start_ns=now,
-                                end_ns=timing.end + stall,
-                                translation_ns=translation_ns,
-                                flash_ns=timing.end - now - translation_ns)
+        return end + self.background.pulse(end)
 
     # -- Host I/O path (NVMe + PCIe) ---------------------------------------------------
 
@@ -156,10 +134,8 @@ class SSD:
         self.nvme.check_host_io_allowed()
         finish = now
         for lpa in lpas:
-            access = self.read_page(now, lpa)
-            transfer = self.nvme.host_transfer(access.end_ns, self.page_size,
-                                               "ssd-to-host")
-            finish = max(finish, transfer.end_ns)
+            finish = max(finish, self.nvme.host_transfer(
+                self.read_page(now, lpa), self.page_size, "ssd-to-host"))
         return finish
 
     def host_write(self, now: float, lpas: Sequence[int]) -> float:
@@ -167,10 +143,9 @@ class SSD:
         self.nvme.check_host_io_allowed()
         finish = now
         for lpa in lpas:
-            transfer = self.nvme.host_transfer(now, self.page_size,
+            received = self.nvme.host_transfer(now, self.page_size,
                                                "host-to-ssd")
-            access = self.write_page(transfer.end_ns, lpa)
-            finish = max(finish, access.end_ns)
+            finish = max(finish, self.write_page(received, lpa))
         return finish
 
     # -- Mode switching ------------------------------------------------------------------

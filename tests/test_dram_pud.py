@@ -52,8 +52,11 @@ class TestDRAMBank:
 class TestDRAMDevice:
     def test_reads_and_writes_accumulate(self):
         dram = DRAMDevice(small_dram())
-        dram.read(0.0, 0, 4096)
-        dram.write(0.0, 8192, 4096)
+        read_end = dram.read(0.0, 0, 4096)
+        write_end = dram.write(0.0, 8192, 4096)
+        # Both accesses stream over the one DRAM bus, so they serialize.
+        assert read_end >= dram.transfer_time(4096)
+        assert write_end >= read_end + dram.transfer_time(4096)
         assert dram.bytes_read == 4096
         assert dram.bytes_written == 4096
 

@@ -66,10 +66,16 @@ class TestMultiServer:
 
     def test_explicit_server_index(self):
         pool = MultiServer("dies", 4)
-        first = pool.reserve(0.0, 10.0, server_index=2)
-        second = pool.reserve(0.0, 10.0, server_index=2)
-        assert first.server_index == 2
-        assert second.start == 10.0
+        first = pool.reserve_on(2, 0.0, 10.0)
+        second = pool.reserve_on(2, 0.0, 10.0)
+        assert first == 10.0
+        assert second == 20.0
+        # The other servers stay free.
+        assert pool.reserve(0.0, 10.0).start == 0.0
+
+    def test_pinned_negative_duration_raises(self):
+        with pytest.raises(SimulationError):
+            MultiServer("dies", 2).reserve_on(0, 0.0, -1.0)
 
 
 class TestSharedBus:
@@ -81,7 +87,13 @@ class TestSharedBus:
         bus = SharedBus("channel", 1.0)
         first = bus.transfer(0.0, 100)
         second = bus.transfer(0.0, 100)
-        assert second.start == first.end
+        # The second transfer starts when the first ends.
+        assert first == 100.0
+        assert second == first + 100.0
+
+    def test_negative_size_raises(self):
+        with pytest.raises(SimulationError):
+            SharedBus("channel", 1.0).transfer(0.0, -1)
 
     def test_bytes_moved_accumulates(self):
         bus = SharedBus("channel", 1.0)
@@ -95,14 +107,16 @@ class TestBusGroup:
         group = BusGroup("channels", 2, 1.0)
         first = group.transfer(0.0, 100)
         second = group.transfer(0.0, 100)
-        assert first.server_index != second.server_index
-        assert second.start == 0.0
+        # Each transfer took its own idle bus, so neither waited.
+        assert first == second == 100.0
+        assert [bus.busy_time for bus in group.buses] == [100.0, 100.0]
 
     def test_pinned_channel_serializes(self):
         group = BusGroup("channels", 2, 1.0)
         group.transfer(0.0, 100, channel=0)
         second = group.transfer(0.0, 100, channel=0)
-        assert second.start == pytest.approx(100.0)
+        assert second == pytest.approx(200.0)
+        assert group.buses[1].busy_time == 0.0
 
     def test_utilization_averages_buses(self):
         group = BusGroup("channels", 2, 1.0)

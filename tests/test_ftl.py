@@ -152,7 +152,7 @@ class TestGarbageCollection:
         for _ in range(4):
             for lpa in range(16):
                 t = max(t, ssd.background._busy_until)
-                t = ssd.write_page(t, lpa).end_ns
+                t = ssd.write_page(t, lpa)
         # The background engine relocates the victims' valid pages and
         # erases them on the shared channels.
         assert ssd.background.gc_erased_blocks > 0

@@ -9,13 +9,16 @@ core safety property: maintenance never loses a valid page.
 
 import dataclasses
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import ConfigurationError, SimulationError
 from repro.core.platform import PlatformConfig, SSDPlatform
-from repro.experiments.runner import RunSpec, execute_run_spec
+from repro.experiments import ExperimentConfig, platform_variant
+from repro.experiments.runner import (ExperimentRunner, RunSpec,
+                                      execute_run_spec)
 from repro.ssd.config import (FTLConfig, GCVictimPolicy, NANDConfig,
                               SSDConfig, small_ssd_config)
 from repro.ssd.ftl import FlashTranslationLayer
@@ -27,6 +30,8 @@ from repro.ssd.lifetime import engine as lifetime_engine
 from repro.ssd.nand import NANDArray, PageState, PhysicalBlockAddress
 from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
+from repro.workloads import (ScaleFloorWarning, ZipfParams, ZipfWorkload,
+                             workload_by_name)
 
 
 def tiny_nand() -> NANDConfig:
@@ -378,7 +383,7 @@ class TestBackgroundEngine:
         engine = ssd.background
         t = 0.0
         for lpa in range(64):
-            t = ssd.write_page(t, lpa).end_ns
+            t = ssd.write_page(t, lpa)
         assert engine.gc_steps > 0
         assert engine.gc_relocated_pages > 0
         assert engine.gc_erased_blocks > 0
@@ -391,7 +396,7 @@ class TestBackgroundEngine:
         ssd.populate(range(8))
         t = 0.0
         for lpa in range(8):
-            t = ssd.read_page(t, lpa).end_ns
+            t = ssd.read_page(t, lpa)
         assert engine.gc_steps > 0
 
     def test_background_chain_is_serialized(self):
@@ -413,7 +418,7 @@ class TestBackgroundEngine:
             before[block.address] = block.erase_count
         t = 0.0
         for lpa in range(48):
-            t = ssd.write_page(t, lpa).end_ns
+            t = ssd.write_page(t, lpa)
         for block in ssd.array.iter_blocks():
             assert block.erase_count >= before.get(block.address, 0)
         assert ssd.array.erases > 0
@@ -461,6 +466,50 @@ class TestBackgroundEngine:
             now += 1.0
         assert engine.wl_erased_blocks <= 1
 
+    def test_idle_pulse_rearms_when_free_blocks_change(self, monkeypatch):
+        ssd = tiny_ssd(FTLConfig(gc_start_threshold=0.30,
+                                 gc_stop_threshold=0.35))
+        engine, ftl = ssd.background, ssd.ftl
+        checks = []
+        needs_collection = ssd.gc.needs_collection
+        monkeypatch.setattr(ssd.gc, "needs_collection",
+                            lambda: checks.append(1) or needs_collection())
+        lpa = 0
+        while True:
+            engine.pulse(0.0)
+            checked = len(checks)
+            # Nothing changed since the drive was found idle: the pulse
+            # returns without re-checking anything.
+            engine.pulse(0.0)
+            assert len(checks) == checked
+            assert engine.gc_steps == 0
+            # Overwrites of a few LPAs leave invalid pages for a victim.
+            ftl.write(lpa % 6)
+            lpa += 1
+            if ftl.free_block_fraction() < 0.30:
+                break
+        engine.pulse(0.0)
+        assert engine.gc_steps == 1
+
+    def test_idle_pulse_rearms_after_an_erase(self):
+        ssd = tiny_ssd(FTLConfig(wear_leveling_threshold=1.2))
+        engine = ssd.background
+        for lpa in range(4):
+            ssd.ftl.write(lpa)
+        engine.pulse(0.0)
+        engine.pulse(0.0)
+        assert engine.wl_runs == 0
+        # Erasing a free block leaves the free-block count as it was; the
+        # erase alone skews the wear spread past the threshold.
+        plane = ssd.array.die(1, 0).plane(0)
+        free_index = next(index for index in range(plane.block_count)
+                          if plane.is_free_block(index))
+        free_blocks = ssd.array.free_block_count()
+        ssd.array.erase_block(plane.block(free_index).address)
+        assert ssd.array.free_block_count() == free_blocks
+        engine.pulse(0.0)
+        assert engine.wl_runs == 1
+
     @given(overwrites=st.lists(st.integers(min_value=0, max_value=11),
                                min_size=1, max_size=120))
     @settings(max_examples=25, deadline=None)
@@ -471,9 +520,9 @@ class TestBackgroundEngine:
                                  gc_stop_threshold=0.35))
         t = 0.0
         for lpa in range(12):
-            t = ssd.write_page(t, lpa).end_ns
+            t = ssd.write_page(t, lpa)
         for lpa in overwrites:
-            t = ssd.write_page(t, lpa).end_ns
+            t = ssd.write_page(t, lpa)
         assert_readback_intact(ssd)
         assert set(ssd.ftl.mapping) == set(range(12))
 
@@ -520,3 +569,57 @@ class TestPlatformIntegration:
         assert aged.maintenance.gc_relocated_pages > 0
         assert aged.maintenance.gc_erased_blocks > 0
         assert aged.total_time_ns > fresh.total_time_ns
+
+
+# ------------------------------------------------------------------------
+# Aged-drive goldens: the GC engine's timing on full runs
+# ------------------------------------------------------------------------
+
+#: (workload, policy) -> (total_time_ns, total_energy_nj, gc_steps,
+#: gc_relocated_pages, foreground_stall_ns) on ``default-aged`` at scale
+#: 0.1; floats as ``float.hex`` so the pin is bit-exact.
+AGED_GOLDEN = {
+    ("XOR Filter", "CPU"): (
+        "0x1.e084847fffffcp+22", "0x1.1813b3c7ffffep+26", 1, 17, "0x0.0p+0"),
+    ("XOR Filter", "Conduit"): (
+        "0x1.afe76af201a54p+22", "0x1.c1abc3243170ep+27", 1, 17, "0x0.0p+0"),
+    ("LLM Training", "CPU"): (
+        "0x1.4c9e324000006p+25", "0x1.c63d836800006p+28", 4, 71, "0x0.0p+0"),
+    ("LLM Training", "Conduit"): (
+        "0x1.225a7a8d2b9fcp+23", "0x1.3026f18d1a1b8p+28", 1, 17, "0x0.0p+0"),
+    ("zipf-aged", "CPU"): (
+        "0x1.6d19555555556p+18", "0x1.2970015555555p+25", 1, 17, "0x0.0p+0"),
+    ("zipf-aged", "Conduit"): (
+        "0x1.d30bb3958a03ep+17", "0x1.24d65d65e7f6dp+23", 1, 17, "0x0.0p+0"),
+}
+
+
+@pytest.fixture(scope="module")
+def aged_runner():
+    return ExperimentRunner(ExperimentConfig(
+        workload_scale=0.1, platform=platform_variant("default-aged")))
+
+
+def aged_workload(name: str):
+    if name != "zipf-aged":
+        return workload_by_name(name, scale=0.1)
+    params = ZipfParams(requests=400, read_fraction=0.3, request_sectors=64,
+                        seed=7)
+    return ZipfWorkload(scale=0.1, params=params, name=name)
+
+
+class TestAgedDriveGoldens:
+    @pytest.mark.parametrize("workload, policy", sorted(AGED_GOLDEN))
+    def test_aged_run_is_bit_exact(self, aged_runner, workload, policy):
+        with warnings.catch_warnings():
+            # The zipf stream's footprint floors at the smallest program.
+            warnings.simplefilter("ignore", ScaleFloorWarning)
+            result = aged_runner.run(aged_workload(workload), policy)
+        maintenance = result.maintenance
+        time_ns, energy_nj, steps, relocated, stall_ns = AGED_GOLDEN[
+            (workload, policy)]
+        assert result.total_time_ns == float.fromhex(time_ns)
+        assert result.total_energy_nj == float.fromhex(energy_nj)
+        assert maintenance.gc_steps == steps
+        assert maintenance.gc_relocated_pages == relocated
+        assert maintenance.foreground_stall_ns == float.fromhex(stall_ns)

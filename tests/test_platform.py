@@ -162,12 +162,12 @@ class TestComputeDispatch:
         last_bank = (dram.config.banks - 1) * dram.config.row_size_bytes
 
         def idle_end(address: int) -> float:
-            return DRAMDevice(dram.config).read(mid_op, address, 64).end_ns
+            return DRAMDevice(dram.config).read(mid_op, address, 64)
 
         # An access to an untouched bank is served as on an idle DRAM; one
         # to a touched bank starts only when the operation finishes.
-        assert dram.read(mid_op, last_bank, 64).end_ns == idle_end(last_bank)
-        assert dram.read(mid_op, 0, 64).end_ns == pytest.approx(
+        assert dram.read(mid_op, last_bank, 64) == idle_end(last_bank)
+        assert dram.read(mid_op, 0, 64) == pytest.approx(
             idle_end(0) + latency - mid_op)
 
     def test_cxl_burst_leaves_a_link_backlog(self, platform_config):

@@ -10,11 +10,12 @@ results, as a serial sweep.
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.common import MIB
+from repro.core.metrics import InstructionRecord
 from repro.core.platform import PlatformConfig
 from repro.experiments import (DEFAULT_SWEEP_CACHE_DIR, ExperimentConfig,
                                ExperimentRunner, RunSpec, SweepCache,
@@ -181,6 +182,31 @@ class TestSweepCache:
         for key in first:
             assert (result_fingerprint(first[key]) ==
                     result_fingerprint(second[key]))
+
+    @pytest.mark.parametrize("isp_cores", [1, 3])
+    def test_records_survive_store_and_load(self, tiny_config, tmp_path,
+                                            isp_cores):
+        # isp_cores=3 registers per-core BackendId resources, which must
+        # come back as equal identities of the same type.
+        config = replace(tiny_config, platform=replace(
+            tiny_config.platform, isp_cores=isp_cores))
+        runner = ExperimentRunner(config)
+        spec = runner.spec_for(Jacobi1DWorkload(scale=TINY_SCALE), "Conduit")
+        result = execute_run_spec(spec)
+        cache = SweepCache(str(tmp_path))
+        cache.store(spec, result)
+        loaded = cache.load(spec)
+        assert len(loaded.records) == len(result.records) > 0
+        names = [spec_field.name for spec_field in fields(InstructionRecord)]
+        for ours, stored in zip(result.records, loaded.records):
+            assert type(stored) is type(ours)
+            for name in names:
+                value = getattr(stored, name)
+                assert value == getattr(ours, name), name
+                assert type(value) is type(getattr(ours, name)), name
+        if isp_cores > 1:
+            assert any(type(record.resource).__name__ == "BackendId"
+                       for record in loaded.records)
 
     def test_corrupt_entries_are_recomputed(self, tiny_config, tmp_path):
         cache_dir = str(tmp_path / "cache")
