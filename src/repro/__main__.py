@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write sections/headlines/stats as JSON")
     run.add_argument("--profile", action="store_true",
                      help="profile the run under cProfile and print a "
-                          "per-phase time breakdown (collect / decide / "
-                          "transform / move / execute); forces an "
+                          "per-phase time breakdown (collect / compile / "
+                          "decide / transform / move / maintenance / "
+                          "execute); forces an "
                           "in-process serial sweep and disables the "
                           "result cache so the simulation actually runs")
     run.add_argument("-v", "--verbose", action="store_true",
@@ -125,15 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: ``--profile`` phase map: the first rule whose fragment appears in a
 #: profiled function's file path claims its exclusive (tottime) cost, so
-#: no function is double-counted.  Order matters only where a later
-#: rule's fragment is a prefix of an earlier one's directory.
+#: no function is double-counted.  Order matters where a later rule's
+#: fragment is a prefix of an earlier one's directory: the wave slicer in
+#: ``core/compiler/`` is collection, and drive aging, GC and wear-leveling
+#: under ``ssd/`` are maintenance, not execution.
 PROFILE_PHASES = (
     ("collect", ("core/offload/features", "core/compiler/waves")),
+    ("compile", ("core/compiler/", "workloads/")),
     ("decide", ("core/offload/policies", "core/offload/cost_model",
                 "core/offload/offloader")),
     ("transform", ("core/offload/transform",)),
     ("move", ("core/platform", "core/coherence", "core/contention",
               "ssd/flash_controller", "dram/dram", "dram/bank")),
+    ("maintenance", ("ssd/lifetime/", "ssd/gc", "ssd/wear_leveling")),
     ("execute", ("ssd/queues", "ssd/events", "isp/", "ifp/", "host/",
                  "dram/pud", "dram/cxl", "ssd/")),
 )
@@ -162,9 +167,9 @@ def _profile_breakdown(profile) -> List[str]:
     for phase in [name for name, _ in PROFILE_PHASES] + ["other"]:
         seconds = totals[phase]
         share = 100.0 * seconds / grand if grand else 0.0
-        lines.append(f"[profile]   {phase:<9} {seconds:8.3f}s  "
+        lines.append(f"[profile]   {phase:<11} {seconds:8.3f}s  "
                      f"{share:5.1f}%")
-    lines.append(f"[profile]   {'total':<9} {grand:8.3f}s")
+    lines.append(f"[profile]   {'total':<11} {grand:8.3f}s")
     return lines
 
 

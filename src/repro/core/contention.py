@@ -35,7 +35,7 @@ scale is exactly ``1.0`` and the uncorrected goldens stay bit-exact.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.common import SimulationError
 
@@ -68,6 +68,9 @@ class LinkContentionMonitor:
         self.alpha = alpha
         self.gain = gain
         self._overrun: Dict[str, float] = {}
+        #: Least-congested observed overrun, recomputed on the first query
+        #: after an observation (``None`` until then).
+        self._floor: Optional[float] = None
         self.samples = 0
 
     def observe_movement(self, path: str, estimated_ns: float,
@@ -91,6 +94,7 @@ class LinkContentionMonitor:
         self._overrun[path] = (
             ratio if previous is None
             else self.alpha * ratio + (1.0 - self.alpha) * previous)
+        self._floor = None
         self.samples += 1
 
     def overrun(self, path: str) -> float:
@@ -112,7 +116,9 @@ class LinkContentionMonitor:
         """
         if not self._overrun:
             return 1.0
-        floor = min(self._overrun.values())
+        floor = self._floor
+        if floor is None:
+            floor = self._floor = min(self._overrun.values())
         return self._overrun.get(path, floor) / floor
 
     def scale(self, path: str) -> float:

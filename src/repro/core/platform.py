@@ -280,6 +280,13 @@ class SSDPlatform:
         #: :mod:`repro.core.contention`).  Owned per platform, so every
         #: run starts from clean feedback state.
         self.contention = LinkContentionMonitor()
+        #: Feedback-on memos of static per-candidate terms: the monitor
+        #: key of each backend's operand path, and the uncontended
+        #: flash-channel time of each (backend, op, size, bits)
+        #: execution (0.0 when it moves nothing over the channels).
+        self._movement_paths: Dict[ResourceLike, str] = {}
+        self._execution_channel_ns: Dict[
+            Tuple[ResourceLike, OpType, int, int], float] = {}
 
     # ------------------------------------------------------------------------
     # Backend registry (the platform's compute shape, grown from config)
@@ -626,7 +633,11 @@ class SSDPlatform:
         so the overrun observed for one backend's movements reprices every
         backend on the same path.
         """
-        return self.backends[resource].home_location.value
+        path = self._movement_paths.get(resource)
+        if path is None:
+            path = self.backends[resource].home_location.value
+            self._movement_paths[resource] = path
+        return path
 
     def maintenance_stats(self) -> MaintenanceStats:
         """Device-lifetime snapshot of the run (GC/WL pressure and wear).
@@ -705,7 +716,6 @@ class SSDPlatform:
         """
         if not self.config.contention_feedback:
             return 0.0
-        backend = self.backends[resource]
         penalty = 0.0
         if movement_ns > 0.0:
             # Private-link backlog rides with the movement term: a
@@ -715,16 +725,23 @@ class SSDPlatform:
             # there double-counts and measurably over-deters.
             scale = self.contention.scale(self.movement_path(resource))
             penalty += (movement_ns * (scale - 1.0) +
-                        backend.link_backlog_ns(now))
+                        self.backends[resource].link_backlog_ns(now))
         if self.contention.samples > 0:
             # The externality price activates with the feedback loop's
             # first observation: under provably zero traffic (nothing
             # moved yet) feedback-on estimates must equal feedback-off.
-            channel_bytes = backend.execution_channel_bytes(op, size_bytes,
-                                                            element_bits)
-            if channel_bytes > 0.0:
-                penalty += self.ssd.channels.channels.transfer_time(
-                    channel_bytes)
+            key = (resource, op, size_bytes, element_bits)
+            channel_ns = self._execution_channel_ns.get(key)
+            if channel_ns is None:
+                channel_bytes = self.backends[
+                    resource].execution_channel_bytes(op, size_bytes,
+                                                      element_bits)
+                channel_ns = (
+                    self.ssd.channels.channels.transfer_time(channel_bytes)
+                    if channel_bytes > 0.0 else 0.0)
+                self._execution_channel_ns[key] = channel_ns
+            if channel_ns:
+                penalty += channel_ns
         return penalty
 
     # ------------------------------------------------------------------------

@@ -7,7 +7,10 @@ makes device lifetime a first-class simulation axis:
 * :class:`~repro.ssd.lifetime.aging.DriveAgeProfile` pre-ages the NAND
   array deterministically (static cold data, fragmented blocks with
   seeded invalid-page distributions, per-block erase counts) so a run
-  starts mid-life or near end-of-life instead of factory fresh;
+  starts mid-life or near end-of-life instead of factory fresh; the
+  profile's seeded walk runs once per geometry into a memoized
+  :class:`~repro.ssd.lifetime.aging.DriveAgeImage` that every drive of
+  that shape installs;
 * :class:`~repro.ssd.lifetime.engine.BackgroundFlashEngine`, owned by
   every :class:`~repro.ssd.ssd.SSD`, drives GC and wear-leveling *during*
   the simulation, charging relocation reads, programs and erases on the
@@ -23,12 +26,13 @@ makes device lifetime a first-class simulation axis:
 """
 
 from repro.ssd.lifetime.aging import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
-                                      NEAR_EOL_PROFILE, DriveAgeProfile,
-                                      apply_drive_age)
+                                      NEAR_EOL_PROFILE, DriveAgeImage,
+                                      DriveAgeProfile, apply_drive_age,
+                                      drive_age_image)
 from repro.ssd.lifetime.engine import BackgroundFlashEngine, MaintenanceStats
 
 __all__ = [
     "DRIVE_AGE_PROFILES", "MID_LIFE_PROFILE", "NEAR_EOL_PROFILE",
-    "DriveAgeProfile", "apply_drive_age",
+    "DriveAgeImage", "DriveAgeProfile", "apply_drive_age", "drive_age_image",
     "BackgroundFlashEngine", "MaintenanceStats",
 ]

@@ -22,16 +22,21 @@ a zero-time setup step instead:
 
 Everything is drawn from one ``random.Random(profile.seed)`` stream
 walked in fixed geometry order, so a profile applied twice to the same
-configuration produces bit-identical array state.
+configuration produces bit-identical array state.  The walk therefore runs
+once per ``(profile, geometry)``: :func:`drive_age_image` records its
+result as a read-only, memoized :class:`DriveAgeImage`, and
+:func:`apply_drive_age` installs that image into each new drive.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, FrozenSet, NamedTuple, Tuple
 
 from repro.common import ConfigurationError
+from repro.ssd.config import NANDConfig
 from repro.ssd.nand import PhysicalBlockAddress, PhysicalPageAddress
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,53 +138,109 @@ DRIVE_AGE_PROFILES: Dict[str, DriveAgeProfile] = {
 }
 
 
-def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:
-    """Pre-age an SSD's array in place (zero simulated time).
+class AgedFragment(NamedTuple):
+    """One fragmented block of a :class:`DriveAgeImage`."""
 
-    Must run before dataset placement.  Filler logical pages live above
-    the drive's logical capacity so they can never collide with workload
-    LPAs; valid filler pages are registered in the FTL mapping (GC and
-    wear-leveling relocate them through the ordinary
-    :meth:`FlashTranslationLayer.relocate` path).  Operation counters are
-    reset afterwards: the pre-aged state is history, not simulated work,
-    so energy and wear-rate accounting start clean.
+    address: PhysicalBlockAddress
+    #: ``{page: lpa}`` of the block's valid filler pages.
+    stored: Dict[int, int]
+    #: Filler pages left invalid (reclaimable).
+    invalid: FrozenSet[int]
+    erase_count: int
+
+
+class DriveAgeImage(NamedTuple):
+    """The array state a profile replays onto one NAND geometry.
+
+    Built once per ``(DriveAgeProfile, NANDConfig)`` by
+    :func:`drive_age_image` and shared by every drive of that shape; the
+    installer copies what a drive may mutate, so nothing in an image is
+    ever written after it is built.
     """
-    array = ssd.array
-    ftl = ssd.ftl
-    nand = array.config
+
+    #: ``(channel, die, plane, cold_blocks)`` per plane, geometry order.
+    cold_blocks: Tuple[Tuple[int, int, int, int], ...]
+    cold_erase_count: int
+    #: Pages programmed into each fragment (``[0, fill_pages)``).
+    fill_pages: int
+    fragments: Tuple[AgedFragment, ...]
+    #: Filler LPA -> page of every valid filler page, in insertion order.
+    mapping: Dict[int, PhysicalPageAddress]
+
+
+@functools.lru_cache(maxsize=4)
+def drive_age_image(profile: DriveAgeProfile,
+                    nand: NANDConfig) -> DriveAgeImage:
+    """The drive-age image of ``profile`` on geometry ``nand`` (memoized).
+
+    One ``random.Random(profile.seed)`` walk in geometry order: per
+    fragment block, one ``random()`` per filler page (is it invalid?),
+    then one ``randint`` for its erase count.  Filler logical pages live
+    above the drive's logical capacity so they can never collide with
+    workload LPAs.  The cache is bounded: a process sweeps a handful of
+    (profile, geometry) pairs, each image a few MB at the default
+    geometry.
+    """
     rng = random.Random(profile.seed)
+    draw = rng.random
     filler_lpa = nand.pages  # first LPA past the logical capacity
     fill_pages = max(1, int(profile.fragment_fill_fraction *
                             nand.pages_per_block))
     invalid_fraction = profile.fragment_invalid_fraction
-    draw = rng.random
-    mapping = ftl.mapping
+    blocks = nand.blocks_per_plane
+    fragmented = min(profile.fragmented_blocks_per_plane, max(0, blocks - 2))
+    free_target = max(2, round(profile.free_fraction * blocks))
+    cold = max(0, blocks - fragmented - free_target)
+    cold_blocks = []
+    fragments = []
+    mapping: Dict[int, PhysicalPageAddress] = {}
     for channel in range(nand.channels):
         for die in range(nand.dies_per_channel):
-            for plane_index in range(nand.planes_per_die):
-                plane = array.die(channel, die).plane(plane_index)
-                blocks = plane.block_count
-                fragmented = min(profile.fragmented_blocks_per_plane,
-                                 max(0, blocks - 2))
-                free_target = max(2, round(profile.free_fraction * blocks))
-                cold = max(0, blocks - fragmented - free_target)
-                array.mark_cold_blocks(channel, die, plane_index, cold,
-                                       profile.cold_erase_count)
+            for plane in range(nand.planes_per_die):
+                cold_blocks.append((channel, die, plane, cold))
                 for index in range(cold, cold + fragmented):
-                    invalid = {page for page in range(fill_pages)
-                               if draw() < invalid_fraction}
-                    lpas = range(filler_lpa, filler_lpa + fill_pages)
-                    filler_lpa += fill_pages
-                    block = array.program_fragment(
-                        PhysicalBlockAddress(channel, die, plane_index, index),
-                        lpas, invalid)
-                    for page, lpa in enumerate(lpas):
+                    invalid = frozenset(page for page in range(fill_pages)
+                                        if draw() < invalid_fraction)
+                    stored = {}
+                    for page in range(fill_pages):
                         if page not in invalid:
-                            mapping[lpa] = PhysicalPageAddress(
-                                channel, die, plane_index, index, page)
-                    block.erase_count = rng.randint(
-                        profile.fragment_erase_count_min,
-                        profile.fragment_erase_count_max)
+                            stored[page] = filler_lpa + page
+                            mapping[filler_lpa + page] = PhysicalPageAddress(
+                                channel, die, plane, index, page)
+                    filler_lpa += fill_pages
+                    fragments.append(AgedFragment(
+                        PhysicalBlockAddress(channel, die, plane, index),
+                        stored, invalid,
+                        rng.randint(profile.fragment_erase_count_min,
+                                    profile.fragment_erase_count_max)))
+    return DriveAgeImage(tuple(cold_blocks), profile.cold_erase_count,
+                         fill_pages, tuple(fragments), mapping)
+
+
+def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:
+    """Pre-age an SSD's array in place (zero simulated time).
+
+    Must run before dataset placement.  Installs the profile's memoized
+    :func:`drive_age_image`: cold blocks per plane, one checked
+    :meth:`NANDArray.program_fragment` per fragment, and the valid filler
+    pages in the FTL mapping (GC and wear-leveling relocate them through
+    the ordinary :meth:`FlashTranslationLayer.relocate` path).  Every
+    block's page map and invalid set is copied into the drive, so drives
+    built from one image share no mutable state.  Operation counters are
+    reset afterwards: the pre-aged state is history, not simulated work,
+    so energy and wear-rate accounting start clean.
+    """
+    array = ssd.array
+    image = drive_age_image(profile, array.config)
+    cold_erase_count = image.cold_erase_count
+    for channel, die, plane, cold in image.cold_blocks:
+        array.mark_cold_blocks(channel, die, plane, cold, cold_erase_count)
+    fill_pages = image.fill_pages
+    program_fragment = array.program_fragment
+    for address, stored, invalid, erase_count in image.fragments:
+        program_fragment(address, fill_pages, stored,
+                         invalid).erase_count = erase_count
+    ssd.ftl.mapping.update(image.mapping)
     # Pre-aging is replayed history, not simulated work: the operation
     # counters feed wear-rate/energy views of *this run*, so they restart
     # at zero (erase *counts* on the blocks themselves keep the history).

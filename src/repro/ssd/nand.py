@@ -15,8 +15,8 @@ and is consumed by the flash controller and the in-flash processing model.
 from __future__ import annotations
 
 import enum
-from typing import (AbstractSet, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence)
+from typing import (AbstractSet, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional)
 
 from repro.common import SimulationError
 from repro.ssd.config import NANDConfig
@@ -137,35 +137,48 @@ class FlashBlock:
         self.write_cursor += 1
         return page
 
-    def fill(self, lpas: Sequence[int], invalid: AbstractSet[int]) -> None:
-        """Program pages ``[0, len(lpas))`` of an erased block in one step.
+    def fill(self, pages: int, stored: Mapping[int, int],
+             invalid: AbstractSet[int]) -> None:
+        """Program pages ``[0, pages)`` of an erased block in one step.
 
-        Page ``i`` stores ``lpas[i]``; the page indices in ``invalid`` are
-        left invalidated.  The resulting state equals programming each
-        LPA in order and then invalidating ``invalid``.
+        ``stored`` maps each valid page to its logical page and the page
+        indices in ``invalid`` are left invalidated; together they must
+        cover the fill exactly once.  The resulting state equals
+        programming the pages in order and then invalidating ``invalid``.
+        Both collections are copied, so callers may share them.
         """
         if self.write_cursor:
             raise SimulationError(
                 f"block {self.address} is not erased; cannot fill it")
-        if not 0 < len(lpas) <= self.pages:
+        if not 0 < pages <= self.pages:
             raise SimulationError(
-                f"cannot fill {len(lpas)} pages into block {self.address} "
+                f"cannot fill {pages} pages into block {self.address} "
                 f"of {self.pages} pages")
-        if not invalid <= set(range(len(lpas))):
+        if invalid and (min(invalid) < 0 or max(invalid) >= pages):
             raise SimulationError(
                 f"invalid pages {sorted(invalid)} fall outside the "
-                f"{len(lpas)}-page fill of block {self.address}")
-        self._stored = {page: lpa for page, lpa in enumerate(lpas)
-                        if page not in invalid}
+                f"{pages}-page fill of block {self.address}")
+        if (len(stored) + len(invalid) != pages
+                or (stored and (min(stored) < 0 or max(stored) >= pages))
+                or not stored.keys().isdisjoint(invalid)):
+            raise SimulationError(
+                f"valid pages {sorted(stored)} and invalid pages "
+                f"{sorted(invalid)} do not partition the {pages}-page fill "
+                f"of block {self.address}")
+        self._stored = dict(stored)
         self._invalid = set(invalid)
-        self.write_cursor = len(lpas)
+        self.write_cursor = pages
 
     def invalidate(self, page: int) -> None:
-        if self.state_of(page) is not PageState.VALID:
+        # A page is valid exactly while it holds a logical page: free and
+        # already-invalid pages are both absent from ``_stored``.
+        try:
+            del self._stored[page]
+        except KeyError:
             raise SimulationError(
-                f"page {page} of block {self.address} is not valid")
+                f"page {page} of block {self.address} is not valid"
+            ) from None
         self._invalid.add(page)
-        self._stored.pop(page, None)
 
     def erase(self) -> None:
         self._stored.clear()
@@ -343,30 +356,31 @@ class NANDArray:
         return block_address.page(page)
 
     def program_fragment(self, block_address: PhysicalBlockAddress,
-                         lpas: Sequence[int],
+                         pages: int, stored: Mapping[int, int],
                          invalid: AbstractSet[int]) -> FlashBlock:
         """Bulk-program an erased block (see :meth:`FlashBlock.fill`).
 
-        State-equivalent to one :meth:`program_page` per LPA followed by
-        :meth:`invalidate_page` on each page in ``invalid``; used to
-        install a drive-age profile's fragmented blocks without replaying
-        them page by page.
+        State-equivalent to one :meth:`program_page` per page of the fill
+        followed by :meth:`invalidate_page` on each page in ``invalid``;
+        used to install a drive-age image's fragmented blocks without
+        replaying them page by page.
         """
         block = self.block(block_address)
-        block.fill(lpas, invalid)
+        block.fill(pages, stored, invalid)
         self._free_blocks -= 1
-        self.programs += len(lpas)
+        self.programs += pages
         return block
 
     def read_page(self, address: PhysicalPageAddress) -> Optional[int]:
-        block = self.block(address.block_address())
+        """The logical page stored at ``address`` (``None`` unless valid)."""
+        channel, die, plane, block, page = address
+        flash_block = self.dies[channel][die].planes[plane].block(block)
         self.reads += 1
-        if block.state_of(address.page) is not PageState.VALID:
-            return None
-        return block.stored_lpa_of(address.page)
+        return flash_block.stored_lpa_of(page)
 
     def invalidate_page(self, address: PhysicalPageAddress) -> None:
-        self.block(address.block_address()).invalidate(address.page)
+        channel, die, plane, block, page = address
+        self.dies[channel][die].planes[plane].block(block).invalidate(page)
 
     def erase_block(self, address: PhysicalBlockAddress) -> None:
         block = self.block(address)

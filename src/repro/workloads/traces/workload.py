@@ -147,6 +147,8 @@ class TraceWorkload(Workload):
             raise SimulationError(f"trace workload {name or self.name!r} "
                                   "needs at least one trace row")
         self.rows: Tuple[TraceRow, ...] = tuple(rows)
+        #: ``cache_identity()``, hashed from the row tuple on first use.
+        self._identity: Optional[Tuple[Tuple[str, str], ...]] = None
         if name is not None:
             self.name = name
         self.source = source
@@ -163,7 +165,11 @@ class TraceWorkload(Workload):
         return lower_rows(self.name, self.rows, self)
 
     def cache_identity(self) -> Tuple[Tuple[str, str], ...]:
-        return (("trace", trace_fingerprint(self.rows)),)
+        # The rows are an immutable tuple, so one hash per instance holds
+        # for its whole life (every spec and program lookup asks again).
+        if self._identity is None:
+            self._identity = (("trace", trace_fingerprint(self.rows)),)
+        return self._identity
 
     def describe(self) -> Dict[str, object]:
         description = super().describe()

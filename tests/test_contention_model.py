@@ -26,6 +26,7 @@ bit-identical (EWMA state is per-run, never leaked across shards).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import MIB, OpType, SimulationError
 from repro.core.compiler.ir import ArrayRef, ArraySpec, VectorInstruction
@@ -130,6 +131,40 @@ class TestLinkContentionMonitor:
         monitor = LinkContentionMonitor()
         with pytest.raises(SimulationError, match="negative"):
             monitor.observe_movement("host", 100.0, -1.0)
+
+    @given(alpha=st.floats(min_value=0.05, max_value=1.0),
+           gain=st.floats(min_value=0.0, max_value=4.0),
+           steps=st.lists(st.tuples(
+               st.sampled_from(("observe", "relative", "scale")),
+               st.sampled_from(("flash", "ssd-dram", "host", "cxl")),
+               st.floats(min_value=0.0, max_value=1e4),
+               st.floats(min_value=0.0, max_value=1e5)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_floor_matches_a_per_query_minimum(self, alpha, gain,
+                                                      steps):
+        """The floor is recomputed once per observation, not per query;
+        every answer still equals, bit for bit, the reference that takes
+        the minimum on every query."""
+        monitor = LinkContentionMonitor(alpha=alpha, gain=gain)
+
+        def reference_relative(path: str) -> float:
+            overrun = monitor._overrun
+            if not overrun:
+                return 1.0
+            floor = min(overrun.values())
+            return overrun.get(path, floor) / floor
+
+        for action, path, estimated, observed in steps:
+            if action == "observe":
+                monitor.observe_movement(path, estimated, observed)
+                continue
+            expected = reference_relative(path)
+            if action == "relative":
+                assert monitor.relative_overrun(path) == expected
+            else:
+                assert monitor.scale(path) == (
+                    1.0 if expected <= 1.0
+                    else 1.0 + gain * (expected - 1.0))
 
 
 class TestZeroTrafficEquivalence:

@@ -451,8 +451,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "[profile] phase breakdown" in out
-        for phase in ("collect", "decide", "transform", "move", "execute",
-                      "other", "total"):
+        for phase in ("collect", "compile", "decide", "transform", "move",
+                      "maintenance", "execute", "other", "total"):
             assert f"[profile]   {phase}" in out
 
     def test_profile_phase_fragments_name_real_sources(self):
@@ -469,6 +469,13 @@ class TestCLI:
         ("dram/dram.py", "move"), ("ssd/flash_controller.py", "move"),
         ("ssd/nand.py", "execute"), ("core/offload/features.py", "collect"),
         ("experiments/runner.py", "other"),
+        ("core/compiler/vectorizer.py", "compile"),
+        ("core/compiler/waves.py", "collect"),
+        ("workloads/traces/zipf.py", "compile"),
+        ("ssd/lifetime/aging.py", "maintenance"),
+        ("ssd/lifetime/engine.py", "maintenance"),
+        ("ssd/gc.py", "maintenance"), ("ssd/wear_leveling.py", "maintenance"),
+        ("ssd/ftl.py", "execute"),
     ])
     def test_profile_phase_of_source(self, source, phase):
         assert profile_phase(str(SOURCE_ROOT / source)) == phase

@@ -25,7 +25,7 @@ from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.lifetime import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
                                 NEAR_EOL_PROFILE, DriveAgeProfile,
-                                apply_drive_age)
+                                apply_drive_age, drive_age_image)
 from repro.ssd.lifetime import engine as lifetime_engine
 from repro.ssd.nand import NANDArray, PageState, PhysicalBlockAddress
 from repro.ssd.ssd import SSD
@@ -296,7 +296,7 @@ class TestBulkAging:
         address = PhysicalBlockAddress(0, 0, 0, 3)
         array.program_page(address, 0)
         with pytest.raises(SimulationError, match="not erased"):
-            array.program_fragment(address, [1, 2], set())
+            array.program_fragment(address, 2, {0: 1, 1: 2}, set())
 
     @pytest.mark.parametrize("lpas, invalid", [
         (range(5), set()),   # one page more than the block holds
@@ -306,12 +306,82 @@ class TestBulkAging:
     def test_fill_rejects_a_fill_that_does_not_fit(self, lpas, invalid):
         array = NANDArray(tiny_nand())
         free_before = array.free_block_count()
+        stored = {page: lpa for page, lpa in enumerate(lpas)
+                  if page not in invalid}
         with pytest.raises(SimulationError):
-            array.program_fragment(PhysicalBlockAddress(0, 0, 0, 3), lpas,
-                                   invalid)
+            array.program_fragment(PhysicalBlockAddress(0, 0, 0, 3),
+                                   len(lpas), stored, invalid)
         assert array.free_block_count() == free_before
         assert array.block(PhysicalBlockAddress(0, 0, 0, 3)
                            ).write_cursor == 0
+
+    @pytest.mark.parametrize("stored, invalid", [
+        ({0: 0, 1: 1}, {1}),  # a page both valid and invalid
+        ({0: 0, 2: 1}, set()),  # a valid page outside the fill
+        ({0: 0}, set()),      # a page of the fill neither valid nor invalid
+    ], ids=["overlap", "outside", "gap"])
+    def test_fill_rejects_a_map_that_does_not_partition_it(self, stored,
+                                                           invalid):
+        array = NANDArray(tiny_nand())
+        free_before = array.free_block_count()
+        with pytest.raises(SimulationError, match="partition"):
+            array.program_fragment(PhysicalBlockAddress(0, 0, 0, 3), 2,
+                                   stored, invalid)
+        assert array.free_block_count() == free_before
+        assert array.block(PhysicalBlockAddress(0, 0, 0, 3)
+                           ).write_cursor == 0
+
+
+def drive_state(ssd: SSD) -> tuple:
+    """Everything a drive may mutate: blocks, mapping and free count."""
+    return (block_states(ssd), list(ssd.ftl.mapping.items()),
+            ssd.array.free_block_count())
+
+
+class TestDriveAgeImage:
+    def test_image_is_built_once_per_profile_and_geometry(self):
+        drive_age_image.cache_clear()
+        config = small_platform_config(drive_age=NEAR_EOL_PROFILE)
+        platforms = [SSDPlatform(config) for _ in range(3)]
+        info = drive_age_image.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        states = [drive_state(platform.ssd) for platform in platforms]
+        assert states[0] == states[1] == states[2]
+
+    def test_reseeded_profile_or_new_geometry_gets_its_own_image(self):
+        nand = small_ssd_config().nand
+        base = drive_age_image(NEAR_EOL_PROFILE, nand)
+        assert drive_age_image(NEAR_EOL_PROFILE, nand) is base
+        reseeded = drive_age_image(
+            dataclasses.replace(NEAR_EOL_PROFILE, seed=7), nand)
+        resized = drive_age_image(
+            NEAR_EOL_PROFILE, dataclasses.replace(nand, blocks_per_plane=32))
+        assert reseeded is not base and resized is not base
+        assert reseeded.fragments != base.fragments
+        assert resized.cold_blocks != base.cold_blocks
+
+    def test_image_cache_is_bounded(self):
+        nand = small_ssd_config().nand
+        for seed in range(12):
+            drive_age_image(dataclasses.replace(NEAR_EOL_PROFILE, seed=seed),
+                            nand)
+        info = drive_age_image.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+    def test_drives_from_one_image_share_no_mutable_state(self):
+        first = aged_small_ssd(NEAR_EOL_PROFILE)
+        second = aged_small_ssd(NEAR_EOL_PROFILE)
+        untouched = drive_state(second)
+        t = 0.0
+        for lpa in range(64):  # overwrites and background GC on `first`
+            t = first.write_page(t, lpa % 16)
+        assert first.background.gc_relocated_pages > 0
+        assert first.background.gc_erased_blocks > 0
+        assert drive_state(first) != untouched
+        assert drive_state(second) == untouched
+        # ...and a drive installed after the churn still gets the image.
+        assert drive_state(aged_small_ssd(NEAR_EOL_PROFILE)) == untouched
 
 
 def aged_tiny_plane():
@@ -509,6 +579,35 @@ class TestBackgroundEngine:
         assert ssd.array.free_block_count() == free_blocks
         engine.pulse(0.0)
         assert engine.wl_runs == 1
+
+    def test_critical_pressure_stalls_the_foreground(self):
+        """Below half the GC start threshold a write waits behind GC.
+
+        Two 64-block planes aged to two free blocks each (4/128, just
+        above the 0.025 critical fraction): the first write opens a block
+        and drops the drive below it.  The pinned values were recorded
+        before the drive-age image replaced the direct aging walk.
+        """
+        nand = NANDConfig(channels=2, dies_per_channel=1, planes_per_die=1,
+                          blocks_per_plane=64, pages_per_block=16)
+        ssd = SSD(SSDConfig(nand=nand, ftl=FTLConfig()))
+        apply_drive_age(ssd, dataclasses.replace(
+            NEAR_EOL_PROFILE, free_fraction=0.02,
+            fragment_fill_fraction=0.5))
+        engine = ssd.background
+        assert engine._critical_fraction == 0.025
+        assert ssd.ftl.free_block_fraction() == 4 / 128
+        t = ssd.write_page(0.0, 0)
+        assert ssd.ftl.free_block_fraction() < engine._critical_fraction
+        assert engine.foreground_stall_ns > 0.0
+        for lpa in range(1, 8):
+            t = ssd.write_page(t, lpa)
+        assert engine.foreground_stall_ns == float.fromhex(
+            "0x1.29557ffffffffp+23")
+        assert t == float.fromhex("0x1.df50c3ffffff8p+24")
+        assert (engine.gc_steps, engine.gc_relocated_pages,
+                engine.gc_erased_blocks) == (6, 25, 6)
+        assert_readback_intact(ssd)
 
     @given(overwrites=st.lists(st.integers(min_value=0, max_value=11),
                                min_size=1, max_size=120))

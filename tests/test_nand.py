@@ -44,6 +44,15 @@ class TestFlashBlock:
         with pytest.raises(SimulationError):
             self.block().invalidate(0)
 
+    def test_invalidate_already_invalid_page_raises(self):
+        block = self.block()
+        block.program(5)
+        block.invalidate(0)
+        with pytest.raises(SimulationError, match="not valid"):
+            block.invalidate(0)
+        assert block.invalid_pages == 1
+        assert block.state_of(0) is PageState.INVALID
+
     def test_erase_resets_and_counts(self):
         block = self.block()
         block.program(1)
@@ -101,6 +110,16 @@ class TestNANDArray:
         assert array.programs == 1
         assert array.reads == 1
         assert array.erases == 1
+
+    def test_invalidate_page_rejects_free_and_invalid_pages(self):
+        array = NANDArray(small_nand())
+        ppa = array.program_page(PhysicalBlockAddress(1, 1, 0, 5), 3)
+        with pytest.raises(SimulationError, match="not valid"):
+            array.invalidate_page(ppa._replace(page=1))  # free
+        array.invalidate_page(ppa)
+        assert array.read_page(ppa) is None
+        with pytest.raises(SimulationError, match="not valid"):
+            array.invalidate_page(ppa)  # already invalid
 
     def test_erase_count_stats(self):
         array = NANDArray(small_nand())

@@ -177,6 +177,29 @@ class TestLowering:
         mutated = TraceWorkload(rows[:-1], name="t", scale=TINY_SCALE)
         assert workload.cache_identity() != mutated.cache_identity()
 
+    @pytest.mark.parametrize("build", [
+        lambda: TraceWorkload(load_mqsim_trace(fixture_trace_path()),
+                              name="t", scale=TINY_SCALE),
+        lambda: ZipfWorkload(scale=TINY_SCALE,
+                             params=ZipfParams(requests=50, seed=3)),
+    ], ids=["trace", "zipf"])
+    def test_fingerprint_is_hashed_once_per_instance(self, build,
+                                                     monkeypatch):
+        from repro.workloads.traces import workload as trace_module
+        hashed = []
+
+        def counting(rows):
+            hashed.append(len(rows))
+            return trace_fingerprint(rows)
+
+        monkeypatch.setattr(trace_module, "trace_fingerprint", counting)
+        workload = build()
+        first = workload.cache_identity()
+        for _ in range(3):
+            assert workload.cache_identity() == first
+        assert hashed == [len(workload.rows)]
+        assert first[-1] == ("trace", trace_fingerprint(workload.rows))
+
     def test_empty_rows_rejected(self):
         with pytest.raises(SimulationError, match="at least one"):
             TraceWorkload((), name="empty")
