@@ -26,13 +26,12 @@ makes device lifetime a first-class simulation axis:
 """
 
 from repro.ssd.lifetime.aging import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
-                                      NEAR_EOL_PROFILE, DriveAgeImage,
-                                      DriveAgeProfile, apply_drive_age,
-                                      drive_age_image)
+                                      NEAR_EOL_PROFILE, DriveAgeProfile,
+                                      apply_drive_age, drive_age_image)
 from repro.ssd.lifetime.engine import BackgroundFlashEngine, MaintenanceStats
 
 __all__ = [
     "DRIVE_AGE_PROFILES", "MID_LIFE_PROFILE", "NEAR_EOL_PROFILE",
-    "DriveAgeImage", "DriveAgeProfile", "apply_drive_age", "drive_age_image",
+    "DriveAgeProfile", "apply_drive_age", "drive_age_image",
     "BackgroundFlashEngine", "MaintenanceStats",
 ]
