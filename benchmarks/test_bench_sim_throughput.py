@@ -193,12 +193,19 @@ BENCH_RECORD_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 #: Version 4: the vectorized movement engine was deleted, so the object
 #: movement sweep and ``vectorized_over_object_speedup`` are gone and
 #: ``vectorized_sweep_s`` became ``default_sweep_s``.
+#: Since the per-instruction offload engine became the default, the
+#: version-4 fields are read as: ``default_sweep_s`` is the default
+#: (per-instruction) engine, ``reference_offload_sweep_s`` the opt-in
+#: wave engine (``batched_offload=True``) it is compared against, and
+#: ``batched_over_reference_speedup`` is still ``reference_offload_sweep_s
+#: / default_sweep_s`` (above 1 when the default engine is faster).
 BENCH_RECORD_SCHEMA_VERSION = 4
 
-#: Fail-loud floor for "the default engine must not lose to its golden
-#: reference".  Single-round wall-clock on a shared 1-CPU runner swings
-#: by tens of percent, so the floor is a noise allowance, not a target:
-#: a genuine regression trips it, while scheduler jitter does not.
+#: Fail-loud floor on wave-engine time over default-engine time: the
+#: default engine must not lose to the engine it replaced.  Wall-clock
+#: on a shared runner swings by tens of percent, so the floor is a noise
+#: allowance, not a target: a genuine regression trips it, while
+#: scheduler jitter does not.
 DEFAULT_ENGINE_FLOOR = 0.70
 
 
@@ -236,7 +243,8 @@ PR6_LANDING_RECORD = {
 #: comes from the cheaper packed per-member decision path, not from
 #: amortized collection.  Recorded anyway per the acceptance criteria;
 #: the differential suite (``tests/test_batched_offload.py``) pins the
-#: engines bit-equal, so the default stays on the batched path.
+#: engines bit-equal, so the default stayed on the batched path until
+#: paired perfbench runs showed the per-instruction engine faster.
 PR8_LANDING_RECORD = {
     "scale": 0.25,
     "reference_offload_best_s": 1.298,
@@ -255,35 +263,40 @@ PR8_LANDING_RECORD = {
 
 @pytest.mark.slow
 def test_bench_vectorized_engine_record(benchmark, bench_config):
-    """Time the default engine against its golden reference; archive.
+    """Time the default decision engine against the wave engine; archive.
 
-    Two Fig. 7 sweeps in one timed round: the default configuration
-    (batched offload decisions) and the per-instruction reference
-    decision path.  The live ratio tracks the current machine; the
-    archived JSON also carries the pinned PR 6 and PR 8 landing
-    measurements so the perf trajectory is recorded even as hardware
-    changes underneath CI.  Fails loudly (``DEFAULT_ENGINE_FLOOR``) when
-    the default engine loses to the reference beyond single-round noise.
+    Four Fig. 7 sweeps in one timed round, in ABBA order so neither
+    engine always runs first: the opt-in wave engine
+    (``batched_offload=True``), the default per-instruction engine twice,
+    and the wave engine again.  Each engine's faster sweep is recorded.
+    The live ratio tracks the current machine; the archived JSON also
+    carries the pinned PR 6 and PR 8 landing measurements so the perf
+    trajectory is recorded even as hardware changes underneath CI.
+    Fails loudly (``DEFAULT_ENGINE_FLOOR``) when the default engine loses
+    to the wave engine beyond single-round noise.
 
     ``slow``-marked: it rewrites the tracked ``BENCH_vectorized.json``,
     so run it on purpose with ``pytest -m slow benchmarks``.
     """
-    reference_config = dataclasses.replace(
+    wave_config = dataclasses.replace(
         bench_config,
         platform=dataclasses.replace(bench_config.platform,
-                                     batched_offload=False))
+                                     batched_offload=True))
 
     def both_engines():
-        default_results, default_s = _full_sweep(bench_config)
-        ref_results, ref_s = _full_sweep(reference_config)
-        return default_results, default_s, ref_results, ref_s
+        wave_results, first_wave_s = _full_sweep(wave_config)
+        default_results, first_default_s = _full_sweep(bench_config)
+        _, second_default_s = _full_sweep(bench_config)
+        _, second_wave_s = _full_sweep(wave_config)
+        return (default_results, min(first_default_s, second_default_s),
+                wave_results, min(first_wave_s, second_wave_s))
 
-    default_results, default_s, ref_results, ref_s = run_once(
+    default_results, default_s, wave_results, wave_s = run_once(
         benchmark, both_engines)
     # Bit-equality is the engines' contract; a perf benchmark that
     # silently compared different answers would be meaningless.
-    _assert_identical(default_results, ref_results)
-    decision_ratio = ref_s / default_s if default_s else float("inf")
+    _assert_identical(default_results, wave_results)
+    decision_ratio = wave_s / default_s if default_s else float("inf")
     record = {
         "schema_version": BENCH_RECORD_SCHEMA_VERSION,
         "bench_scale": BENCH_SCALE,
@@ -291,7 +304,7 @@ def test_bench_vectorized_engine_record(benchmark, bench_config):
         "recorded_unix": round(time.time(), 3),
         "sweep_pairs": len(default_results),
         "default_sweep_s": default_s,
-        "reference_offload_sweep_s": ref_s,
+        "reference_offload_sweep_s": wave_s,
         "batched_over_reference_speedup": decision_ratio,
         "pr6_landing_vs_pr5": PR6_LANDING_RECORD,
         "pr8_landing_vs_reference": PR8_LANDING_RECORD,
@@ -300,12 +313,12 @@ def test_bench_vectorized_engine_record(benchmark, bench_config):
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     benchmark.extra_info.update(record)
-    print(f"\nDefault engine: {default_s:.2f} s vs reference decisions "
-          f"{ref_s:.2f} s ({decision_ratio:.2f}x) at scale {BENCH_SCALE} "
+    print(f"\nDefault engine: {default_s:.2f} s vs wave engine "
+          f"{wave_s:.2f} s ({decision_ratio:.2f}x) at scale {BENCH_SCALE} "
           f"(record: {os.path.abspath(BENCH_RECORD_PATH)})")
-    assert default_s > 0 and ref_s > 0
+    assert default_s > 0 and wave_s > 0
     assert decision_ratio >= DEFAULT_ENGINE_FLOOR, (
-        f"batched offload engine lost to the per-instruction reference "
+        f"default per-instruction offload engine lost to the wave engine "
         f"({decision_ratio:.2f}x < {DEFAULT_ENGINE_FLOOR}x floor) at "
         f"scale {BENCH_SCALE}")
 

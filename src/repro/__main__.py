@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 def _scale(text: str) -> float:
@@ -89,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", action="store_true",
                      help="profile the run under cProfile and print a "
                           "per-phase time breakdown (collect / compile / "
-                          "decide / transform / move / maintenance / "
-                          "execute); forces an "
+                          "decide / transform / dispatch / move / "
+                          "maintenance / execute; builtins count to "
+                          "their callers' phase); forces an "
                           "in-process serial sweep and disables the "
                           "result cache so the simulation actually runs")
     run.add_argument("-v", "--verbose", action="store_true",
@@ -129,19 +131,25 @@ def build_parser() -> argparse.ArgumentParser:
 #: no function is double-counted.  Order matters where a later rule's
 #: fragment is a prefix of an earlier one's directory: the wave slicer in
 #: ``core/compiler/`` is collection, and drive aging, GC and wear-leveling
-#: under ``ssd/`` are maintenance, not execution.
+#: under ``ssd/`` are maintenance, not execution.  ``dispatch`` is the
+#: runtime's dispatch loop (``core/runtime.py``).
 PROFILE_PHASES = (
     ("collect", ("core/offload/features", "core/compiler/waves")),
     ("compile", ("core/compiler/", "workloads/")),
     ("decide", ("core/offload/policies", "core/offload/cost_model",
                 "core/offload/offloader")),
     ("transform", ("core/offload/transform",)),
+    ("dispatch", ("core/runtime",)),
     ("move", ("core/platform", "core/coherence", "core/contention",
               "ssd/flash_controller", "dram/dram", "dram/bank")),
     ("maintenance", ("ssd/lifetime/", "ssd/gc", "ssd/wear_leveling")),
     ("execute", ("ssd/queues", "ssd/events", "isp/", "ifp/", "host/",
                  "dram/pud", "dram/cxl", "ssd/")),
 )
+
+#: Directory of the ``repro`` package: a profiled function defined under
+#: it is booked by its own file, anything else by its callers.
+PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 def profile_phase(path: str) -> str:
@@ -153,17 +161,67 @@ def profile_phase(path: str) -> str:
     return "other"
 
 
+#: Rounds of caller propagation before time still circulating inside
+#: recursive library code is left as ``other``.
+_PROPAGATION_ROUNDS = 64
+
+
+def profile_phase_totals(stats: Dict) -> Dict[str, float]:
+    """Exclusive seconds per ``--profile`` phase.
+
+    ``stats`` is :attr:`pstats.Stats.stats`.  A function defined in the
+    ``repro`` package books its own time to its file's phase.  A C builtin
+    (``min``, ``dict.get``, a named tuple's ``__new__``) or a standard
+    library function has no phase of its own: its time is split over its
+    callers in proportion to the exclusive time each caller's calls spent
+    in it (the pstats caller records), and a library caller passes its
+    part on the same way until it reaches a ``repro`` function.  Time
+    with no ``repro`` caller -- the interpreter's own start-up, or
+    recursion that never leaves library code -- stays ``other``.
+    """
+    totals = {phase: 0.0 for phase, _ in PROFILE_PHASES}
+    totals["other"] = 0.0
+    pending: Dict[tuple, float] = {}
+    for function, (_, _, tottime, _, _) in stats.items():
+        if function[0].startswith(PACKAGE_DIR):
+            totals[profile_phase(function[0])] += tottime
+        elif tottime > 0.0:
+            pending[function] = tottime
+    for _ in range(_PROPAGATION_ROUNDS):
+        if not pending:
+            break
+        passed_on: Dict[tuple, float] = {}
+        for function, seconds in pending.items():
+            entry = stats.get(function)
+            weights = {}
+            for caller, record in (entry[4] if entry else {}).items():
+                # cProfile keeps (calls, primitive calls, tottime,
+                # cumtime) per caller; a recursive self-call is skipped.
+                if caller != function and record[2] > 0.0:
+                    weights[caller] = record[2]
+            weight_sum = sum(weights.values())
+            if weight_sum <= 0.0:
+                totals["other"] += seconds
+                continue
+            for caller, weight in weights.items():
+                part = seconds * weight / weight_sum
+                if caller[0].startswith(PACKAGE_DIR):
+                    totals[profile_phase(caller[0])] += part
+                else:
+                    passed_on[caller] = passed_on.get(caller, 0.0) + part
+        pending = passed_on
+    totals["other"] += sum(pending.values())
+    return totals
+
+
 def _profile_breakdown(profile) -> List[str]:
     """Aggregate a cProfile run into per-phase exclusive-time lines."""
     import pstats
-    stats = pstats.Stats(profile)
-    totals = {phase: 0.0 for phase, _ in PROFILE_PHASES}
-    totals["other"] = 0.0
-    grand = 0.0
-    for (filename, _, _), (_, _, tottime, _, _) in stats.stats.items():
-        totals[profile_phase(filename)] += tottime
-        grand += tottime
-    lines = ["[profile] phase breakdown (exclusive time):"]
+    stats = pstats.Stats(profile).stats
+    totals = profile_phase_totals(stats)
+    grand = sum(tottime for _, _, tottime, _, _ in stats.values())
+    lines = ["[profile] phase breakdown (exclusive time; builtin and "
+             "library calls booked to their callers' phases):"]
     for phase in [name for name, _ in PROFILE_PHASES] + ["other"]:
         seconds = totals[phase]
         share = 100.0 * seconds / grand if grand else 0.0

@@ -1,7 +1,7 @@
 """Dependency slicer: group the optimized IR into ready waves.
 
-The wave-batched offload engine (``PlatformConfig.batched_offload``)
-precollects offload-decision features for several instructions at once.
+The opt-in wave-batched offload engine
+(``PlatformConfig.batched_offload=True``) precollects offload-decision features for several instructions at once.
 That is only sound when no instruction in the group can perturb another
 group member's features before the member's own decision time, so the
 slicer cuts the instruction stream into contiguous program-order *waves*
@@ -19,8 +19,8 @@ Under these two conditions the only ways a member's dispatch can still
 perturb a later member's features are capacity evictions (tracked by
 ``SSDPlatform.eviction_epoch``) and mapping-cache membership changes
 (tracked by ``MappingCache.version``); the offloader revalidates both
-snapshots before every member and falls back to the reference
-per-instruction path on any hazard, which is what makes the wave engine
+snapshots before every member and falls back to the per-instruction
+path on any hazard, which is what makes the wave engine
 bit-exact by construction.
 
 Plans are memoized on the program (:class:`VectorProgram` invalidates on
@@ -56,12 +56,11 @@ class WavePlan:
     source_runs: Tuple[Tuple[Tuple[int, int], ...], ...]
     #: Per instruction: the destination run (``None`` when no dest).
     dest_runs: Tuple[Optional[Tuple[int, int]], ...]
-    #: The three arrays above pre-sliced per wave, so the dispatch loop
-    #: hands each wave's views straight to the collector instead of
+    #: Each wave's instructions and source runs, pre-sliced so the
+    #: dispatch loop hands them straight to the collector instead of
     #: rebuilding member lists on every run of the (cached) plan.
     wave_instructions: Tuple[tuple, ...]
     wave_sources: Tuple[tuple, ...]
-    wave_dests: Tuple[tuple, ...]
 
 
 def wave_plan(program: VectorProgram, layout: ArrayLayout,
@@ -122,8 +121,6 @@ def wave_plan(program: VectorProgram, layout: ArrayLayout,
         wave_instructions=tuple(
             tuple(instructions[i] for i in wave) for wave in waves),
         wave_sources=tuple(
-            tuple(source_runs[i] for i in wave) for wave in waves),
-        wave_dests=tuple(
-            tuple(dest_runs[i] for i in wave) for wave in waves))
+            tuple(source_runs[i] for i in wave) for wave in waves))
     program._wave_plan = (key, plan)
     return plan

@@ -108,18 +108,18 @@ class WaveBatch:
 
     Built by :meth:`FeatureCollector.collect_batch` in one strictly
     read-only pass.  Live terms -- queueing delays, dependence delay,
-    contention penalties -- are *not* here; the offloader reads them at
-    each member's decision time, which is what keeps the wave engine
-    bit-identical to the sequential reference.  ``eviction_epoch`` /
+    contention penalties -- are *not* here;
+    :meth:`FeatureCollector.materialize` reads them at each member's
+    decision time, which is what keeps the wave engine bit-identical to
+    the per-instruction engine.  ``eviction_epoch`` /
     ``mapping_version`` snapshot the two hazard counters; the offloader
     revalidates them before every member and marks the batch ``dead``
     (sticky fallback to the per-instruction path) on any change.
     """
 
     instructions: List["VectorInstruction"]
-    #: Per member: source ``(base_lpa, count)`` runs and destination run.
+    #: Per member: source ``(base_lpa, count)`` runs.
     source_runs: List[Tuple[Tuple[int, int], ...]]
-    dest_runs: List[Optional[Tuple[int, int]]]
     #: Per member: the location histogram's items in first-occurrence
     #: page order (the order the movement sums accumulate in).
     location_items: List[Tuple[Tuple[DataLocation, int], ...]]
@@ -301,8 +301,7 @@ class FeatureCollector:
     # -- Wave-batched collection (PlatformConfig.batched_offload) -------------------
 
     def collect_batch(self, instructions: List[VectorInstruction],
-                      source_runs: List[Tuple[Tuple[int, int], ...]],
-                      dest_runs: List[Optional[Tuple[int, int]]]
+                      source_runs: List[Tuple[Tuple[int, int], ...]]
                       ) -> WaveBatch:
         """Precollect the static feature components of one wave.
 
@@ -315,8 +314,8 @@ class FeatureCollector:
         collection latency (identical per-component charges to
         :meth:`collect`, so Section 4.5's overhead reproduction is
         unchanged).  Live terms -- queueing delay, dependence delay,
-        contention penalties -- are deliberately absent: the offloader
-        reads them at each member's own decision time.
+        contention penalties -- are deliberately absent:
+        :meth:`materialize` reads them at each member's own decision time.
         """
         platform = self.platform
         entries = platform.ssd.ftl.cache._entries
@@ -378,49 +377,53 @@ class FeatureCollector:
                 movement_rows.append(row)
         return WaveBatch(
             instructions=instructions, source_runs=source_runs,
-            dest_runs=dest_runs, location_items=location_items,
+            location_items=location_items,
             hit_lpas=hit_lpas, collection_ns=collection_ns, static=statics,
             movement_rows=movement_rows,
             eviction_epoch=platform.eviction_epoch,
             mapping_version=platform.ssd.ftl.cache.version)
 
-    def charge(self, collection_ns: float) -> None:
-        """Account one precollected member's collection latency.
+    def materialize(self, batch: WaveBatch, pos: int, now: float,
+                    pending_producer_latency: float) -> InstructionFeatures:
+        """The wave engine's :meth:`collect`: one member's feature vector.
 
-        The same counters :meth:`collect` maintains, applied in member
-        order so the accumulated totals stay bit-identical to the
-        sequential reference.
+        Called at the member's own decision time ``now``.  It replays the
+        L2P hits recorded at precollect time (an LRU refresh only, so the
+        mapping cache sees the sequential access order), charges the
+        member's precollected collection latency, and reads the live
+        terms -- queueing delay and contention penalty -- per candidate,
+        in :meth:`collect`'s order.  The result is bit-identical to what
+        :meth:`collect` would return at the same decision point.
         """
+        move_to_end = self.platform.ssd.ftl.cache._entries.move_to_end
+        for lpa in batch.hit_lpas[pos]:
+            move_to_end(lpa)
+        collection_ns = batch.collection_ns[pos]
         self.collections += 1
         self.total_collection_latency_ns += collection_ns
         if collection_ns > self.max_collection_latency_ns:
             self.max_collection_latency_ns = collection_ns
-
-    def materialize(self, batch: WaveBatch, pos: int,
-                    dependence_delay_ns: float,
-                    queue_delays_ns: List[float],
-                    contention_delays_ns: List[float]
-                    ) -> InstructionFeatures:
-        """Build one member's full feature vector from the batch.
-
-        Bit-identical to what :meth:`collect` would return at the same
-        decision point (the caller supplies the live terms it read at that
-        point) -- the automatic per-instruction fallback for policies
-        without a packed entry point.
-        """
+        platform = self.platform
+        feedback = platform.config.contention_feedback
         instruction = batch.instructions[pos]
+        op = instruction.op
+        size_bytes = instruction.size_bytes
+        element_bits = instruction.element_bits
         row = batch.movement_rows[pos]
         per_resource: Dict[ResourceLike, ResourceFeatures] = {}
         for index, (resource, _, supported, compute,
-                    _) in enumerate(batch.static[pos]):
+                    queue) in enumerate(batch.static[pos]):
+            movement = row[index]
             per_resource[resource] = ResourceFeatures(
-                resource, supported, compute, row[index],
-                queue_delays_ns[index], dependence_delay_ns,
-                contention_delays_ns[index])
+                resource, supported, compute, movement,
+                queue._pending_latency / queue._parallelism,
+                pending_producer_latency,
+                platform.contention_penalty_ns(resource, op, size_bytes,
+                                               element_bits, movement, now)
+                if feedback else 0.0)
         return InstructionFeatures(
-            instruction.uid, instruction.op,
-            dict(batch.location_items[pos]), per_resource,
-            batch.collection_ns[pos], list(batch.source_runs[pos]))
+            instruction.uid, op, dict(batch.location_items[pos]),
+            per_resource, collection_ns, list(batch.source_runs[pos]))
 
     @property
     def average_collection_latency_ns(self) -> float:

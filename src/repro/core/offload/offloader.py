@@ -30,9 +30,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import DataLocation, ResourceLike
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
-from repro.core.offload.features import FeatureCollector, WaveBatch
-from repro.core.offload.policies import (OffloadingPolicy, PackedMember,
-                                         PolicyContext)
+from repro.core.offload.features import (FeatureCollector,
+                                         InstructionFeatures, WaveBatch)
+from repro.core.offload.policies import OffloadingPolicy, PolicyContext
 from repro.core.offload.transform import InstructionTransformer
 from repro.core.platform import SSDPlatform
 
@@ -73,14 +73,9 @@ class SSDOffloader:
         # path runs per instruction and per policy.
         self._is_ideal = policy.is_ideal
         self._choose = policy.choose
-        self._choose_packed = policy.choose_packed
         self._collect = self.collector.collect
         self._transform = self.transformer.transform
         self._dispatch_core = platform.dispatch_core
-        #: One reusable packed-member carrier for the wave-batched path;
-        #: policies read it synchronously inside ``choose_packed`` and
-        #: never retain it (mirrors the reusable PolicyContext below).
-        self._packed = PackedMember(self.collector)
         #: One reusable policy context; policies read it synchronously
         #: inside ``choose`` and never retain it.
         self._context = PolicyContext(platform=platform, now=0.0, elapsed=1.0)
@@ -129,6 +124,59 @@ class SSDOffloader:
         if pending_producer < 0.0:
             pending_producer = 0.0
         features = self._collect(instruction, arrival_ns, pending_producer)
+        return self._decide_and_dispatch(instruction, features, arrival_ns,
+                                         deps_ready_ns, elapsed_ns)
+
+    # -- Wave-batched entry points (PlatformConfig.batched_offload) ---------------------
+
+    def begin_wave(self, instructions: List[VectorInstruction],
+                   source_runs: List[Tuple[Tuple[int, int], ...]]
+                   ) -> WaveBatch:
+        """Precollect one dependence-free, page-disjoint wave's features."""
+        return self.collector.collect_batch(instructions, source_runs)
+
+    def offload_member(self, batch: WaveBatch, pos: int,
+                       instruction: VectorInstruction, arrival_ns: float,
+                       deps_ready_ns: float,
+                       elapsed_ns: float) -> OffloadDecision:
+        """Offload one wave member from its precollected features.
+
+        Bit-identical to :meth:`offload`: the member's feature vector is
+        materialized at its own decision time
+        (:meth:`FeatureCollector.materialize`) and then decided and
+        dispatched by the same code.  The precollected components cannot
+        have changed since collection -- the wave is page-disjoint and
+        the two hazard counters are revalidated here -- and any hazard
+        kills the whole batch (sticky), falling back to :meth:`offload`.
+        """
+        platform = self.platform
+        if not batch.dead and (
+                platform.eviction_epoch != batch.eviction_epoch
+                or platform.ssd.ftl.cache.version != batch.mapping_version):
+            # A previous member's dispatch evicted a page or churned the
+            # L2P cache membership: the precollected locations / hit
+            # partitions may be stale for the rest of the wave.
+            batch.dead = True
+        if batch.dead:
+            return self.offload(instruction, arrival_ns, deps_ready_ns,
+                                elapsed_ns)
+        if arrival_ns >= self._next_retire:
+            self._drain_queues(arrival_ns)
+        pending_producer = deps_ready_ns - arrival_ns
+        if pending_producer < 0.0:
+            pending_producer = 0.0
+        features = self.collector.materialize(batch, pos, arrival_ns,
+                                              pending_producer)
+        return self._decide_and_dispatch(instruction, features, arrival_ns,
+                                         deps_ready_ns, elapsed_ns)
+
+    # -- Decision and dispatch ------------------------------------------------------------
+
+    def _decide_and_dispatch(self, instruction: VectorInstruction,
+                             features: InstructionFeatures,
+                             arrival_ns: float, deps_ready_ns: float,
+                             elapsed_ns: float) -> OffloadDecision:
+        """Ask the policy for a target, occupy the dispatch core, execute."""
         context = self._context
         context.now = arrival_ns
         context.elapsed = elapsed_ns if elapsed_ns > 1.0 else 1.0
@@ -154,9 +202,6 @@ class SSDOffloader:
             return self._execute_ideal(instruction, resource,
                                        dispatch_start, issue_ns,
                                        deps_ready_ns, overhead_ns, compute)
-        source_runs = features.source_runs
-        if source_runs is None:
-            source_runs = self.collector.operand_runs(instruction)
         dest_run = self.collector.destination_run(instruction)
         # The collector already resolved the chosen candidate's
         # precomputed latency point; reuse it (identical memoized float)
@@ -170,128 +215,7 @@ class SSDOffloader:
                              if chosen is not None else 0.0)
         return self._execute_real(instruction, resource, dispatch_start,
                                   issue_ns, deps_ready_ns, overhead_ns,
-                                  source_runs, dest_run, compute,
-                                  movement_estimate)
-
-    # -- Wave-batched entry points (PlatformConfig.batched_offload) ---------------------
-
-    def begin_wave(self, instructions: List[VectorInstruction],
-                   source_runs: List[Tuple[Tuple[int, int], ...]],
-                   dest_runs: List[Optional[Tuple[int, int]]]) -> WaveBatch:
-        """Precollect one dependence-free, page-disjoint wave's features."""
-        return self.collector.collect_batch(instructions, source_runs,
-                                            dest_runs)
-
-    def offload_member(self, batch: Optional[WaveBatch], pos: int,
-                       instruction: VectorInstruction, arrival_ns: float,
-                       deps_ready_ns: float,
-                       elapsed_ns: float) -> OffloadDecision:
-        """Offload one wave member from its precollected features.
-
-        Bit-identical to :meth:`offload` by construction: the precollected
-        components cannot have changed since collection (the wave is
-        page-disjoint and the hazard counters are revalidated below), the
-        LRU refreshes recorded at precollect time are replayed here so the
-        mapping cache sees the exact sequential access order, and every
-        live term -- queueing delay, dependence delay, contention
-        penalties -- is read at this member's own decision time exactly as
-        :meth:`FeatureCollector.collect` would.  Any hazard kills the
-        whole batch (sticky) and falls back to the reference path.
-        """
-        if batch is None or batch.dead:
-            return self.offload(instruction, arrival_ns, deps_ready_ns,
-                                elapsed_ns)
-        platform = self.platform
-        cache = platform.ssd.ftl.cache
-        if (platform.eviction_epoch != batch.eviction_epoch
-                or cache.version != batch.mapping_version):
-            # A previous member's dispatch evicted a page or churned the
-            # L2P cache membership: the precollected locations / hit
-            # partitions may be stale for the rest of the wave.
-            batch.dead = True
-            return self.offload(instruction, arrival_ns, deps_ready_ns,
-                                elapsed_ns)
-        if arrival_ns >= self._next_retire:
-            self._drain_queues(arrival_ns)
-        pending_producer = deps_ready_ns - arrival_ns
-        if pending_producer < 0.0:
-            pending_producer = 0.0
-        # Replay the LRU refreshes the sequential collect would issue at
-        # this decision point (membership is unchanged -- revalidated
-        # above -- so the recorded hits are still hits).
-        move_to_end = cache._entries.move_to_end
-        for lpa in batch.hit_lpas[pos]:
-            move_to_end(lpa)
-        collection_ns = batch.collection_ns[pos]
-        self.collector.charge(collection_ns)
-
-        feedback = platform.config.contention_feedback
-        static = batch.static[pos]
-        movement_row = batch.movement_rows[pos]
-        op = instruction.op
-        size_bytes = instruction.size_bytes
-        element_bits = instruction.element_bits
-        penalty = platform.contention_penalty_ns
-        queue_delays: List[float] = []
-        contention_delays: List[float] = []
-        for index, (resource, _, _, _, queue) in enumerate(static):
-            queue_delays.append(queue._pending_latency / queue._parallelism)
-            contention_delays.append(
-                penalty(resource, op, size_bytes, element_bits,
-                        movement_row[index], arrival_ns)
-                if feedback else 0.0)
-
-        packed = self._packed
-        packed.batch = batch
-        packed.index = pos
-        packed.instruction = instruction
-        packed.static = static
-        packed.movement_ns = movement_row
-        packed.queue_delays_ns = queue_delays
-        packed.contention_delays_ns = contention_delays
-        packed.dependence_delay_ns = pending_producer
-        context = self._context
-        context.now = arrival_ns
-        context.elapsed = elapsed_ns if elapsed_ns > 1.0 else 1.0
-        resource = self._choose_packed(packed, context)
-        overhead_ns = collection_ns
-        if not self._is_ideal:
-            overhead_ns += self._transform(instruction,
-                                           resource).lookup_latency_ns
-        serial_ns = overhead_ns / PIPELINE_DEPTH
-        core = self._dispatch_core
-        free = core._free_at
-        dispatch_start = arrival_ns if arrival_ns >= free else free
-        core._free_at = dispatch_start + serial_ns
-        core.busy_time += serial_ns
-        core.jobs += 1
-        issue_ns = dispatch_start + overhead_ns
-
-        chosen_index = -1
-        for index, entry in enumerate(static):
-            if entry[0] == resource:
-                chosen_index = index
-                break
-        if self._is_ideal:
-            if chosen_index >= 0:
-                compute = static[chosen_index][3]
-            else:
-                compute = platform.backends._backends[
-                    resource].operation_latency(op, size_bytes, element_bits)
-            return self._execute_ideal(instruction, resource,
-                                       dispatch_start, issue_ns,
-                                       deps_ready_ns, overhead_ns, compute)
-        if chosen_index >= 0:
-            entry = static[chosen_index]
-            compute = entry[3] if entry[2] else None
-            movement_estimate = movement_row[chosen_index]
-        else:
-            compute = None
-            movement_estimate = 0.0
-        return self._execute_real(instruction, resource, dispatch_start,
-                                  issue_ns, deps_ready_ns, overhead_ns,
-                                  batch.source_runs[pos],
-                                  batch.dest_runs[pos], compute,
+                                  features.source_runs, dest_run, compute,
                                   movement_estimate)
 
     # -- Ideal execution (no contention, free data movement) ------------------------------

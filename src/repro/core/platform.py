@@ -95,19 +95,22 @@ class PlatformConfig:
     #: bit-exactly.
     contention_feedback: bool = False
 
-    #: Drive offload decisions wave-by-wave: a dependency slicer groups
-    #: the compiled IR into ready waves (page-disjoint, dependence-free
-    #: program-order blocks), the feature collector precollects each
-    #: wave's operand locations, L2P probes and movement-table sums in
-    #: one pass, and Conduit's argmin runs on packed scalars without
-    #: per-instruction feature objects.  Bit-exact with the
-    #: per-instruction path by construction: identical per-component
-    #: latencies are charged (Section 4.5's overhead reproduction is
-    #: unchanged), mapping-cache LRU refreshes are replayed at each
-    #: member's decision time, and any mid-wave residence or
-    #: mapping-cache hazard falls back to the reference path.  The
-    #: per-instruction engine remains the golden reference.
-    batched_offload: bool = True
+    #: Opt in to the wave-batched offload engine.  The default (``False``)
+    #: collects each instruction's features and decides it on its own,
+    #: as the paper's offloader does (Section 4.3.2).  With ``True`` a
+    #: dependency slicer groups the compiled IR into ready waves
+    #: (page-disjoint, dependence-free program-order blocks) and the
+    #: feature collector precollects each wave's operand locations, L2P
+    #: probes and movement-table sums in one pass; every member is then
+    #: decided by the same policy ``choose`` and dispatch code.  Both
+    #: engines give bit-identical results: identical per-component
+    #: latencies are charged, mapping-cache LRU refreshes are replayed at
+    #: each member's decision time, and any mid-wave residence or
+    #: mapping-cache hazard falls back to the per-instruction path.  The
+    #: wave engine was not faster in paired benchmark runs
+    #: (``BENCH_decision_engine.json``); it stays selectable only until
+    #: the benchmark tracer stops reading its entry points by name.
+    batched_offload: bool = False
 
     # -- Backend roster (the platform's compute shape is data, not code) ----
 

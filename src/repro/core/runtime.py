@@ -112,8 +112,8 @@ class ConduitRuntime:
             makespan = self._drive_waves(program, layout, offloader, records,
                                          start_ns)
         else:
-            makespan = self._drive_reference(program, offloader, records,
-                                             start_ns)
+            makespan = self._drive_instructions(program, offloader,
+                                                records, start_ns)
 
         platform.ssd.enter_regular_io_mode()
         energy_config = platform.config.ssd.energy
@@ -128,11 +128,11 @@ class ConduitRuntime:
 
     # -- Dispatch loops ------------------------------------------------------------
 
-    def _drive_reference(self, program: VectorProgram,
-                         offloader: SSDOffloader,
-                         records: List[InstructionRecord],
-                         start_ns: float) -> float:
-        """The golden per-instruction dispatch loop."""
+    def _drive_instructions(self, program: VectorProgram,
+                            offloader: SSDOffloader,
+                            records: List[InstructionRecord],
+                            start_ns: float) -> float:
+        """The per-instruction dispatch loop (the default engine)."""
         platform = self.platform
         completion: Dict[int, float] = {}
         outstanding: List[float] = []  # completion times, kept as a heap
@@ -178,14 +178,18 @@ class ConduitRuntime:
                      offloader: SSDOffloader,
                      records: List[InstructionRecord],
                      start_ns: float) -> float:
-        """Wave-batched dispatch (``PlatformConfig.batched_offload``).
+        """Wave-batched dispatch, opt-in via
+        ``PlatformConfig.batched_offload=True``.
 
         Same in-order, windowed issue semantics as
-        :meth:`_drive_reference`; the only difference is that feature
+        :meth:`_drive_instructions`; the only difference is that feature
         collection is front-loaded per dependence-free, page-disjoint wave
-        (:func:`wave_plan`) and each member decides from the precollected
-        batch, which :meth:`SSDOffloader.offload_member` keeps
-        bit-identical to the reference (hazard-counter fallback included).
+        (:func:`wave_plan`).  Each member's feature vector is materialized
+        from the precollected batch at its decision time and goes through
+        the same policy ``choose`` and dispatch code as the
+        per-instruction engine, so results are bit-identical
+        (hazard-counter fallback included).  Kept only until the
+        benchmark tracer stops reading the wave entry points by name.
         """
         platform = self.platform
         plan = wave_plan(program, layout)
@@ -199,10 +203,8 @@ class ConduitRuntime:
         heappush, heappop = heapq.heappush, heapq.heappop
         append_record = records.append
         wave_sources = plan.wave_sources
-        wave_dests = plan.wave_dests
         for wave_index, members in enumerate(plan.wave_instructions):
-            batch = begin_wave(members, wave_sources[wave_index],
-                               wave_dests[wave_index])
+            batch = begin_wave(members, wave_sources[wave_index])
             for pos, instruction in enumerate(members):
                 deps_ready = start_ns
                 for d in instruction.depends_on:

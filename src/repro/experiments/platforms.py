@@ -117,11 +117,12 @@ def _cxl_pud_variant(base: PlatformConfig) -> PlatformConfig:
     return dataclasses.replace(base, cxl_pud=CXLPuDConfig())
 
 
-def _reference_decisions_variant(base: PlatformConfig) -> PlatformConfig:
-    """The default platform driven by the golden per-instruction offload
-    path (``batched_offload=False``) -- bit-identical results by contract,
-    kept as a CI smoke axis so the reference loop stays exercised."""
-    return dataclasses.replace(base, batched_offload=False)
+def _wave_decisions_variant(base: PlatformConfig) -> PlatformConfig:
+    """The default platform driven by the opt-in wave-batched offload
+    engine (``batched_offload=True``) -- bit-identical results by
+    contract, kept as a CI smoke axis so the wave engine stays exercised
+    until it is deleted."""
+    return dataclasses.replace(base, batched_offload=True)
 
 
 def with_contention_feedback(config: PlatformConfig) -> PlatformConfig:
@@ -158,7 +159,7 @@ def _feedback_variant(inner: PlatformFactory) -> PlatformFactory:
 register_platform_variant("default", _default_variant)
 register_platform_variant("multicore-isp", _multicore_isp_variant)
 register_platform_variant("cxl-pud", _cxl_pud_variant)
-register_platform_variant("reference-decisions", _reference_decisions_variant)
+register_platform_variant("wave-decisions", _wave_decisions_variant)
 register_platform_variant("default-feedback",
                           _feedback_variant(_default_variant))
 register_platform_variant("multicore-isp-feedback",

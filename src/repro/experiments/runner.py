@@ -178,8 +178,8 @@ def run_spec_key(spec: RunSpec) -> str:
     # every shape-changing knob.
     encoded.pop("platform_name", None)
     # The decision-engine choice is an implementation detail, not
-    # semantics: the wave-batched engine is bit-exact against the
-    # per-instruction reference by construction (pinned by
+    # semantics: the opt-in wave-batched engine is bit-exact against the
+    # per-instruction engine by construction (pinned by
     # tests/test_batched_offload.py), so both flag states share cache
     # entries.
     platform_encoded = encoded.get("platform")

@@ -1,15 +1,17 @@
-"""Differential suite for the wave-batched offload decision engine.
+"""Differential suite for the two offload decision engines.
 
-``PlatformConfig.batched_offload`` front-loads feature collection per
-dependence-free, page-disjoint wave (``repro.core.compiler.waves``) and
-decides each member from the precollected batch; the per-instruction
-path stays the bit-exact golden reference.  Bit-equality -- not float tolerance
--- is the contract: the two engines must produce *identical*
+The default engine collects and decides one instruction at a time.  The
+opt-in wave engine (``PlatformConfig.batched_offload=True``) front-loads
+feature collection per dependence-free, page-disjoint wave
+(``repro.core.compiler.waves``) and materializes each member's feature
+vector from the precollected batch; both engines then decide through the
+policy's one ``choose`` method.  Bit-equality -- not float tolerance --
+is the contract: the two engines must produce *identical*
 :class:`ExecutionResult` trees, which is also what lets them share
 sweep-cache entries (the engine flag is popped from
 :func:`run_spec_key`).
 
-Three layers:
+Four layers:
 
 * property-based sweep points (Hypothesis): random (workload, policy,
   scale, platform-variant, contention-feedback) combinations run on
@@ -19,8 +21,9 @@ Three layers:
   streams (ops, operand overlap, dependency chains) on a tiny platform
   whose window pressure forces evictions, i.e. the hazard-counter
   fallback path;
-* the cache-key identity the engine split relies on, plus the wave
-  slicer's structural invariants.
+* a custom policy that implements only ``choose``, on both engines;
+* the cache-key identity the engine split relies on, the default engine
+  choice, and the wave slicer's structural invariants.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
                                     VectorProgram)
 from repro.core.compiler.waves import wave_plan
 from repro.core.layout import ArrayLayout
-from repro.core.offload.policies import make_policy
+from repro.core.offload.policies import OffloadingPolicy, make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime
 from repro.experiments import ExperimentConfig, ExperimentRunner, \
@@ -136,6 +139,57 @@ class TestRandomPrograms:
         _assert_bit_equal(*results)
 
 
+class LeastMovementPolicy(OffloadingPolicy):
+    """A policy outside the registry that implements only ``choose``.
+
+    It reads every feature the collector provides -- movement, queueing,
+    dependence, compute and contention -- so any term the wave engine
+    materialized differently from ``collect`` would change its choice.
+    """
+
+    name = "least-movement"
+
+    def choose(self, instruction, features, context):
+        viable = self._viable(features)
+        if not viable:
+            return self._fallback(features)
+        return min(viable, key=lambda r: (
+            features.feature(r).contended_data_movement_latency_ns
+            + features.feature(r).queueing_delay_ns
+            + features.feature(r).dependence_delay_ns,
+            features.feature(r).expected_compute_latency_ns,
+            r.value))
+
+
+class TestCustomPolicy:
+    """A ``choose``-only policy decides identically on both engines."""
+
+    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=24),
+           feedback=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_choose_only_policy_bit_equal(self, stream, feedback):
+        results = []
+        for batched in (True, False):
+            runtime = ConduitRuntime(
+                SSDPlatform(_small_config(batched_offload=batched,
+                                          contention_feedback=feedback)))
+            results.append(runtime.execute(_build_program(stream),
+                                           LeastMovementPolicy()))
+        _assert_bit_equal(*results)
+
+    def test_choose_only_policy_on_a_workload(self):
+        results = []
+        for batched in (True, False):
+            platform = dataclasses.replace(
+                platform_variant("multicore-isp"), batched_offload=batched)
+            runner = ExperimentRunner(
+                ExperimentConfig(workload_scale=0.05, platform=platform))
+            results.append(runner.run_with_policy(
+                workload_by_name("jacobi-1d", scale=0.05),
+                LeastMovementPolicy()))
+        _assert_bit_equal(*results)
+
+
 class TestWavePlanInvariants:
     """Structural soundness of the dependency slicer."""
 
@@ -193,7 +247,7 @@ class TestCacheKeyIdentity:
         assert (run_spec_key(RunSpec("AES", 0.05, "Conduit", base))
                 != run_spec_key(RunSpec("AES", 0.05, "Conduit", feedback)))
 
-    def test_reference_decisions_variant_registered(self):
-        config = platform_variant("reference-decisions")
-        assert config.batched_offload is False
-        assert platform_variant("default").batched_offload is True
+    def test_per_instruction_engine_is_default(self):
+        assert PlatformConfig().batched_offload is False
+        assert platform_variant("default").batched_offload is False
+        assert platform_variant("wave-decisions").batched_offload is True

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import PROFILE_PHASES, profile_phase
+from repro.__main__ import (PACKAGE_DIR, PROFILE_PHASES, profile_phase,
+                            profile_phase_totals)
 from repro.__main__ import main as cli_main
 from repro.common import MIB
 from repro.core.platform import PlatformConfig, backend_roster
@@ -451,8 +452,9 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "[profile] phase breakdown" in out
-        for phase in ("collect", "compile", "decide", "transform", "move",
-                      "maintenance", "execute", "other", "total"):
+        for phase in ("collect", "compile", "decide", "transform",
+                      "dispatch", "move", "maintenance", "execute", "other",
+                      "total"):
             assert f"[profile]   {phase}" in out
 
     def test_profile_phase_fragments_name_real_sources(self):
@@ -475,10 +477,45 @@ class TestCLI:
         ("ssd/lifetime/aging.py", "maintenance"),
         ("ssd/lifetime/engine.py", "maintenance"),
         ("ssd/gc.py", "maintenance"), ("ssd/wear_leveling.py", "maintenance"),
-        ("ssd/ftl.py", "execute"),
+        ("ssd/ftl.py", "execute"), ("core/runtime.py", "dispatch"),
     ])
     def test_profile_phase_of_source(self, source, phase):
         assert profile_phase(str(SOURCE_ROOT / source)) == phase
+
+    def test_profile_books_builtins_to_their_callers_phase(self):
+        """A builtin's time follows its callers, weighted by the time
+        each caller's calls spent in it; a library frame in between
+        passes its part on to its own ``repro`` caller."""
+        runtime = (PACKAGE_DIR + "core/runtime.py", 10, "drive")
+        platform = (PACKAGE_DIR + "core/platform.py", 20, "ensure")
+        library = ("/usr/lib/python3/heapq.py", 30, "merge")
+        builtin = ("~", 0, "<built-in method builtins.min>")
+        orphan = ("~", 0, "<built-in method builtins.exec>")
+        stats = {
+            runtime: (1, 1, 1.0, 5.0, {}),
+            platform: (2, 2, 2.0, 4.0, {runtime: (2, 2, 2.0, 4.0)}),
+            library: (1, 1, 0.5, 0.9, {platform: (1, 1, 0.5, 0.9)}),
+            # 3 s of min(): 1 s from the runtime, 1.6 s from the
+            # platform and 0.4 s from the library frame.
+            builtin: (9, 9, 3.0, 3.0, {runtime: (3, 3, 1.0, 1.0),
+                                        platform: (5, 5, 1.6, 1.6),
+                                        library: (1, 1, 0.4, 0.4)}),
+            orphan: (1, 1, 0.25, 9.0, {}),
+        }
+        totals = profile_phase_totals(stats)
+        assert totals["dispatch"] == pytest.approx(1.0 + 1.0)
+        assert totals["move"] == pytest.approx(2.0 + 1.6 + 0.5 + 0.4)
+        assert totals["other"] == pytest.approx(0.25)
+        assert sum(totals.values()) == pytest.approx(
+            sum(entry[2] for entry in stats.values()))
+
+    def test_profile_leaves_library_recursion_as_other(self):
+        left = ("/usr/lib/python3/copy.py", 1, "deepcopy")
+        right = ("/usr/lib/python3/copy.py", 2, "_deepcopy_dict")
+        stats = {left: (2, 1, 1.0, 2.0, {right: (1, 1, 0.5, 1.0)}),
+                 right: (1, 1, 1.0, 2.0, {left: (1, 1, 1.0, 2.0)})}
+        totals = profile_phase_totals(stats)
+        assert totals["other"] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("command", [["run", "fig8"],
                                          ["compare", "fig8", "default",
