@@ -192,9 +192,8 @@ def profile_phase_totals(stats: Dict) -> Dict[str, float]:
             break
         passed_on: Dict[tuple, float] = {}
         for function, seconds in pending.items():
-            entry = stats.get(function)
             weights = {}
-            for caller, record in (entry[4] if entry else {}).items():
+            for caller, record in stats[function][4].items():
                 # cProfile keeps (calls, primitive calls, tottime,
                 # cumtime) per caller; a recursive self-call is skipped.
                 if caller != function and record[2] > 0.0:

@@ -395,7 +395,8 @@ class FeatureCollector:
         in :meth:`collect`'s order.  The result is bit-identical to what
         :meth:`collect` would return at the same decision point.
         """
-        move_to_end = self.platform.ssd.ftl.cache._entries.move_to_end
+        platform = self.platform
+        move_to_end = platform.ssd.ftl.cache._entries.move_to_end
         for lpa in batch.hit_lpas[pos]:
             move_to_end(lpa)
         collection_ns = batch.collection_ns[pos]
@@ -403,7 +404,6 @@ class FeatureCollector:
         self.total_collection_latency_ns += collection_ns
         if collection_ns > self.max_collection_latency_ns:
             self.max_collection_latency_ns = collection_ns
-        platform = self.platform
         feedback = platform.config.contention_feedback
         instruction = batch.instructions[pos]
         op = instruction.op
