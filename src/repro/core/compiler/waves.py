@@ -1,11 +1,12 @@
 """Dependency slicer: group the optimized IR into ready waves.
 
 The opt-in wave-batched offload engine
-(``PlatformConfig.batched_offload=True``) precollects offload-decision features for several instructions at once.
-That is only sound when no instruction in the group can perturb another
-group member's features before the member's own decision time, so the
-slicer cuts the instruction stream into contiguous program-order *waves*
-whose members are pairwise
+(``PlatformConfig.batched_offload=True``) precollects offload-decision
+features for several instructions at once.  That is only sound when no
+instruction in the group can perturb another group member's features
+before the member's own decision time, so the slicer cuts the
+instruction stream into contiguous program-order *waves* whose members
+are pairwise
 
 * **dependence-free** -- no member names another member in its
   ``depends_on`` list (no member consumes another member's output), and
