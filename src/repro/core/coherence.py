@@ -10,20 +10,27 @@ logical page has three fields:
 * **version** -- a one-byte monotonically increasing counter used to order
   updates and detect stale copies.
 
-Synchronisation is *lazy*: data is written back to flash only when another
-computation resource (or the host) requests the page, when it must be
-evicted to reuse the temporary location, on garbage collection, or on a
-power cycle.  A strict flush-on-every-write policy is modelled as well so
-the ablation benchmark can quantify why the paper rejects it.
+Synchronisation is *lazy*: a dirty page is committed to flash only when
+another computation resource (or the host) requests it, when it is evicted
+from a temporary location, when a different resource overwrites it, or
+before its version counter wraps.  A strict flush-on-every-write policy is
+modelled as well so the ablation benchmark can quantify why the paper
+rejects it.
+
+The directory has one hook per event (``on_read_run``, ``on_write_run``,
+``on_evict``), each returning the commits it made.  Remote-read commits,
+strict write-throughs and dirty evictions are performed as flash
+write-backs; remote-write and version-wrap commits are counted in
+``flushes`` but move no data and are not charged.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.common import DataLocation, SimulationError
+from repro.common import DataLocation
 
 #: Size of the version counter in bits (stored as one byte; a 3-bit counter
 #: would suffice for the evaluated workloads -- Section 4.4, footnote 4).
@@ -31,8 +38,8 @@ VERSION_BITS = 8
 _VERSION_WRAP = 2 ** VERSION_BITS
 
 #: Reason of the commit strict coherence issues after every write.  It is
-#: the only commit the platform performs as a flash write-back when the
-#: write happens (:meth:`~repro.core.platform.SSDPlatform.write_through`).
+#: the only write-time commit the platform performs as a flash write-back
+#: (:meth:`~repro.core.platform.SSDPlatform.mark_produced_run`).
 STRICT_WRITE_THROUGH = "strict coherence write-through"
 
 #: Shared empty action list: returned (and never mutated) by the run-level
@@ -68,13 +75,11 @@ class CoherenceEntry:
 
 @dataclass
 class SyncAction:
-    """One synchronisation the directory requests from the platform."""
+    """One commit of a page to flash (the durable home of every page)."""
 
     lpa: int
     from_location: DataLocation
-    #: Commit target is always flash (the durable home of every page).
-    to_location: DataLocation = DataLocation.FLASH
-    reason: str = ""
+    reason: str
 
 
 class CoherenceDirectory:
@@ -97,9 +102,6 @@ class CoherenceDirectory:
             self._entries[lpa] = CoherenceEntry()
         return self._entries[lpa]
 
-    def owner(self, lpa: int) -> DataLocation:
-        return self.entry(lpa).owner
-
     def tracked_pages(self) -> int:
         return len(self._entries)
 
@@ -109,60 +111,34 @@ class CoherenceDirectory:
 
     # -- Reads ------------------------------------------------------------------
 
-    def on_read(self, lpa: int,
-                reader_location: DataLocation) -> List[SyncAction]:
-        """A computation resource (or the host) reads ``lpa``.
-
-        If another resource holds a dirty copy, the lazy protocol commits the
-        page to flash first (Section 4.4: "If another computation resource or
-        the host requests the page, Conduit commits the updated page to the
-        NAND flash chips, sets the owner field to flash, marks the state as
-        clean, and resets the version").
-        """
-        entry = self.entry(lpa)
-        actions: List[SyncAction] = []
-        if (entry.state is PageCoherenceState.DIRTY
-                and entry.owner is not reader_location):
-            actions.append(SyncAction(lpa=lpa, from_location=entry.owner,
-                                      reason="remote read of dirty page"))
-            self._commit(lpa, entry)
-        return actions
-
     def on_read_run(self, base_lpa: int, count: int,
                     reader_location: DataLocation) -> List[SyncAction]:
-        """Run-granular :meth:`on_read` over ``[base_lpa, base_lpa+count)``.
+        """A computation resource (or the host) reads ``[base_lpa, +count)``.
 
-        Equivalent to calling ``on_read`` for every page of the run in
-        ascending order.  When no page of the run is dirty (checked against
-        the dirty index without touching per-page entries), the scan reduces
-        to materialising the run's tracking entries.
+        Dirty pages owned elsewhere are committed to flash first, in LPA
+        order (Section 4.4).  Only dirty pages can commit, so the scan
+        consults the dirty index; a clean run only gains tracking entries.
         """
         end = base_lpa + count
         dirty = self._dirty
         entries = self._entries
-        if not dirty:
-            # Clean run (the steady state): no commits are possible; only
-            # the run's tracking entries are materialised.
-            for lpa in range(base_lpa, end):
-                if lpa not in entries:
-                    entries[lpa] = CoherenceEntry()
-            return _NO_ACTIONS
-        if len(dirty) <= count:
-            dirty_in_run = sorted(
-                lpa for lpa in dirty if base_lpa <= lpa < end)
-        else:
-            dirty_in_run = [lpa for lpa in range(base_lpa, end)
-                            if lpa in dirty]
-        actions: List[SyncAction] = []
-        # Only dirty pages can generate commits; visiting them in ascending
-        # LPA order reproduces the per-page scan's action order.  (The list
-        # is materialized first because committing mutates the dirty index.)
-        for lpa in dirty_in_run:
-            entry = entries[lpa]
-            if entry.owner is not reader_location:
-                actions.append(SyncAction(lpa=lpa, from_location=entry.owner,
-                                          reason="remote read of dirty page"))
-                self._commit(lpa, entry)
+        actions = _NO_ACTIONS
+        if dirty:
+            if len(dirty) <= count:
+                dirty_in_run = sorted(
+                    lpa for lpa in dirty if base_lpa <= lpa < end)
+            else:
+                dirty_in_run = [lpa for lpa in range(base_lpa, end)
+                                if lpa in dirty]
+            # Materialized first: committing mutates the dirty index.
+            for lpa in dirty_in_run:
+                entry = entries[lpa]
+                if entry.owner is not reader_location:
+                    if actions is _NO_ACTIONS:
+                        actions = []
+                    actions.append(SyncAction(
+                        lpa, entry.owner, "remote read of dirty page"))
+                    self._commit(lpa, entry)
         for lpa in range(base_lpa, end):
             if lpa not in entries:
                 entries[lpa] = CoherenceEntry()
@@ -170,103 +146,61 @@ class CoherenceDirectory:
 
     # -- Writes -----------------------------------------------------------------
 
-    def on_write(self, lpa: int,
-                 writer_location: DataLocation) -> List[SyncAction]:
-        """A computation resource produces a new version of ``lpa``."""
-        entry = self.entry(lpa)
-        actions: List[SyncAction] = []
-        if (entry.state is PageCoherenceState.DIRTY
-                and entry.owner is not writer_location):
-            actions.append(SyncAction(lpa=lpa, from_location=entry.owner,
-                                      reason="remote write of dirty page"))
-            self._commit(lpa, entry)
-        entry.owner = writer_location
-        entry.state = PageCoherenceState.DIRTY
-        self._dirty.add(lpa)
-        entry.version += 1
-        if entry.version >= _VERSION_WRAP:
-            # Flush before the counter wraps (correctness rule, footnote 4).
-            actions.append(SyncAction(lpa=lpa, from_location=entry.owner,
-                                      reason="version counter wrap"))
-            self._commit(lpa, entry)
-            self.version_wraps += 1
-        if self.policy is CoherencePolicy.STRICT:
-            actions.append(SyncAction(lpa=lpa, from_location=writer_location,
-                                      reason=STRICT_WRITE_THROUGH))
-            self._commit(lpa, entry)
-        return actions
-
     def on_write_run(self, base_lpa: int, count: int,
                      writer_location: DataLocation) -> List[SyncAction]:
-        """Run-granular :meth:`on_write` (every write mutates its entry)."""
-        if self.policy is not CoherencePolicy.LAZY:
-            actions = []
-            for lpa in range(base_lpa, base_lpa + count):
-                actions.extend(self.on_write(lpa, writer_location))
-            return actions
-        # Inlined lazy-path :meth:`on_write` (no strict write-through).
+        """A computation resource produces ``[base_lpa, +count)``.
+
+        Per page: commit a dirty copy owned elsewhere (remote write), make
+        the page dirty at the writer, commit before the version counter
+        wraps (footnote 4), then commit again under strict coherence.
+        """
         entries = self._entries
         dirty_add = self._dirty.add
         dirty_state = PageCoherenceState.DIRTY
-        actions: Optional[List[SyncAction]] = None
+        strict = self.policy is CoherencePolicy.STRICT
+        actions = _NO_ACTIONS
         for lpa in range(base_lpa, base_lpa + count):
             entry = entries.get(lpa)
             if entry is None:
                 entry = entries[lpa] = CoherenceEntry()
             if (entry.state is dirty_state
                     and entry.owner is not writer_location):
-                if actions is None:
+                if actions is _NO_ACTIONS:
                     actions = []
-                actions.append(SyncAction(
-                    lpa=lpa, from_location=entry.owner,
-                    reason="remote write of dirty page"))
+                actions.append(SyncAction(lpa, entry.owner,
+                                          "remote write of dirty page"))
                 self._commit(lpa, entry)
             entry.owner = writer_location
             entry.state = dirty_state
             dirty_add(lpa)
             entry.version += 1
             if entry.version >= _VERSION_WRAP:
-                if actions is None:
+                if actions is _NO_ACTIONS:
                     actions = []
-                actions.append(SyncAction(
-                    lpa=lpa, from_location=entry.owner,
-                    reason="version counter wrap"))
+                actions.append(SyncAction(lpa, writer_location,
+                                          "version counter wrap"))
                 self._commit(lpa, entry)
                 self.version_wraps += 1
-        return _NO_ACTIONS if actions is None else actions
+            if strict:
+                if actions is _NO_ACTIONS:
+                    actions = []
+                actions.append(SyncAction(lpa, writer_location,
+                                          STRICT_WRITE_THROUGH))
+                self._commit(lpa, entry)
+        return actions
 
-    # -- Evictions / maintenance -----------------------------------------------------
+    # -- Evictions -------------------------------------------------------------
 
     def on_evict(self, lpa: int) -> List[SyncAction]:
         """The page's temporary location is being reclaimed."""
         entry = self.entry(lpa)
         if entry.state is PageCoherenceState.DIRTY:
-            action = SyncAction(lpa=lpa, from_location=entry.owner,
-                                reason="eviction from temporary location")
+            action = SyncAction(lpa, entry.owner,
+                                "eviction from temporary location")
             self._commit(lpa, entry)
             return [action]
         entry.owner = DataLocation.FLASH
         return []
-
-    def on_gc(self, lpas: Iterable[int]) -> List[SyncAction]:
-        """Garbage collection forces synchronisation of affected pages."""
-        actions: List[SyncAction] = []
-        for lpa in lpas:
-            entry = self.entry(lpa)
-            if entry.state is PageCoherenceState.DIRTY:
-                actions.append(SyncAction(lpa=lpa, from_location=entry.owner,
-                                          reason="garbage collection"))
-                self._commit(lpa, entry)
-        return actions
-
-    def on_power_cycle(self) -> List[SyncAction]:
-        actions: List[SyncAction] = []
-        for lpa, entry in self._entries.items():
-            if entry.state is PageCoherenceState.DIRTY:
-                actions.append(SyncAction(lpa=lpa, from_location=entry.owner,
-                                          reason="power cycle"))
-                self._commit(lpa, entry)
-        return actions
 
     # -- Internal ------------------------------------------------------------------------
 

@@ -253,15 +253,16 @@ class SSDOffloader:
 
         move_start = issue_ns if issue_ns >= deps_ready_ns else deps_ready_ns
         # Lazy coherence: a read of a page whose dirty copy lives elsewhere
-        # commits that page to flash before it can be re-read.
-        commit_end = move_start
+        # commits that page to flash before it can be re-read.  Moving a
+        # commit changes no directory state and flash has no capacity
+        # window, so every run's commits are gathered before one move.
         on_read_run = platform.coherence.on_read_run
-        for base, count in source_runs:
-            for action in on_read_run(base, count, home):
-                end = platform.ensure_pages_at(
-                    move_start, (action.lpa,), DataLocation.FLASH)
-                if end > commit_end:
-                    commit_end = end
+        commits = [(action.lpa, 1) for base, count in source_runs
+                   for action in on_read_run(base, count, home)]
+        commit_end = move_start
+        if commits:
+            commit_end = platform.ensure_runs_at(move_start, commits,
+                                                 DataLocation.FLASH)
         dm_end = platform.ensure_runs_at(commit_end, source_runs, home)
         data_movement_ns = dm_end - move_start
         # Live contention feedback: report how long reaching this operand
@@ -303,11 +304,7 @@ class SSDOffloader:
         # The destination pages now live at the resource's home location
         # (and, under strict coherence, are written through to flash).
         if dest_run is not None:
-            actions = platform.coherence.on_write_run(dest_run[0],
-                                                      dest_run[1], home)
-            platform.mark_produced_run(end_ns, (dest_run,), home)
-            if actions:
-                platform.write_through(end_ns, actions)
+            platform.mark_produced_run(end_ns, dest_run, home)
 
         self.overheads.append(overhead_ns)
         return OffloadDecision(resource, dispatch_ns, ready,

@@ -8,37 +8,28 @@ the energy account, the lazy-coherence directory, and the data-movement
 engine that shuttles logical pages between flash, SSD DRAM, controller SRAM
 and the host.
 
-The runtime offloader (:mod:`repro.core.offload`) asks this platform three
-kinds of questions:
-
-* *Where is this operand?* (``location_of`` / ``locations_of_pages``)
-* *What would it cost to move it / compute it there?*
-  (``estimate_move_latency`` / ``compute_latency`` -- the precomputed
-  latency tables of Section 4.5)
-* *Actually do it* (``ensure_runs_at`` / ``record_compute``), reserving the
-  shared buses and execution sub-units so contention emerges naturally.
-
-Operands move one logical page at a time: they arrive as contiguous LPA
-runs (arrays map to contiguous page ranges, Section 4.4), and
-:meth:`SSDPlatform.ensure_runs_at` walks each run page by page.  Every page
-reserves its own flash channel/die, DRAM bank and shared-bus slots and pays
-its own energy charge, and a page whose insertion evicts a dirty page from
-the destination's capacity window writes the victim back on the shared
-buses before the next page moves.
+Every array maps to a contiguous LPA run (Section 4.4), so the runtimes
+drive the data path through two run-granular steps:
+:meth:`SSDPlatform.ensure_runs_at` moves runs to a location one page at a
+time (each page reserves its own channel/die, DRAM bank and shared-bus
+slots and pays its own energy; a dirty page evicted from the destination's
+capacity window is written back before the next page moves), and
+:meth:`SSDPlatform.mark_produced_run` records a run just produced at a
+location.  The feature collector reads the :attr:`SSDPlatform.residence`
+index and the precomputed movement table (Section 4.5) directly.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common import (BackendId, DataLocation, MIB, OpType, Resource,
                           ResourceLike, SimulationError)
 from repro.core.backends import BackendRegistry
 from repro.core.coherence import (STRICT_WRITE_THROUGH, CoherenceDirectory,
-                                  CoherencePolicy, SyncAction)
+                                  CoherencePolicy)
 from repro.core.contention import LinkContentionMonitor
 from repro.dram.config import DRAMConfig
 from repro.dram.cxl import CXLPuDBackend, CXLPuDConfig
@@ -134,15 +125,6 @@ class PlatformConfig:
     #: channels.  The default (``None``) is a factory-fresh drive, on which
     #: the engine never acts.
     drive_age: Optional[DriveAgeProfile] = None
-
-
-def _run_pages(runs: Sequence[Tuple[int, int]]) -> Iterable[int]:
-    """The pages of contiguous ``(base_lpa, count)`` runs, in order."""
-    if len(runs) == 1:
-        base, count = runs[0]
-        return range(base, base + count)
-    return chain.from_iterable(range(base, base + count)
-                               for base, count in runs)
 
 
 class _LocationWindow:
@@ -368,15 +350,6 @@ class SSDPlatform:
         """
         return self._residence
 
-    def locations_of_pages(self, lpas: Iterable[int]
-                           ) -> Dict[DataLocation, int]:
-        """Histogram of locations for a set of pages."""
-        histogram: Dict[DataLocation, int] = {}
-        for lpa in lpas:
-            location = self.location_of(lpa)
-            histogram[location] = histogram.get(location, 0) + 1
-        return histogram
-
     # ------------------------------------------------------------------------
     # Precomputed data-movement latency table (Section 4.5)
     # ------------------------------------------------------------------------
@@ -424,17 +397,14 @@ class SSDPlatform:
     # Data movement (reserves buses, charges energy)
     # ------------------------------------------------------------------------
 
-    def ensure_pages_at(self, now: float, lpas: Iterable[int],
-                        destination: DataLocation) -> float:
-        """Move every page in ``lpas`` to ``destination``; return finish time.
+    def ensure_runs_at(self, now: float, runs: Sequence[Tuple[int, int]],
+                       destination: DataLocation) -> float:
+        """Move ``(base_lpa, count)`` runs to ``destination`` page by page.
 
-        Pages already resident at the destination only refresh their LRU
-        position.  Dirty pages owned elsewhere are committed to flash first
-        (lazy coherence).  Evictions caused by capacity pressure consume
-        channel bandwidth but are written back asynchronously, so they do
-        not extend the returned finish time.  Pages are processed in
-        order, so a later page's residence reflects an earlier page's
-        evictions.
+        Returns the finish time.  Resident pages only refresh their LRU
+        position; capacity evictions are written back asynchronously (they
+        do not extend the finish time), and a later page's residence
+        reflects an earlier page's evictions.
         """
         residence = self._residence
         windows = self._windows
@@ -442,47 +412,43 @@ class SSDPlatform:
         transfer = self._transfer_page
         flash = DataLocation.FLASH
         finish = now
-        for lpa in lpas:
-            source = residence.get(lpa, flash)
-            if source is destination:
+        for base, count in runs:
+            for lpa in range(base, base + count):
+                source = residence.get(lpa, flash)
+                if source is destination:
+                    if window is not None:
+                        window.touch(lpa)
+                    continue
+                end = transfer(now, lpa, source, destination)
+                if end > finish:
+                    finish = end
+                source_window = windows.get(source)
+                if source_window is not None:
+                    source_window.remove(lpa)
+                residence[lpa] = destination
                 if window is not None:
-                    window.touch(lpa)
-                continue
-            end = transfer(now, lpa, source, destination)
-            if end > finish:
-                finish = end
-            source_window = windows.get(source)
-            if source_window is not None:
-                source_window.remove(lpa)
-            residence[lpa] = destination
-            if window is not None:
-                for victim in window.add(lpa):
-                    self._evict_page(now, victim)
+                    for victim in window.add(lpa):
+                        self._evict_page(now, victim)
         return finish
 
-    def ensure_runs_at(self, now: float, runs: Sequence[Tuple[int, int]],
-                       destination: DataLocation) -> float:
-        """Move contiguous LPA runs to ``destination``; return finish time.
+    def mark_produced_run(self, now: float, run: Tuple[int, int],
+                          location: DataLocation) -> None:
+        """Record a ``(base_lpa, count)`` run just produced at ``location``.
 
-        ``runs`` is a sequence of ``(base_lpa, count)`` pairs, moved in
-        order by one :meth:`ensure_pages_at` pass over their pages.
+        In order: the coherence directory sees the write; the pages then
+        reside at ``location``, possibly evicting older pages from its
+        window; then each strict write-through is written back to flash
+        like a dirty eviction, without delaying the producer (a page
+        produced in flash by IFP is already home).  Remote-write and
+        version-wrap commits are counted by the directory, not performed.
         """
-        return self.ensure_pages_at(now, _run_pages(runs), destination)
-
-    def mark_produced(self, now: float, lpas: Iterable[int],
-                      location: DataLocation) -> None:
-        """Record that ``lpas`` were just produced at ``location``.
-
-        Used after a computation resource writes its destination pages: the
-        pages now reside at the resource's home location (dirty, per the
-        coherence directory) and occupy its capacity window, possibly
-        evicting older pages.
-        """
+        base, count = run
+        actions = self.coherence.on_write_run(base, count, location)
         residence = self._residence
         windows = self._windows
         window = windows.get(location)
         flash = DataLocation.FLASH
-        for lpa in lpas:
+        for lpa in range(base, base + count):
             source_window = windows.get(residence.get(lpa, flash))
             if source_window is not None and source_window is not window:
                 source_window.remove(lpa)
@@ -490,11 +456,11 @@ class SSDPlatform:
             if window is not None:
                 for victim in window.add(lpa):
                     self._evict_page(now, victim)
-
-    def mark_produced_run(self, now: float, runs: Sequence[Tuple[int, int]],
-                          location: DataLocation) -> None:
-        """:meth:`mark_produced` over contiguous ``(base_lpa, count)`` runs."""
-        self.mark_produced(now, _run_pages(runs), location)
+        if actions and location is not flash:
+            for action in actions:
+                if action.reason == STRICT_WRITE_THROUGH:
+                    self._transfer_page(now, action.lpa, location, flash,
+                                        writeback=True)
 
     def _evict_page(self, now: float, lpa: int) -> None:
         """Evict a page from a temporary location back to flash."""
@@ -508,24 +474,6 @@ class SSDPlatform:
             self._transfer_page(now, lpa, location, DataLocation.FLASH,
                                 writeback=True)
         self._residence[lpa] = DataLocation.FLASH
-
-    def write_through(self, now: float, actions: List[SyncAction]) -> None:
-        """Write back to flash the pages strict coherence commits on a write.
-
-        Each write-through is the same flash write-back a dirty eviction
-        performs: the page leaves its writer's location over the shared
-        buses and is programmed on its die, paying channel and program
-        energy.  It is issued when the page is produced and, like an
-        eviction write-back, does not delay its producer.  The directory's
-        other commits (remote writes, version wraps) are not performed
-        here, and neither is a write-through of a page produced in flash
-        (IFP computes in place), which is already at its durable home.
-        """
-        for action in actions:
-            if (action.reason == STRICT_WRITE_THROUGH
-                    and action.from_location is not DataLocation.FLASH):
-                self._transfer_page(now, action.lpa, action.from_location,
-                                    DataLocation.FLASH, writeback=True)
 
     def _dram_address(self, lpa: int) -> int:
         """Spread logical pages across DRAM banks for realistic parallelism."""
@@ -580,14 +528,15 @@ class SSDPlatform:
             energy.charge_pcie(page)
             stats.host_pages += 1
             stats.host_latency_ns += finish - now
-        else:
+        elif destination is DataLocation.CTRL_SRAM:
             # DRAM <-> SRAM transfers go over the SSD DRAM bus.
             finish = self.dram.read(now, self._dram_address(lpa), page)
             energy.charge_dram_access(page)
-            if destination is DataLocation.CTRL_SRAM:
-                stats.dram_to_sram_pages += 1
-            else:
-                stats.sram_to_dram_pages += 1
+            stats.dram_to_sram_pages += 1
+        else:
+            finish = self.dram.write(now, self._dram_address(lpa), page)
+            energy.charge_dram_access(page)
+            stats.sram_to_dram_pages += 1
         if not writeback and DataLocation.HOST not in (source, destination):
             stats.internal_latency_ns += finish - now
         return finish

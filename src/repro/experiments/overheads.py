@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.core.coherence import CoherenceEntry
 from repro.core.offload.transform import InstructionTransformer
 from repro.core.platform import SSDPlatform
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
@@ -27,7 +28,8 @@ def _sections(ctx: ExperimentContext, platform_name, grid):
     result = grid[(AESWorkload.name, "Conduit")]
     metrics = {
         "translation_table_bytes": float(transformer.table_bytes()),
-        "coherence_metadata_bytes_per_page": 3.0,
+        "coherence_metadata_bytes_per_page": float(
+            CoherenceEntry.METADATA_BYTES),
         "avg_runtime_overhead_us": result.offload_overhead_avg_ns / 1000.0,
         "max_runtime_overhead_us": result.offload_overhead_max_ns / 1000.0,
         "paper_avg_runtime_overhead_us": 3.77,

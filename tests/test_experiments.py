@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common import MIB
+from repro.core.coherence import CoherenceEntry
 from repro.core.platform import PlatformConfig
 from repro.experiments import (ExperimentConfig, ExperimentRunner,
                                format_table, nested_to_rows, phase_summary,
@@ -98,6 +99,8 @@ class TestFigureHarnesses:
         overheads = {row["metric"]: row["value"] for row in rows}
         assert overheads["translation_table_bytes"] <= 1536
         assert overheads["avg_runtime_overhead_us"] > 0
+        assert (overheads["coherence_metadata_bytes_per_page"]
+                == CoherenceEntry.METADATA_BYTES)
 
 
 class TestReporting:

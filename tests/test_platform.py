@@ -6,6 +6,7 @@ import pytest
 
 from repro.common import (DataLocation, KIB, MIB, OpType, Resource,
                           SimulationError)
+from repro.core.coherence import PageCoherenceState
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.dram.cxl import CXLPuDConfig
 from repro.dram.dram import DRAMDevice
@@ -39,20 +40,21 @@ class TestPlatformLocations:
     def test_dataset_starts_in_flash(self, platform):
         platform.setup_dataset(range(64))
         assert platform.location_of(3) is DataLocation.FLASH
-        histogram = platform.locations_of_pages(range(64))
-        assert histogram == {DataLocation.FLASH: 64}
+        assert {platform.location_of(lpa) for lpa in range(64)} == {
+            DataLocation.FLASH}
 
-    def test_ensure_pages_at_moves_and_tracks(self, platform):
+    def test_ensure_runs_at_moves_and_tracks(self, platform):
         platform.setup_dataset(range(16))
-        end = platform.ensure_pages_at(0.0, [0, 1], DataLocation.SSD_DRAM)
+        end = platform.ensure_runs_at(0.0, [(0, 2)], DataLocation.SSD_DRAM)
         assert end > 0
         assert platform.location_of(0) is DataLocation.SSD_DRAM
         assert platform.movement.flash_to_dram_pages == 2
 
     def test_repeated_ensure_is_free(self, platform):
         platform.setup_dataset(range(16))
-        first = platform.ensure_pages_at(0.0, [0], DataLocation.SSD_DRAM)
-        second = platform.ensure_pages_at(first, [0], DataLocation.SSD_DRAM)
+        first = platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.SSD_DRAM)
+        second = platform.ensure_runs_at(first, [(0, 1)],
+                                         DataLocation.SSD_DRAM)
         assert second == first
 
     def test_window_capacity_evicts_lru(self, small_ssd):
@@ -61,7 +63,7 @@ class TestPlatformLocations:
                                 host_cache_bytes=1 * MIB)
         platform = SSDPlatform(config)
         platform.setup_dataset(range(32))
-        platform.ensure_pages_at(0.0, range(8), DataLocation.SSD_DRAM)
+        platform.ensure_runs_at(0.0, [(0, 8)], DataLocation.SSD_DRAM)
         # Window holds 4 pages, so the first pages have been evicted.
         assert platform.location_of(0) is DataLocation.FLASH
         assert platform.location_of(7) is DataLocation.SSD_DRAM
@@ -89,12 +91,23 @@ class TestPlatformLocations:
 
     def test_mark_produced_sets_residence(self, platform):
         platform.setup_dataset(range(8))
-        platform.mark_produced(0.0, [1, 2], DataLocation.SSD_DRAM)
+        platform.mark_produced_run(0.0, (1, 2), DataLocation.SSD_DRAM)
         assert platform.location_of(1) is DataLocation.SSD_DRAM
+        assert platform.coherence.entry(2).state is PageCoherenceState.DIRTY
+
+    def test_sram_to_dram_page_is_a_dram_write(self, platform):
+        platform.setup_dataset(range(4))
+        platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.CTRL_SRAM)
+        dram = platform.dram
+        read, written = dram.bytes_read, dram.bytes_written
+        platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.SSD_DRAM)
+        assert platform.movement.sram_to_dram_pages == 1
+        assert dram.bytes_written == written + platform.page_size
+        assert dram.bytes_read == read
 
     def test_host_transfers_tracked(self, platform):
         platform.setup_dataset(range(4))
-        platform.ensure_pages_at(0.0, [0], DataLocation.HOST)
+        platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.HOST)
         assert platform.movement.host_pages == 1
         assert platform.ssd.nvme.bytes_to_host > 0
 

@@ -12,12 +12,17 @@ from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime, HostRuntime
 from repro.energy.model import EnergyBreakdown
-from repro.experiments import ExperimentConfig, coherence_ablation_rows
+from repro.experiments import (ExperimentConfig, coherence_ablation_rows,
+                               experiment_platform_config)
 from repro.ssd.config import small_ssd_config
+from repro.workloads import workload_by_name
 
 
 def run(program, policy_name, platform_config):
-    platform = SSDPlatform(platform_config)
+    return run_on(SSDPlatform(platform_config), program, policy_name)
+
+
+def run_on(platform, program, policy_name):
     if policy_name in ("CPU", "GPU"):
         device = (Resource.HOST_CPU if policy_name == "CPU"
                   else Resource.HOST_GPU)
@@ -142,6 +147,52 @@ class TestStrictCoherence:
         assert strict_platform.movement.writeback_pages == flushes > 0
         assert strict.total_time_ns > lazy.total_time_ns
         assert strict.total_energy_nj > lazy.total_energy_nj
+
+
+#: Strict-coherence runs pinned bit-exactly (scale 0.1, the experiment
+#: platform with ``coherence_policy=STRICT``): (workload, policy) ->
+#: (total_time_ns, total_energy_nj, coherence flushes, write-back pages).
+#: Every strict commit of a page produced outside flash is one write-back;
+#: IFP produces its pages in flash, so Conduit writes back fewer pages
+#: than it flushes.
+STRICT_GOLDEN = {
+    ("heat-3d", "CPU"):
+        (725363.3333333333, 52804448.666666664, 140, 140),
+    ("heat-3d", "Conduit"):
+        (609739.3633440514, 29470861.934353694, 140, 140),
+    ("heat-3d", "PuD-SSD"):
+        (609739.3633440514, 29464939.118353695, 140, 140),
+    ("LlaMA2 Inference", "CPU"):
+        (5081132.541666667, 118061681.20833334, 212, 212),
+    ("LlaMA2 Inference", "Conduit"):
+        (4541713.697749204, 168785826.28172374, 212, 187),
+    ("LlaMA2 Inference", "PuD-SSD"):
+        (4427142.240085747, 162814626.54682967, 212, 212),
+    ("XOR Filter", "CPU"):
+        (466635.79166666657, 14684648.458333332, 30, 30),
+    ("XOR Filter", "Conduit"):
+        (430003.2936763128, 16261287.523318322, 30, 23),
+    ("XOR Filter", "PuD-SSD"):
+        (382094.72668810276, 15004176.68470739, 30, 30),
+}
+
+
+@pytest.fixture(scope="module")
+def strict_programs():
+    return {name: workload_by_name(name, scale=0.1).vector_program()[0]
+            for name in {workload for workload, _ in STRICT_GOLDEN}}
+
+
+@pytest.mark.parametrize("workload, policy", sorted(STRICT_GOLDEN))
+def test_strict_coherence_golden(strict_programs, workload, policy):
+    platform = SSDPlatform(dataclasses.replace(
+        experiment_platform_config(),
+        coherence_policy=CoherencePolicy.STRICT))
+    result = run_on(platform, strict_programs[workload], policy)
+    assert (result.total_time_ns, result.total_energy_nj,
+            platform.coherence.flushes,
+            platform.movement.writeback_pages) == STRICT_GOLDEN[
+                (workload, policy)]
 
 
 class TestMetricsHelpers:
