@@ -58,7 +58,6 @@ class LoopRemark:
     vectorized: bool
     partial: bool
     reason: str
-    emitted_instructions: int = 0
 
 
 @dataclass
@@ -162,8 +161,7 @@ class AutoVectorizer:
                                 reason="loop vectorized (width "
                                        f"{config.vector_width})")
             uid = self._emit_vector_chunks(ir, loop, config.vector_width,
-                                           tracker, remark, uid,
-                                           predicated=False)
+                                           tracker, uid, predicated=False)
             report.vectorized_scalar_operations += loop.scalar_operations
             report.vectorized_static_operations += loop.static_operations
         elif loop.is_partially_vectorizable(MIN_TRIP_COUNT):
@@ -171,15 +169,15 @@ class AutoVectorizer:
             remark = LoopRemark(loop=loop.name, vectorized=True, partial=True,
                                 reason="partially vectorized via "
                                        f"strip-mining (width {width})")
-            uid = self._emit_vector_chunks(ir, loop, width, tracker, remark,
-                                           uid, predicated=True)
+            uid = self._emit_vector_chunks(ir, loop, width, tracker, uid,
+                                           predicated=True)
             report.vectorized_scalar_operations += loop.scalar_operations
             report.vectorized_static_operations += loop.static_operations
         else:
             reason = self._failure_reason(loop)
             remark = LoopRemark(loop=loop.name, vectorized=False,
                                 partial=False, reason=reason)
-            uid = self._emit_scalar_loop(ir, loop, remark, uid)
+            uid = self._emit_scalar_loop(ir, loop, uid)
         report.remarks.append(remark)
         return uid
 
@@ -194,8 +192,7 @@ class AutoVectorizer:
         return "not vectorized: trip count below threshold"
 
     def _emit_vector_chunks(self, ir: VectorProgram, loop: Loop, width: int,
-                            tracker: _RegionDependencyTracker,
-                            remark: LoopRemark, uid: int, *,
+                            tracker: _RegionDependencyTracker, uid: int, *,
                             predicated: bool) -> int:
         # The configured width (4096) is defined for 32-bit operands, i.e.
         # one 16 KiB flash page per vector operand (Section 4.3.1).  Narrower
@@ -250,7 +247,6 @@ class AutoVectorizer:
                     if dest_ref is not None:
                         tracker.record_write(dest_ref, uid)
                     uid += 1
-                    remark.emitted_instructions += 1
                 if predicated:
                     # If-converted control flow adds a predication SELECT per
                     # chunk operating on the chunk's destination region.
@@ -274,11 +270,10 @@ class AutoVectorizer:
                         ir.add(select)
                         tracker.record_write(last.dest, uid)
                         uid += 1
-                        remark.emitted_instructions += 1
         return uid
 
     def _emit_scalar_loop(self, ir: VectorProgram, loop: Loop,
-                          remark: LoopRemark, uid: int) -> int:
+                          uid: int) -> int:
         """Emit aggregated SCALAR instructions for a non-vectorizable loop."""
         total_ops = loop.scalar_operations
         chunk = SCALAR_CHUNK
@@ -301,7 +296,6 @@ class AutoVectorizer:
             ir.add(instruction)
             previous_uid = uid
             uid += 1
-            remark.emitted_instructions += 1
         return uid
 
     def _emit_scalar_section(self, ir: VectorProgram, section: ScalarSection,
@@ -322,8 +316,7 @@ class AutoVectorizer:
             uid += 1
         report.remarks.append(LoopRemark(
             loop=section.name, vectorized=False, partial=False,
-            reason="scalar section (control-intensive code)",
-            emitted_instructions=chunks))
+            reason="scalar section (control-intensive code)"))
         return uid
 
     # -- Helpers ----------------------------------------------------------------------

@@ -50,7 +50,8 @@ class InstructionRecord:
 
     @property
     def queue_wait_ns(self) -> float:
-        return max(0.0, self.start_ns - self.ready_ns)
+        """Time spent waiting for an execution slot once ready."""
+        return self.start_ns - self.ready_ns
 
 
 @dataclass

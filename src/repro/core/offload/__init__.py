@@ -5,7 +5,7 @@ from repro.core.offload.cost_model import (CostEstimate, CostFunction,
 from repro.core.offload.features import (FeatureCollector,
                                          InstructionFeatures,
                                          ResourceFeatures)
-from repro.core.offload.offloader import OffloadDecision, SSDOffloader
+from repro.core.offload.offloader import SSDOffloader
 from repro.core.offload.policies import (AresFlashPolicy, BWOffloadingPolicy,
                                          ConduitPolicy, DMOffloadingPolicy,
                                          FlashCosmosPolicy, IdealPolicy,
@@ -18,8 +18,8 @@ from repro.core.offload.transform import (InstructionTransformer,
 
 __all__ = [
     "CostEstimate", "CostFunction", "CostModelConfig", "FeatureCollector",
-    "InstructionFeatures", "ResourceFeatures", "OffloadDecision",
-    "SSDOffloader", "AresFlashPolicy",
+    "InstructionFeatures", "ResourceFeatures", "SSDOffloader",
+    "AresFlashPolicy",
     "BWOffloadingPolicy", "ConduitPolicy", "DMOffloadingPolicy",
     "FlashCosmosPolicy", "IdealPolicy", "ISPOnlyPolicy", "OffloadingPolicy",
     "POLICY_REGISTRY", "PolicyContext", "PuDOnlyPolicy", "make_policy",

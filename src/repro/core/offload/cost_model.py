@@ -54,7 +54,6 @@ class CostFunction:
 
     def __init__(self, config: Optional[CostModelConfig] = None) -> None:
         self.config = config or CostModelConfig()
-        self.evaluations = 0
 
     def estimate(self, features: ResourceFeatures) -> CostEstimate:
         """Equation 1 for one resource.
@@ -93,7 +92,6 @@ class CostFunction:
         tie-break would silently depend on enum definition order and has
         no meaning for registry-minted identities).
         """
-        self.evaluations += 1
         estimate = self.estimate
         estimates: Dict[ResourceLike, CostEstimate] = {}
         target: Optional[ResourceLike] = None

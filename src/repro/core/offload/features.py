@@ -151,9 +151,6 @@ class FeatureCollector:
     def __init__(self, platform: SSDPlatform, layout: ArrayLayout) -> None:
         self.platform = platform
         self.layout = layout
-        self.collections = 0
-        self.total_collection_latency_ns = 0.0
-        self.max_collection_latency_ns = 0.0
         # Static per-candidate facts -- support, home location, the
         # precomputed compute-latency point and the execution-queue handle
         # -- depend only on (op, size_bytes, element_bits) and the fixed
@@ -274,10 +271,6 @@ class FeatureCollector:
                 platform.contention_penalty_ns(resource, op, size_bytes,
                                                element_bits, movement, now)
                 if feedback else 0.0)
-        self.collections += 1
-        self.total_collection_latency_ns += collection_ns
-        if collection_ns > self.max_collection_latency_ns:
-            self.max_collection_latency_ns = collection_ns
         return InstructionFeatures(instruction.uid, op, locations,
                                    per_resource, collection_ns, runs)
 
@@ -400,10 +393,6 @@ class FeatureCollector:
         for lpa in batch.hit_lpas[pos]:
             move_to_end(lpa)
         collection_ns = batch.collection_ns[pos]
-        self.collections += 1
-        self.total_collection_latency_ns += collection_ns
-        if collection_ns > self.max_collection_latency_ns:
-            self.max_collection_latency_ns = collection_ns
         feedback = platform.config.contention_feedback
         instruction = batch.instructions[pos]
         op = instruction.op
@@ -424,9 +413,3 @@ class FeatureCollector:
         return InstructionFeatures(
             instruction.uid, op, dict(batch.location_items[pos]),
             per_resource, collection_ns, list(batch.source_runs[pos]))
-
-    @property
-    def average_collection_latency_ns(self) -> float:
-        if self.collections == 0:
-            return 0.0
-        return self.total_collection_latency_ns / self.collections

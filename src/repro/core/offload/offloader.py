@@ -10,8 +10,9 @@ vector instruction of the downloaded Conduit binary (Section 4.3.2):
    (:class:`InstructionTransformer`);
 4. moves operands to the target resource's home location (through the
    platform's data-movement engine, honouring lazy coherence);
-5. dispatches the instruction into the target resource's execution queue
-   and reserves its execution slot.
+5. dispatches the instruction into the target resource's execution queue,
+   reserves its execution slot and returns the instruction's
+   :class:`~repro.core.metrics.InstructionRecord`.
 
 The offloader core itself is a shared resource: its per-instruction serial
 occupancy is the feature-collection plus transformation latency divided by a
@@ -23,13 +24,12 @@ overhead of Section 4.5.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common import DataLocation, ResourceLike
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
+from repro.core.metrics import InstructionRecord
 from repro.core.offload.features import (FeatureCollector,
                                          InstructionFeatures, WaveBatch)
 from repro.core.offload.policies import OffloadingPolicy, PolicyContext
@@ -42,20 +42,6 @@ from repro.core.platform import SSDPlatform
 PIPELINE_DEPTH = 8
 
 
-@dataclass(slots=True)
-class OffloadDecision:
-    """Everything the runtime needs to know about one offloaded instruction."""
-
-    resource: ResourceLike
-    dispatch_ns: float
-    ready_ns: float
-    start_ns: float
-    end_ns: float
-    compute_ns: float
-    data_movement_ns: float
-    overhead_ns: float
-
-
 class SSDOffloader:
     """Per-instruction offloading engine."""
 
@@ -66,9 +52,6 @@ class SSDOffloader:
         self.policy = policy
         self.collector = FeatureCollector(platform, layout)
         self.transformer = InstructionTransformer(platform)
-        #: Offloading overhead of every decision, in issue order (the
-        #: Section 4.5 average/maximum are taken over it at the end).
-        self.overheads: List[float] = []
         # Dispatch-loop constants and handles, resolved once: the offload
         # path runs per instruction and per policy.
         self._is_ideal = policy.is_ideal
@@ -79,39 +62,29 @@ class SSDOffloader:
         #: One reusable policy context; policies read it synchronously
         #: inside ``choose`` and never retain it.
         self._context = PolicyContext(platform=platform, now=0.0, elapsed=1.0)
-        #: In-flight queue entries: backend -> min-heap of (end time, uid),
-        #: so draining pops only the entries that actually completed instead
-        #: of rebuilding the whole list on every offload call.  Keys come
-        #: from the platform's backend registry, not a hardcoded trio.
-        self._in_flight: Dict[ResourceLike, List[Tuple[float, int]]] = {
-            resource: [] for resource in platform.offload_candidates()}
-        #: Earliest completion time across the in-flight heaps; draining
-        #: is a no-op before this, so the per-offload scan is skipped.
+        #: The candidates' execution queues; each owns its backlog.
+        self._queues = [platform.queues[resource]
+                        for resource in platform.offload_candidates()]
+        #: Earliest slot end across the queues; retiring is a no-op
+        #: before this, so the per-offload scan is skipped.
         self._next_retire = float("inf")
 
     # -- Queue bookkeeping ---------------------------------------------------------
 
-    def _drain_queues(self, now: float) -> None:
-        """Retire queue entries whose completion time has passed."""
-        if now < self._next_retire:
-            return
-        queues = self.platform.queues
+    def _retire_queues(self, now: float) -> None:
+        """Retire every queue slot that has ended by ``now``."""
         next_retire = float("inf")
-        for resource, heap in self._in_flight.items():
-            if heap and heap[0][0] <= now:
-                queue = queues[resource]
-                while heap and heap[0][0] <= now:
-                    _, uid = heapq.heappop(heap)
-                    queue.complete(uid)
-            if heap and heap[0][0] < next_retire:
-                next_retire = heap[0][0]
+        for queue in self._queues:
+            end = queue.retire(now)
+            if end < next_retire:
+                next_retire = end
         self._next_retire = next_retire
 
     # -- Main entry point -------------------------------------------------------------
 
     def offload(self, instruction: VectorInstruction, arrival_ns: float,
-                deps_ready_ns: float, elapsed_ns: float) -> OffloadDecision:
-        """Offload one instruction.
+                deps_ready_ns: float, elapsed_ns: float) -> InstructionRecord:
+        """Offload one instruction and return its :class:`InstructionRecord`.
 
         ``arrival_ns`` is when the offloader core can start working on the
         instruction (after the previous dispatch), ``deps_ready_ns`` is when
@@ -119,7 +92,7 @@ class SSDOffloader:
         used for utilization-based policies.
         """
         if arrival_ns >= self._next_retire:
-            self._drain_queues(arrival_ns)
+            self._retire_queues(arrival_ns)
         pending_producer = deps_ready_ns - arrival_ns
         if pending_producer < 0.0:
             pending_producer = 0.0
@@ -138,7 +111,7 @@ class SSDOffloader:
     def offload_member(self, batch: WaveBatch, pos: int,
                        instruction: VectorInstruction, arrival_ns: float,
                        deps_ready_ns: float,
-                       elapsed_ns: float) -> OffloadDecision:
+                       elapsed_ns: float) -> InstructionRecord:
         """Offload one wave member from its precollected features.
 
         Bit-identical to :meth:`offload`: the member's feature vector is
@@ -161,7 +134,7 @@ class SSDOffloader:
             return self.offload(instruction, arrival_ns, deps_ready_ns,
                                 elapsed_ns)
         if arrival_ns >= self._next_retire:
-            self._drain_queues(arrival_ns)
+            self._retire_queues(arrival_ns)
         pending_producer = deps_ready_ns - arrival_ns
         if pending_producer < 0.0:
             pending_producer = 0.0
@@ -175,7 +148,7 @@ class SSDOffloader:
     def _decide_and_dispatch(self, instruction: VectorInstruction,
                              features: InstructionFeatures,
                              arrival_ns: float, deps_ready_ns: float,
-                             elapsed_ns: float) -> OffloadDecision:
+                             elapsed_ns: float) -> InstructionRecord:
         """Ask the policy for a target, occupy the dispatch core, execute."""
         context = self._context
         context.now = arrival_ns
@@ -194,7 +167,6 @@ class SSDOffloader:
         dispatch_start = arrival_ns if arrival_ns >= free else free
         core._free_at = dispatch_start + serial_ns
         core.busy_time += serial_ns
-        core.jobs += 1
         issue_ns = dispatch_start + overhead_ns
 
         if self._is_ideal:
@@ -224,15 +196,15 @@ class SSDOffloader:
                        resource: ResourceLike,
                        dispatch_ns: float, issue_ns: float,
                        deps_ready_ns: float, overhead_ns: float,
-                       compute: float) -> OffloadDecision:
+                       compute: float) -> InstructionRecord:
         start = issue_ns if issue_ns >= deps_ready_ns else deps_ready_ns
         end = start + compute
         self.platform.record_compute(start, resource, instruction.op,
                                      instruction.size_bytes,
                                      instruction.element_bits)
-        self.overheads.append(overhead_ns)
-        return OffloadDecision(resource, dispatch_ns, start, start, end,
-                               compute, 0.0, overhead_ns)
+        return InstructionRecord(instruction.uid, instruction.op, resource,
+                                 dispatch_ns, start, start, end, compute,
+                                 0.0, overhead_ns)
 
     # -- Real execution (moves data, reserves queues) ---------------------------------------
 
@@ -242,14 +214,13 @@ class SSDOffloader:
                       overhead_ns: float,
                       source_runs, dest_run: Optional[Tuple[int, int]],
                       compute: Optional[float],
-                      movement_estimate: float) -> OffloadDecision:
+                      movement_estimate: float) -> InstructionRecord:
         platform = self.platform
         backend = platform.backends._backends[resource]
         home = backend.home_location
         op = instruction.op
         size_bytes = instruction.size_bytes
         element_bits = instruction.element_bits
-        uid = instruction.uid
 
         move_start = issue_ns if issue_ns >= deps_ready_ns else deps_ready_ns
         # Lazy coherence: a read of a page whose dirty copy lives elsewhere
@@ -280,12 +251,10 @@ class SSDOffloader:
 
         if compute is None:
             compute = backend.operation_latency(op, size_bytes, element_bits)
-        queue = platform.queues[resource]
-        queue.enqueue(uid, issue_ns, compute)
         ready = dm_end if dm_end >= deps_ready_ns else deps_ready_ns
-        reservation = queue.reserve(uid, ready, compute)
+        reservation = platform.queues[resource].reserve(instruction.uid,
+                                                        ready, compute)
         end_ns = reservation.end
-        heapq.heappush(self._in_flight[resource], (end_ns, uid))
         if end_ns < self._next_retire:
             self._next_retire = end_ns
         backend.execute(reservation.start, op, size_bytes, element_bits)
@@ -306,22 +275,6 @@ class SSDOffloader:
         if dest_run is not None:
             platform.mark_produced_run(end_ns, dest_run, home)
 
-        self.overheads.append(overhead_ns)
-        return OffloadDecision(resource, dispatch_ns, ready,
-                               reservation.start, end_ns, compute,
-                               data_movement_ns, overhead_ns)
-
-    # -- Overhead statistics (Section 4.5) ---------------------------------------------------
-
-    @property
-    def average_overhead_ns(self) -> float:
-        overheads = self.overheads
-        if not overheads:
-            return 0.0
-        # sum() over the issue-ordered floats rather than a running +=
-        # total: CPython 3.12's sum() is compensated, so the two differ.
-        return sum(overheads) / len(overheads)
-
-    @property
-    def max_overhead_ns(self) -> float:
-        return max(self.overheads, default=0.0)
+        return InstructionRecord(instruction.uid, op, resource, dispatch_ns,
+                                 ready, reservation.start, end_ns, compute,
+                                 data_movement_ns, overhead_ns)

@@ -63,8 +63,6 @@ class InstructionTransformer:
 
     def __init__(self, platform: SSDPlatform) -> None:
         self.platform = platform
-        self.transformations = 0
-        self.total_latency_ns = 0.0
         self._table = self._build_table()
         # (op, size_bytes, resource) -> (native op, sub-ops, sub-bytes);
         # the translation is pure in these, so each shape resolves once.
@@ -138,14 +136,6 @@ class InstructionTransformer:
             native = self.native_op(instruction.op, resource)
             sub_operations, sub_bytes = self.split(instruction, resource)
             cached = self._memo[key] = (native, sub_operations, sub_bytes)
-        self.transformations += 1
-        self.total_latency_ns += TRANSLATION_LOOKUP_NS
         return TransformedInstruction(instruction.uid, resource, cached[0],
                                       cached[1], cached[2],
                                       TRANSLATION_LOOKUP_NS)
-
-    @property
-    def average_latency_ns(self) -> float:
-        if self.transformations == 0:
-            return 0.0
-        return self.total_latency_ns / self.transformations

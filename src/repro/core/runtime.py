@@ -63,11 +63,16 @@ def _place_program(platform: SSDPlatform, program: VectorProgram, *,
 
 
 def _result(platform: SSDPlatform, workload: str, policy: str,
-            total_time_ns: float, records: List[InstructionRecord],
-            **overheads: float) -> ExecutionResult:
-    """Assemble one run's :class:`ExecutionResult` from the platform's
-    energy and data-movement accounting."""
+            total_time_ns: float, records: List[InstructionRecord]
+            ) -> ExecutionResult:
+    """Assemble one run's :class:`ExecutionResult` from its records and the
+    platform's energy and data-movement accounting.
+
+    The Section 4.5 offload overhead is the average and maximum over the
+    records' ``overhead_ns`` (zero on the host path, which has no
+    offloader)."""
     movement = platform.movement
+    overheads = [record.overhead_ns for record in records]
     breakdown = ExecutionBreakdown(
         compute_ns=sum(record.compute_ns for record in records),
         host_data_movement_ns=movement.host_latency_ns,
@@ -79,7 +84,10 @@ def _result(platform: SSDPlatform, workload: str, policy: str,
         workload=workload, policy=policy, total_time_ns=total_time_ns,
         records=records, energy=platform.energy.breakdown(),
         breakdown=breakdown, maintenance=platform.maintenance_stats(),
-        **overheads)
+        # sum() over the issue-ordered floats rather than a running +=
+        # total: CPython 3.12's sum() is compensated, so the two differ.
+        offload_overhead_avg_ns=sum(overheads) / len(overheads),
+        offload_overhead_max_ns=max(overheads))
 
 
 class ConduitRuntime:
@@ -122,9 +130,7 @@ class ConduitRuntime:
             energy_config.ssd_active_power_w + energy_config.host_idle_power_w,
             label="system-static")
         return _result(platform, workload_name or program.name, policy.name,
-                       makespan - start_ns, records,
-                       offload_overhead_avg_ns=offloader.average_overhead_ns,
-                       offload_overhead_max_ns=offloader.max_overhead_ns)
+                       makespan - start_ns, records)
 
     # -- Dispatch loops ------------------------------------------------------------
 
@@ -159,19 +165,15 @@ class ConduitRuntime:
                 oldest = heappop(outstanding)
                 if oldest > arrival:
                     arrival = oldest
-            decision = offload(instruction, arrival_ns=arrival,
-                               deps_ready_ns=deps_ready,
-                               elapsed_ns=makespan if makespan > 1.0 else 1.0)
-            end_ns = decision.end_ns
+            record = offload(instruction, arrival_ns=arrival,
+                             deps_ready_ns=deps_ready,
+                             elapsed_ns=makespan if makespan > 1.0 else 1.0)
+            end_ns = record.end_ns
             heappush(outstanding, end_ns)
             completion[instruction.uid] = end_ns
             if end_ns > makespan:
                 makespan = end_ns
-            append_record(InstructionRecord(
-                instruction.uid, instruction.op, decision.resource,
-                decision.dispatch_ns, decision.ready_ns, decision.start_ns,
-                end_ns, decision.compute_ns, decision.data_movement_ns,
-                decision.overhead_ns))
+            append_record(record)
         return makespan
 
     def _drive_waves(self, program: VectorProgram, layout: ArrayLayout,
@@ -217,20 +219,16 @@ class ConduitRuntime:
                     oldest = heappop(outstanding)
                     if oldest > arrival:
                         arrival = oldest
-                decision = offload_member(
+                record = offload_member(
                     batch, pos, instruction, arrival_ns=arrival,
                     deps_ready_ns=deps_ready,
                     elapsed_ns=makespan if makespan > 1.0 else 1.0)
-                end_ns = decision.end_ns
+                end_ns = record.end_ns
                 heappush(outstanding, end_ns)
                 completion[instruction.uid] = end_ns
                 if end_ns > makespan:
                     makespan = end_ns
-                append_record(InstructionRecord(
-                    instruction.uid, instruction.op, decision.resource,
-                    decision.dispatch_ns, decision.ready_ns,
-                    decision.start_ns, end_ns, decision.compute_ns,
-                    decision.data_movement_ns, decision.overhead_ns))
+                append_record(record)
         return makespan
 
 

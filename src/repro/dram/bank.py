@@ -18,10 +18,8 @@ from repro.dram.config import DRAMConfig
 
 @dataclass
 class BankStatistics:
-    activations: int = 0
     row_hits: int = 0
     row_misses: int = 0
-    precharges: int = 0
     bbop_activations: int = 0
 
 
@@ -52,21 +50,9 @@ class DRAMBank:
             latency = 0.0
             if self.open_row is not None:
                 latency += self.config.t_rp_ns
-                self.stats.precharges += 1
             latency += self.config.t_rcd_ns + self.config.t_ccd_ns
             self.open_row = row
-            self.stats.activations += 1
         self.busy_until = start + latency
-        return self.busy_until
-
-    def precharge(self, now: float) -> float:
-        start = self._start(now)
-        if self.open_row is not None:
-            self.stats.precharges += 1
-            self.open_row = None
-            self.busy_until = start + self.config.t_rp_ns
-        else:
-            self.busy_until = start
         return self.busy_until
 
     def bulk_bitwise_operation(self, now: float, steps: int = 1) -> float:

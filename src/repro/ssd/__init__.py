@@ -15,7 +15,7 @@ from repro.ssd.nand import (FlashBlock, FlashDie, FlashPlane, NANDArray,
 from repro.ssd.nvme import (AdminCommand, AdminOpcode, NVMeInterface,
                             SSDMode)
 from repro.ssd.queues import ExecutionQueue
-from repro.ssd.ssd import SSD, SSDStatistics
+from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
 
 __all__ = [
@@ -27,6 +27,6 @@ __all__ = [
     "FlashBlock", "FlashDie", "FlashPlane", "NANDArray", "PageState",
     "PhysicalBlockAddress", "PhysicalPageAddress", "AdminCommand",
     "AdminOpcode", "NVMeInterface", "SSDMode", "ExecutionQueue",
-    "SSD", "SSDStatistics",
+    "SSD",
     "WearLeveler",
 ]

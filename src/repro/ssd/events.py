@@ -43,7 +43,6 @@ class Server:
         self.name = name
         self._free_at = 0.0
         self.busy_time = 0.0
-        self.jobs = 0
 
     @property
     def free_at(self) -> float:
@@ -62,7 +61,6 @@ class Server:
         end = start + duration
         self._free_at = end
         self.busy_time += duration
-        self.jobs += 1
         return Reservation(start, end)
 
     def utilization(self, elapsed: float) -> float:
@@ -85,7 +83,6 @@ class MultiServer:
         self.name = name
         self._free_at = [0.0] * servers
         self.busy_time = 0.0
-        self.jobs = 0
 
     @property
     def servers(self) -> int:
@@ -108,7 +105,6 @@ class MultiServer:
         end = start + duration
         free[server_index] = end
         self.busy_time += duration
-        self.jobs += 1
         return Reservation(start, end)
 
     def reserve_on(self, server_index: int, arrival: float,
@@ -122,7 +118,6 @@ class MultiServer:
         end = (arrival if arrival >= server_free else server_free) + duration
         free[server_index] = end
         self.busy_time += duration
-        self.jobs += 1
         return end
 
     def utilization(self, elapsed: float) -> float:
@@ -148,7 +143,6 @@ class SharedBus:
         self.bandwidth = bandwidth_bytes_per_ns
         self._free_at = 0.0
         self.busy_time = 0.0
-        self.jobs = 0
         self.bytes_moved = 0.0
 
     @property
@@ -173,7 +167,6 @@ class SharedBus:
         end = (arrival if arrival >= free else free) + duration
         self._free_at = end
         self.busy_time += duration
-        self.jobs += 1
         return end
 
     def utilization(self, elapsed: float) -> float:

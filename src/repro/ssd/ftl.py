@@ -29,10 +29,8 @@ class FTLStatistics:
 
     lookups: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     host_writes: int = 0
     relocated_pages: int = 0
-    translation_latency_ns: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -112,12 +110,10 @@ class FlashTranslationLayer:
             self.stats.cache_hits += 1
             latency = self.config.l2p_dram_lookup_ns
         else:
-            self.stats.cache_misses += 1
             latency = self.config.l2p_flash_lookup_ns
             ppa = self.mapping.get(lpa)
             if ppa is not None:
                 self.cache.insert(lpa, ppa)
-        self.stats.translation_latency_ns += latency
         return self.mapping.get(lpa), latency
 
     # -- Write path --------------------------------------------------------------

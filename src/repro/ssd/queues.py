@@ -8,15 +8,17 @@ Extensions").  Conduit's cost function consumes the *resource queueing
 delay*: the cumulative estimated execution latency of the instructions
 currently enqueued (Section 4.5, footnote 5).
 
-:class:`ExecutionQueue` implements exactly that: a running counter of
-pending work plus a reservation-based service model backed by
-:class:`repro.ssd.events.MultiServer` so die-/bank-/core-level parallelism
-is captured.
+:class:`ExecutionQueue` owns that backlog.  :meth:`ExecutionQueue.reserve`
+books an execution slot on a :class:`repro.ssd.events.MultiServer` (so
+die-/bank-/core-level parallelism is captured) and adds the slot's duration
+to the running counter; :meth:`ExecutionQueue.retire` drops the slots that
+have ended by a given time and subtracts their durations again.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import heapq
+from typing import List, Tuple
 
 from repro.common import ResourceLike
 from repro.ssd.events import MultiServer, Reservation
@@ -38,13 +40,13 @@ class ExecutionQueue:
     def __init__(self, resource: ResourceLike, parallelism: int = 1) -> None:
         self.resource = resource
         self.servers = MultiServer(f"{resource.value}-queue", parallelism)
-        #: Running counter of estimated execution latency of enqueued but
-        #: not yet completed instructions (the paper's footnote-5 counter).
+        #: Running counter of the duration of reserved, not yet retired
+        #: slots (the paper's footnote-5 counter).
         self._pending_latency = 0.0
         self._parallelism = self.servers.servers
-        #: Estimated latency of each enqueued, not yet completed
-        #: instruction, keyed by instruction id.
-        self._pending: Dict[int, float] = {}
+        #: Reserved, not yet retired slots: a min-heap of
+        #: ``(end, instruction id, duration)``.
+        self._slots: List[Tuple[float, int, float]] = []
 
     @property
     def parallelism(self) -> int:
@@ -62,24 +64,25 @@ class ExecutionQueue:
         """
         return self._pending_latency / self._parallelism
 
-    def enqueue(self, instruction_id: int, now: float,
-                estimated_latency: float) -> None:
-        """Record dispatch of an instruction; increments the counter."""
-        self._pending[instruction_id] = estimated_latency
-        self._pending_latency += estimated_latency
-
     def reserve(self, instruction_id: int, ready_time: float,
                 duration: float) -> Reservation:
-        """Reserve an execution slot for an enqueued instruction."""
-        if instruction_id not in self._pending:
-            raise KeyError(instruction_id)
-        return self.servers.reserve(ready_time, duration)
+        """Book an execution slot and add it to the backlog."""
+        reservation = self.servers.reserve(ready_time, duration)
+        self._pending_latency += duration
+        heapq.heappush(self._slots,
+                       (reservation.end, instruction_id, duration))
+        return reservation
 
-    def complete(self, instruction_id: int) -> None:
-        """Mark an instruction complete; decrements the counter."""
-        self._pending_latency -= self._pending.pop(instruction_id)
-        if self._pending_latency < 1e-9:
-            self._pending_latency = 0.0
+    def retire(self, now: float) -> float:
+        """Drop the slots ended by ``now`` from the backlog, in
+        ``(end, instruction id)`` order; return the next end time
+        (infinity when nothing is left)."""
+        slots = self._slots
+        while slots and slots[0][0] <= now:
+            self._pending_latency -= heapq.heappop(slots)[2]
+            if self._pending_latency < 1e-9:
+                self._pending_latency = 0.0
+        return slots[0][0] if slots else float("inf")
 
     def utilization(self, elapsed: float) -> float:
         return self.servers.utilization(elapsed)

@@ -12,7 +12,6 @@ PuD-SSD, IFP) are layered on top by the platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.common import SimulationError
@@ -29,14 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import EnergyAccount
 
 
-@dataclass
-class SSDStatistics:
-    """Aggregate counters for the storage device."""
-
-    logical_reads: int = 0
-    logical_writes: int = 0
-
-
 class SSD:
     """A simulated NAND-flash SSD (storage view)."""
 
@@ -49,7 +40,6 @@ class SSD:
         self.gc = GarbageCollector(self.ftl, self.config.ftl)
         self.wear_leveler = WearLeveler(self.ftl, self.config.ftl)
         self.nvme = NVMeInterface(self.config.host_interface)
-        self.stats = SSDStatistics()
         #: Background maintenance engine: GC and wear-leveling run as
         #: traffic on the shared channels (``repro.ssd.lifetime``).
         self.background = BackgroundFlashEngine(self, energy)
@@ -108,7 +98,6 @@ class SSD:
             raise SimulationError(f"read of unmapped logical page {lpa}")
         end = self.channels.read_page(now + translation_ns, ppa.channel,
                                       ppa.die, transfer_out=transfer_out)
-        self.stats.logical_reads += 1
         # Background maintenance runs while the device serves reads too
         # (its relocations queue on the same channels/dies); the returned
         # stall is nonzero only under critical free-block pressure, when
@@ -121,7 +110,6 @@ class SSD:
         new_ppa = self.ftl.write(lpa)
         end = self.channels.program_page(now + translation_ns,
                                          new_ppa.channel, new_ppa.die)
-        self.stats.logical_writes += 1
         # Every write consumes free space, so it gives background GC and
         # wear-leveling a turn; the stall is nonzero only under critical
         # free-block pressure (foreground write throttling).

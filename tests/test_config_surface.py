@@ -1,7 +1,7 @@
-"""Guard: every settable config knob is read, and every behaviour option is
-set, somewhere in the simulator.
+"""Guard: every settable config knob is read, every behaviour option is
+set, and every counter is read, somewhere in the simulator.
 
-Two checks by name over the source tree under ``src/repro``:
+Three checks by name over the source tree under ``src/repro``:
 
 * **Read** -- walks the dataclass trees of the platform, compiler and
   cost-model configurations and checks that each leaf field name appears
@@ -16,10 +16,15 @@ Two checks by name over the source tree under ``src/repro``:
   ``VectorizerConfig`` and ``CostModelConfig``; the Table 2 hardware
   sub-trees (``ssd``, ``dram``, ``host_*``, ``cxl_pud``) describe the
   modelled system and are exempt.
+* **Counters** -- every attribute updated with ``+=`` (or another
+  augmented assignment) under ``src/repro`` must be loaded somewhere in
+  ``src``, ``tests``, ``perfbench``, ``examples`` or ``benchmarks``.  A
+  counter nothing reads is work on the hot path that reports nothing; it
+  should be deleted.
 
-Both checks are by name, so they cannot prove that a *particular*
+All three checks are by name, so they cannot prove that a *particular*
 config's field is read or set when another object shares the name -- they
-catch knobs that are read or set nowhere at all.
+catch knobs and counters that are read or set nowhere at all.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import ast
 import dataclasses
 import typing
 from pathlib import Path
-from typing import Iterator, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 import pytest
 
@@ -36,7 +41,11 @@ from repro.core.compiler.vectorizer import VectorizerConfig
 from repro.core.offload.cost_model import CostModelConfig
 from repro.core.platform import PlatformConfig
 
-SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SOURCE_ROOT = REPO_ROOT / "src" / "repro"
+
+#: Trees whose attribute loads count as reads of a counter.
+READER_TREES = ("src", "tests", "perfbench", "examples", "benchmarks")
 
 ROOTS = (PlatformConfig, VectorizerConfig, CostModelConfig)
 
@@ -72,8 +81,8 @@ def _leaf_fields(cls: type, skip: frozenset = frozenset()
             yield cls.__name__, spec_field.name
 
 
-def _source_trees() -> Iterator[ast.AST]:
-    for path in SOURCE_ROOT.rglob("*.py"):
+def _source_trees(root: Path = SOURCE_ROOT) -> Iterator[ast.AST]:
+    for path in root.rglob("*.py"):
         yield ast.parse(path.read_text(), filename=str(path))
 
 
@@ -85,6 +94,27 @@ def _attribute_names() -> Set[str]:
 def _keyword_names() -> Set[str]:
     return {node.arg for tree in _source_trees() for node in ast.walk(tree)
             if isinstance(node, ast.keyword) and node.arg is not None}
+
+
+def _counter_updates() -> Dict[str, List[str]]:
+    """Attribute name -> ``file:line`` of each augmented assignment to it
+    under ``src/repro``."""
+    updates: Dict[str, List[str]] = {}
+    for path in SOURCE_ROOT.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.AugAssign)
+                    and isinstance(node.target, ast.Attribute)):
+                updates.setdefault(node.target.attr, []).append(
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    return updates
+
+
+def _loaded_attributes() -> Set[str]:
+    return {node.attr for name in READER_TREES
+            for tree in _source_trees(REPO_ROOT / name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 LEAVES = sorted({leaf for root in ROOTS for leaf in _leaf_fields(root)})
@@ -129,3 +159,12 @@ def test_behaviour_option_is_set(owner, name, keyword_names):
     assert name in keyword_names, (
         f"{owner}.{name} is never set by keyword under src/repro, so every "
         f"run uses its default; turn it into a constant")
+
+
+def test_every_counter_is_read():
+    loaded = _loaded_attributes()
+    unread = {name: sites for name, sites in _counter_updates().items()
+              if name not in loaded}
+    assert not unread, (
+        f"counters updated under src/repro but never read: {unread}; "
+        f"delete them or report them")

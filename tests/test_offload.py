@@ -15,7 +15,8 @@ from repro.core.offload.policies import (AresFlashPolicy, BWOffloadingPolicy,
                                          ISPOnlyPolicy, POLICY_REGISTRY,
                                          PolicyContext, PuDOnlyPolicy,
                                          make_policy)
-from repro.core.offload.transform import InstructionTransformer
+from repro.core.offload.transform import (InstructionTransformer,
+                                          TRANSLATION_LOOKUP_NS)
 from repro.core.platform import SSDPlatform
 
 
@@ -132,9 +133,9 @@ class TestFeatureCollector:
         instruction = VectorInstruction(
             uid=0, op=OpType.ADD, dest=ArrayRef("a", 0, 4096),
             sources=(ArrayRef("a", 4096, 4096),))
-        collector.collect(instruction, 0.0, 0.0)
+        features = collector.collect(instruction, 0.0, 0.0)
         # Section 4.5: average 3.77 us; allow a generous band.
-        assert 1_000.0 < collector.average_collection_latency_ns < 40_000.0
+        assert 1_000.0 < features.collection_latency_ns < 40_000.0
 
 
 class TestTransformer:
@@ -168,9 +169,11 @@ class TestTransformer:
 
     def test_transform_charges_lookup_latency(self, platform):
         transformer = InstructionTransformer(platform)
-        transformed = transformer.transform(make_instruction(), Resource.PUD)
-        assert transformed.lookup_latency_ns == 300.0
-        assert transformer.average_latency_ns == 300.0
+        instruction = make_instruction()
+        transformed = transformer.transform(instruction, Resource.PUD)
+        assert transformed.lookup_latency_ns == TRANSLATION_LOOKUP_NS == 300.0
+        assert transformed.uid == instruction.uid
+        assert transformed.resource is Resource.PUD
 
 
 class TestPolicies:
@@ -204,7 +207,6 @@ class TestPolicies:
     def test_bw_offloading_prefers_idle_resources(self, platform):
         context = PolicyContext(platform=platform, now=0.0, elapsed=1e6)
         # Load the ISP queue so its utilization is non-zero.
-        platform.queues[Resource.ISP].enqueue(1, 0.0, 1e6)
         platform.queues[Resource.ISP].reserve(1, 0.0, 1e6)
         choice = BWOffloadingPolicy().choose(make_instruction(),
                                              make_features(), context)

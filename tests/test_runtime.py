@@ -50,11 +50,24 @@ class TestConduitRuntime:
 
     def test_records_are_internally_consistent(self, tiny_vector_program,
                                                platform_config):
-        result = run(tiny_vector_program, "Conduit", platform_config)
-        for record in result.records:
-            assert record.end_ns >= record.start_ns >= 0
-            assert record.latency_ns >= record.compute_ns
-            assert record.queue_wait_ns >= 0
+        for policy in ("Conduit", "Ideal", "CPU"):
+            result = run(tiny_vector_program, policy, platform_config)
+            for record in result.records:
+                assert (0 <= record.dispatch_ns <= record.ready_ns
+                        <= record.start_ns <= record.end_ns)
+                assert record.latency_ns >= record.compute_ns
+
+    def test_offload_overhead_summarizes_the_records(self,
+                                                    tiny_vector_program,
+                                                    platform_config):
+        # Section 4.5's average and maximum are taken over the records.
+        for policy in ("Conduit", "Ideal"):
+            result = run(tiny_vector_program, policy, platform_config)
+            overheads = [record.overhead_ns for record in result.records]
+            assert min(overheads) > 0
+            assert result.offload_overhead_avg_ns == (sum(overheads)
+                                                      / len(overheads))
+            assert result.offload_overhead_max_ns == max(overheads)
 
     def test_only_ssd_resources_are_used(self, tiny_vector_program,
                                          platform_config):
