@@ -45,6 +45,19 @@ from repro.workloads import Jacobi1DWorkload, workload_by_name
 #: ROADMAP documented the LLM-Training roster-ablation row regressing.
 REGRESSION_SCALE = 0.25
 
+#: Feedback-on LLM Training runs at scale 0.1, pinned as ``float.hex``
+#: (total time ns, total energy nJ).  Conduit on ``cxl-pud-feedback``
+#: charges the CXL command link's backlog; DM-Offloading ranks by the
+#: contended movement estimate alone.
+FEEDBACK_GOLDEN = {
+    ("cxl-pud-feedback", "Conduit"): (
+        "0x1.df2ea618b1cc9p+21", "0x1.fe00fb7685b0fp+26"),
+    ("cxl-pud-feedback", "DM-Offloading"): (
+        "0x1.9e37bf4c01184p+21", "0x1.faaedd83d1c4ep+26"),
+    ("default-feedback", "DM-Offloading"): (
+        "0x1.9e2fef4c01184p+21", "0x1.faa6cf03d1c4ep+26"),
+}
+
 
 def tiny_platform_config(**overrides) -> PlatformConfig:
     return PlatformConfig(ssd=small_ssd_config(),
@@ -404,3 +417,16 @@ class TestContentionDecay:
         monitor = SSDPlatform(tiny_platform_config(
             contention_feedback=True)).contention
         assert (monitor.alpha, monitor.gain) == (0.3, 2.0)
+
+
+class TestFeedbackGoldens:
+    @pytest.mark.parametrize("variant, policy", sorted(FEEDBACK_GOLDEN))
+    def test_feedback_run_is_bit_exact(self, variant, policy):
+        runner = ExperimentRunner(ExperimentConfig(
+            workload_scale=0.1, platform=platform_variant(variant)))
+        result = runner.run(workload_by_name("LLM Training", scale=0.1),
+                            policy)
+        time_ns, energy_nj = FEEDBACK_GOLDEN[(variant, policy)]
+        assert result.total_time_ns == float.fromhex(time_ns)
+        assert result.total_energy_nj == float.fromhex(energy_nj)
+        assert result.maintenance.contention_samples > 0
