@@ -57,7 +57,7 @@ def main() -> None:
           ", ".join(conduit_platform.backends.roster()))
     print("Offload candidates:",
           ", ".join(str(r.value)
-                    for r in conduit_platform.offload_candidates()))
+                    for r in conduit_platform.backends.offload_candidates()))
     conduit_result = ConduitRuntime(conduit_platform).execute(
         vector_program, ConduitPolicy(), "quickstart")
     print(f"\nConduit: {conduit_result.total_time_ns / 1e6:.3f} ms, "

@@ -131,17 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
 #: no function is double-counted.  Order matters where a later rule's
 #: fragment is a prefix of an earlier one's directory: the wave slicer in
 #: ``core/compiler/`` is collection, and drive aging, GC and wear-leveling
-#: under ``ssd/`` are maintenance, not execution.  ``dispatch`` is the
-#: runtime's dispatch loop (``core/runtime.py``).
+#: under ``ssd/`` are maintenance, not execution.  The contention monitor
+#: (``core/contention.py``) prices candidates while their features are
+#: collected, so it is collection too.  ``dispatch`` is the runtime's
+#: dispatch loop (``core/runtime.py``).
 PROFILE_PHASES = (
-    ("collect", ("core/offload/features", "core/compiler/waves")),
+    ("collect", ("core/offload/features", "core/compiler/waves",
+                 "core/contention")),
     ("compile", ("core/compiler/", "workloads/")),
     ("decide", ("core/offload/policies", "core/offload/cost_model",
                 "core/offload/offloader")),
     ("transform", ("core/offload/transform",)),
     ("dispatch", ("core/runtime",)),
-    ("move", ("core/platform", "core/coherence", "core/contention",
-              "ssd/flash_controller", "dram/dram", "dram/bank")),
+    ("move", ("core/platform", "core/coherence", "ssd/flash_controller",
+              "dram/dram", "dram/bank")),
     ("maintenance", ("ssd/lifetime/", "ssd/gc", "ssd/wear_leveling")),
     ("execute", ("ssd/queues", "ssd/events", "isp/", "ifp/", "host/",
                  "dram/pud", "dram/cxl", "ssd/")),

@@ -19,7 +19,8 @@ computation resource:
 * ``kind`` -- the canonical resource family, which selects the native ISA
   and the Fig. 9 grouping;
 * ``home_location`` -- where operands must reside for it to compute
-  (drives the data-movement feature and the platform's movement engine);
+  (drives the data-movement feature, the offloader's operand moves and,
+  with contention feedback on, the monitor's path key);
 * ``supports`` / ``operation_latency`` / ``operation_energy`` -- the
   precomputed per-op capability/latency/energy points (Section 4.5);
 * ``execute`` -- actually run an operation.  The dispatcher already
@@ -31,7 +32,8 @@ computation resource:
 * ``link_backlog_ns`` / ``execution_channel_bytes`` -- backlog of any
   backend-private link (e.g. the CXL command link) and shared
   flash-channel traffic imposed by execution itself (Ares-Flash partial
-  products), consumed by the contention-aware cost model when
+  products).  The feature collector hands both to
+  :meth:`~repro.core.contention.LinkContentionMonitor.penalty_ns` when
   ``PlatformConfig.contention_feedback`` is enabled (the offloader also
   reserves the declared execution traffic on the channel group);
 * ``queue`` -- the backend's execution queue (Section 5.1, "NDP
@@ -125,9 +127,8 @@ class ComputeBackend(abc.ABC):
         are observed through the movement-overrun feedback; a backend that
         owns an extra link on its operand path (the CXL-attached PuD
         tier's CXL link) reports that link's backlog here so the
-        contention-aware cost model
-        (``PlatformConfig.contention_feedback``) can fold it into the
-        candidate's movement penalty.  Backends without private links
+        contention monitor (``PlatformConfig.contention_feedback``) can
+        fold it into the candidate's movement penalty.  Backends without private links
         report ``0.0``.
         """
         return 0.0

@@ -11,33 +11,38 @@ end-to-end on the ``cxl-pud`` platform while its per-instruction decisions
 
 :class:`LinkContentionMonitor` closes the loop with the one signal the
 offloader can observe cheaply and without bias: how long reaching an
-operand path *actually* took versus the uncontended estimate.  Every
-completed operand movement reports ``(path, estimated_ns, observed_ns)``;
-the overrun ratio ``observed / estimated`` is the queueing the movement
-experienced on the shared links of that path plus any lazy-coherence
-commits it had to wait for (operand ping-pong between homes surfaces as
-commit delay, and attributing it to the path being entered is what lets
-the feedback price write-sharing churn too).  The monitor keeps an
-exponentially weighted moving average of the ratio per path; the feature
-collector then scales each candidate's movement estimate by its path's
-smoothed ratio, so a congested path prices future work at its observed
-(not theoretical) cost -- and because an overpriced path stops attracting
-work, its buses drain and its next observation pulls the average back
-down: the feedback is self-balancing.
+operand path *actually* took versus the uncontended estimate.  A path is a
+candidate's home :class:`~repro.common.DataLocation`, so the overrun seen
+by one backend's movements reprices every backend with the same home.
+Every completed operand movement reports ``(path, estimated_ns,
+observed_ns)``; the overrun ratio ``observed / estimated`` is the queueing
+the movement experienced on the shared links of that path plus any
+lazy-coherence commits it had to wait for (operand ping-pong between homes
+surfaces as commit delay, and attributing it to the path being entered is
+what lets the feedback price write-sharing churn too).  The monitor keeps
+an exponentially weighted moving average of the ratio per path, and
+:meth:`LinkContentionMonitor.penalty_ns` prices each candidate's movement
+estimate at its path's smoothed ratio, so a congested path prices future
+work at its observed (not theoretical) cost -- and because an overpriced
+path stops attracting work, its buses drain and its next observation pulls
+the average back down: the feedback is self-balancing.
 
-Backend-private links (the CXL command link) are sampled directly at
-collection time via ``ComputeBackend.link_backlog_ns`` and charged on top.
+The penalty also charges the live backlog of backend-private links (the
+CXL command link, ``ComputeBackend.link_backlog_ns``) and the shared
+flash-channel time of the candidate's own execution (Ares-Flash partial
+products, ``ComputeBackend.execution_channel_bytes``).
 
-The whole mechanism sits behind ``PlatformConfig.contention_feedback``
-(default off).  With the flag off the monitor is never consulted, every
-scale is exactly ``1.0`` and the uncorrected goldens stay bit-exact.
+The platform builds a monitor only with
+``PlatformConfig.contention_feedback`` (default off); without one every
+penalty is exactly ``0.0`` and the uncorrected goldens stay bit-exact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.common import SimulationError
+from repro.core.backends import ComputeBackend
 
 #: Upper clamp on one observation's overrun ratio: a single pathological
 #: movement (e.g. one that queued behind a burst of evictions) must not
@@ -67,13 +72,13 @@ class LinkContentionMonitor:
                 f"contention gain must be non-negative, got {gain}")
         self.alpha = alpha
         self.gain = gain
-        self._overrun: Dict[str, float] = {}
+        self._overrun: Dict[Hashable, float] = {}
         #: Least-congested observed overrun, recomputed on the first query
         #: after an observation (``None`` until then).
         self._floor: Optional[float] = None
         self.samples = 0
 
-    def observe_movement(self, path: str, estimated_ns: float,
+    def observe_movement(self, path: Hashable, estimated_ns: float,
                          observed_ns: float) -> None:
         """Fold one completed movement's estimate/actual pair into ``path``.
 
@@ -97,11 +102,11 @@ class LinkContentionMonitor:
         self._floor = None
         self.samples += 1
 
-    def overrun(self, path: str) -> float:
+    def overrun(self, path: Hashable) -> float:
         """Current EWMA overrun ratio of ``path`` (1.0 if never observed)."""
         return self._overrun.get(path, 1.0)
 
-    def relative_overrun(self, path: str) -> float:
+    def relative_overrun(self, path: Hashable) -> float:
         """``path``'s overrun relative to the least-congested observed path.
 
         Every operand path shares its source leg (operands stream out of
@@ -121,7 +126,7 @@ class LinkContentionMonitor:
             floor = self._floor = min(self._overrun.values())
         return self._overrun.get(path, floor) / floor
 
-    def scale(self, path: str) -> float:
+    def scale(self, path: Hashable) -> float:
         """Movement-estimate scale for ``path`` (>= 1).
 
         ``1 + gain * (relative_overrun - 1)``: exactly ``1.0`` for a
@@ -133,3 +138,31 @@ class LinkContentionMonitor:
         if relative <= 1.0:
             return 1.0
         return 1.0 + self.gain * (relative - 1.0)
+
+    def penalty_ns(self, path: Hashable, movement_ns: float,
+                   backend: ComputeBackend, now: float,
+                   channel_ns: float) -> float:
+        """Expected extra delay from link contention for one candidate.
+
+        ``movement_ns`` (the candidate's uncontended movement estimate)
+        scaled by ``path``'s smoothed overrun, plus ``backend``'s
+        private-link backlog, plus -- once anything has been observed --
+        ``channel_ns``, the shared flash-channel time its execution would
+        occupy (traffic that never extends its own latency, so without
+        feedback it is a free externality on every flash-bound movement).
+        """
+        penalty = 0.0
+        if movement_ns > 0.0:
+            # Private-link backlog rides with the movement term: a
+            # zero-movement candidate's busy tier is already priced by
+            # the queueing-delay feature (its execution queue is a
+            # per-candidate cost input), so charging the link again
+            # there double-counts and measurably over-deters.
+            penalty += (movement_ns * (self.scale(path) - 1.0) +
+                        backend.link_backlog_ns(now))
+        if self.samples > 0 and channel_ns:
+            # The externality price activates with the feedback loop's
+            # first observation: under provably zero traffic (nothing
+            # moved yet) feedback-on estimates must equal feedback-off.
+            penalty += channel_ns
+        return penalty

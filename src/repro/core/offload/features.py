@@ -128,7 +128,7 @@ class WaveBatch:
     hit_lpas: List[Tuple[int, ...]]
     collection_ns: List[float]
     #: Per member: the shape's static candidate rows
-    #: ``(resource, home, supported, compute_latency, queue)``.
+    #: ``(resource, home, supported, compute_latency, queue, channel_ns)``.
     static: List[list]
     #: Per member: collector-gated raw movement sums, one pure-Python
     #: float per candidate (what the decision path consumes directly --
@@ -152,14 +152,15 @@ class FeatureCollector:
         self.platform = platform
         self.layout = layout
         # Static per-candidate facts -- support, home location, the
-        # precomputed compute-latency point and the execution-queue handle
-        # -- depend only on (op, size_bytes, element_bits) and the fixed
+        # precomputed compute-latency point, the execution-queue handle and
+        # the uncontended flash-channel time of the execution itself --
+        # depend only on (op, size_bytes, element_bits) and the fixed
         # backend roster, so they are resolved once per shape
         # (Section 4.5's precomputed tables) instead of per instruction.
         self._static_features: Dict[
             Tuple[OpType, int, int],
             List[Tuple[ResourceLike, DataLocation, bool, float,
-                       "ExecutionQueue"]]] = {}
+                       "ExecutionQueue", float]]] = {}
 
     # -- Operand runs / pages -----------------------------------------------------
 
@@ -230,12 +231,14 @@ class FeatureCollector:
         collection_ns += QUEUE_DELAY_TRACK_NS
         # (5b) link-contention feedback: each candidate's movement
         # estimate below pays the EWMA-observed overrun of its operand
-        # path plus its private-link backlog (behind
-        # PlatformConfig.contention_feedback; see repro.core.contention).
-        feedback = platform.config.contention_feedback
-        if feedback:
+        # path plus its private-link backlog (the monitor exists only
+        # with PlatformConfig.contention_feedback; see
+        # repro.core.contention).
+        monitor = platform.contention
+        if monitor is not None:
             collection_ns += CONTENTION_SAMPLE_NS
-        move_table = platform._move_table
+        backends = platform.backends
+        move_table = platform.move_table
         op = instruction.op
         size_bytes = instruction.size_bytes
         element_bits = instruction.element_bits
@@ -257,7 +260,7 @@ class FeatureCollector:
             (single_location, single_pages), = locations.items()
         location_items = locations.items()
         per_resource: Dict[ResourceLike, ResourceFeatures] = {}
-        for resource, home, supported, compute, queue in static:
+        for resource, home, supported, compute, queue, channel_ns in static:
             if single_location is not None:
                 movement = move_table[(single_location, home)] * single_pages
             else:
@@ -268,9 +271,9 @@ class FeatureCollector:
                 resource, supported, compute, movement,
                 queue._pending_latency / queue._parallelism,
                 pending_producer_latency,
-                platform.contention_penalty_ns(resource, op, size_bytes,
-                                               element_bits, movement, now)
-                if feedback else 0.0)
+                monitor.penalty_ns(home, movement, backends[resource], now,
+                                   channel_ns)
+                if monitor is not None else 0.0)
         return InstructionFeatures(instruction.uid, op, locations,
                                    per_resource, collection_ns, runs)
 
@@ -280,14 +283,19 @@ class FeatureCollector:
         platform = self.platform
         backends = platform.backends
         queues = platform.queues
+        channels = platform.ssd.channels.channels
         static = []
-        for resource in platform.offload_candidates():
+        for resource in backends.offload_candidates():
             backend = backends[resource]
             supported = backend.supports(op)
+            channel_bytes = backend.execution_channel_bytes(op, size_bytes,
+                                                            element_bits)
             static.append((
                 resource, backend.home_location, supported,
                 backend.operation_latency(op, size_bytes, element_bits)
-                if supported else float("inf"), queues[resource]))
+                if supported else float("inf"), queues[resource],
+                channels.transfer_time(channel_bytes)
+                if channel_bytes > 0.0 else 0.0))
         self._static_features[static_key] = static
         return static
 
@@ -314,12 +322,11 @@ class FeatureCollector:
         entries = platform.ssd.ftl.cache._entries
         residence_get = platform.residence.get
         flash = DataLocation.FLASH
-        move_table = platform._move_table
-        feedback = platform.config.contention_feedback
+        move_table = platform.move_table
         # All collection-latency terms are integer-valued floats, so the
         # fixed per-member constants sum exactly in any association.
         fixed_ns = DEPENDENCE_SCAN_NS_PER_QUEUE + QUEUE_DELAY_TRACK_NS
-        if feedback:
+        if platform.contention is not None:
             fixed_ns += CONTENTION_SAMPLE_NS
         static_features_get = self._static_features.get
         location_items: List[Tuple[Tuple[DataLocation, int], ...]] = []
@@ -359,10 +366,10 @@ class FeatureCollector:
                 (single_location, single_pages), = items
                 movement_rows.append(
                     [move_table[(single_location, home)] * single_pages
-                     for _, home, _, _, _ in static])
+                     for _, home, _, _, _, _ in static])
             else:
                 row = []
-                for _, home, _, _, _ in static:
+                for _, home, _, _, _, _ in static:
                     total = 0.0
                     for location, pages in items:
                         total += move_table[(location, home)] * pages
@@ -393,23 +400,21 @@ class FeatureCollector:
         for lpa in batch.hit_lpas[pos]:
             move_to_end(lpa)
         collection_ns = batch.collection_ns[pos]
-        feedback = platform.config.contention_feedback
+        monitor = platform.contention
+        backends = platform.backends
         instruction = batch.instructions[pos]
-        op = instruction.op
-        size_bytes = instruction.size_bytes
-        element_bits = instruction.element_bits
         row = batch.movement_rows[pos]
         per_resource: Dict[ResourceLike, ResourceFeatures] = {}
-        for index, (resource, _, supported, compute,
-                    queue) in enumerate(batch.static[pos]):
+        for index, (resource, home, supported, compute, queue,
+                    channel_ns) in enumerate(batch.static[pos]):
             movement = row[index]
             per_resource[resource] = ResourceFeatures(
                 resource, supported, compute, movement,
                 queue._pending_latency / queue._parallelism,
                 pending_producer_latency,
-                platform.contention_penalty_ns(resource, op, size_bytes,
-                                               element_bits, movement, now)
-                if feedback else 0.0)
+                monitor.penalty_ns(home, movement, backends[resource], now,
+                                   channel_ns)
+                if monitor is not None else 0.0)
         return InstructionFeatures(
-            instruction.uid, op, dict(batch.location_items[pos]),
+            instruction.uid, instruction.op, dict(batch.location_items[pos]),
             per_resource, collection_ns, list(batch.source_runs[pos]))

@@ -9,7 +9,9 @@ vector instruction of the downloaded Conduit binary (Section 4.3.2):
    compile-time vector width into resource-sized sub-operations
    (:class:`InstructionTransformer`);
 4. moves operands to the target resource's home location (through the
-   platform's data-movement engine, honouring lazy coherence);
+   platform's data-movement engine, honouring lazy coherence) and, with
+   contention feedback on, reports the movement's observed time to the
+   platform's link-contention monitor;
 5. dispatches the instruction into the target resource's execution queue,
    reserves its execution slot and returns the instruction's
    :class:`~repro.core.metrics.InstructionRecord`.
@@ -59,12 +61,13 @@ class SSDOffloader:
         self._collect = self.collector.collect
         self._transform = self.transformer.transform
         self._dispatch_core = platform.dispatch_core
+        self._contention = platform.contention
         #: One reusable policy context; policies read it synchronously
         #: inside ``choose`` and never retain it.
         self._context = PolicyContext(platform=platform, now=0.0, elapsed=1.0)
         #: The candidates' execution queues; each owns its backlog.
         self._queues = [platform.queues[resource]
-                        for resource in platform.offload_candidates()]
+                        for resource in platform.backends.offload_candidates()]
         #: Earliest slot end across the queues; retiring is a no-op
         #: before this, so the per-offload scan is skipped.
         self._next_retire = float("inf")
@@ -199,10 +202,14 @@ class SSDOffloader:
                        compute: float) -> InstructionRecord:
         start = issue_ns if issue_ns >= deps_ready_ns else deps_ready_ns
         end = start + compute
-        self.platform.record_compute(start, resource, instruction.op,
-                                     instruction.size_bytes,
-                                     instruction.element_bits)
-        return InstructionRecord(instruction.uid, instruction.op, resource,
+        op = instruction.op
+        size_bytes = instruction.size_bytes
+        element_bits = instruction.element_bits
+        backend = self.platform.backends[resource]
+        backend.execute(start, op, size_bytes, element_bits)
+        self.platform.energy.add_compute(
+            resource, backend.operation_energy(op, size_bytes, element_bits))
+        return InstructionRecord(instruction.uid, op, resource,
                                  dispatch_ns, start, start, end, compute,
                                  0.0, overhead_ns)
 
@@ -236,18 +243,20 @@ class SSDOffloader:
                                                  DataLocation.FLASH)
         dm_end = platform.ensure_runs_at(commit_end, source_runs, home)
         data_movement_ns = dm_end - move_start
-        # Live contention feedback: report how long reaching this operand
-        # path actually took against its uncontended estimate, so the
-        # next instruction's estimates price the observed cost of the
-        # path (no-op unless PlatformConfig.contention_feedback is
-        # enabled).  Deliberately measured from move_start, i.e.
-        # *including* the lazy-coherence commits above: operand ping-pong
-        # between homes surfaces as commit delay, and attributing it to
-        # the path being entered is what lets the feedback price the
-        # write-sharing churn the greedy model is blind to.
-        if platform.config.contention_feedback:
-            platform.observe_movement_contention(
-                resource, movement_estimate, data_movement_ns)
+        # Live contention feedback (the monitor exists only with
+        # PlatformConfig.contention_feedback): report how long reaching
+        # this operand path actually took against its uncontended
+        # estimate, so the next instruction's estimates price the
+        # observed cost of the path.  Deliberately measured from
+        # move_start, i.e. *including* the lazy-coherence commits above:
+        # operand ping-pong between homes surfaces as commit delay, and
+        # attributing it to the path being entered is what lets the
+        # feedback price the write-sharing churn the greedy model is
+        # blind to.
+        monitor = self._contention
+        if monitor is not None:
+            monitor.observe_movement(home, movement_estimate,
+                                     data_movement_ns)
 
         if compute is None:
             compute = backend.operation_latency(op, size_bytes, element_bits)

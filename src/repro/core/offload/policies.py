@@ -139,8 +139,9 @@ class BWOffloadingPolicy(OffloadingPolicy):
         viable = self._viable(features)
         if not viable:
             return self._fallback(features)
-        utilization = {r: context.platform.bandwidth_utilization(
-            r, context.elapsed) for r in viable}
+        backends = context.platform.backends
+        utilization = {r: backends[r].utilization(context.elapsed)
+                       for r in viable}
         return min(viable, key=lambda r: (utilization[r], r.value))
 
 

@@ -81,7 +81,7 @@ class InstructionTransformer:
         entry for every operation; other families are gated on support.
         """
         table: Dict[Tuple[OpType, ResourceLike], str] = {}
-        candidates = self.platform.offload_candidates()
+        candidates = self.platform.backends.offload_candidates()
         for op in OpType:
             for resource in candidates:
                 backend = self.platform.backends[resource]

@@ -16,7 +16,10 @@ slots and pays its own energy; a dirty page evicted from the destination's
 capacity window is written back before the next page moves), and
 :meth:`SSDPlatform.mark_produced_run` records a run just produced at a
 location.  The feature collector reads the :attr:`SSDPlatform.residence`
-index and the precomputed movement table (Section 4.5) directly.
+index, the precomputed :attr:`SSDPlatform.move_table` (Section 4.5) and the
+compute backends of :attr:`SSDPlatform.backends` directly; with
+``contention_feedback`` on, :attr:`SSDPlatform.contention` is the
+link-contention monitor the offloader feeds (:mod:`repro.core.contention`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common import (BackendId, DataLocation, MIB, OpType, Resource,
+from repro.common import (BackendId, DataLocation, MIB, Resource,
                           ResourceLike, SimulationError)
 from repro.core.backends import BackendRegistry
 from repro.core.coherence import (STRICT_WRITE_THROUGH, CoherenceDirectory,
@@ -73,17 +76,13 @@ class PlatformConfig:
     # -- Contention-aware cost model (link-utilization feedback) ------------
 
     #: Correct the cost model's data-movement estimates with live
-    #: link-contention feedback: every completed movement reports its
-    #: observed time against the uncontended table estimate, the overrun
-    #: (the queueing experienced on the path's shared buses -- flash
-    #: channels, SSD DRAM bus, PCIe) is EWMA-smoothed per operand path,
-    #: and each candidate's future estimates are scaled by its path's
-    #: smoothed overrun (plus the live backlog of backend-private links
-    #: such as the CXL command link).  This closes the greedy
-    #: per-instruction argmin's blindness to global link contention; see
-    #: :mod:`repro.core.contention`.  Off by default so the pinned
-    #: goldens keep reproducing the paper's uncorrected cost model
-    #: bit-exactly.
+    #: link-contention feedback: the platform builds a
+    #: :class:`~repro.core.contention.LinkContentionMonitor` that the
+    #: offloader feeds every movement's observed time and the feature
+    #: collector prices candidates with.  This closes the greedy
+    #: per-instruction argmin's blindness to global link contention.  Off
+    #: by default so the pinned goldens keep reproducing the paper's
+    #: uncorrected cost model bit-exactly.
     contention_feedback: bool = False
 
     #: Opt in to the wave-batched offload engine.  The default (``False``)
@@ -239,7 +238,7 @@ class SSDPlatform:
         #: The controller core running the SSD offloader itself.
         self.dispatch_core = Server("offloader-core")
 
-        self._page_size = page
+        self.page_size = page
         self._dram_window = _LocationWindow(
             "ssd-dram", self.config.dram_compute_window_bytes // page)
         self._sram_window = _LocationWindow(
@@ -251,7 +250,10 @@ class SSDPlatform:
             DataLocation.CTRL_SRAM: self._sram_window,
             DataLocation.HOST: self._host_window,
         }
-        self._residence: Dict[int, DataLocation] = {}
+        #: Residence index: LPA -> current location (flash if absent).
+        #: Read-only outside the platform; the feature collector
+        #: histograms operand runs straight from it.
+        self.residence: Dict[int, DataLocation] = {}
         #: Bumped on every eviction-driven residence change -- the only
         #: way one instruction's dispatch can move *another* page-disjoint
         #: instruction's operands.  The wave-batched offload engine
@@ -259,19 +261,16 @@ class SSDPlatform:
         #: still live at each member's decision time.
         self.eviction_epoch = 0
         self.movement = DataMovementStats()
-        self._move_table = self._build_move_table()
-        #: EWMA monitor of observed movement overrun per operand path,
-        #: fed only when ``config.contention_feedback`` is enabled (see
-        #: :mod:`repro.core.contention`).  Owned per platform, so every
-        #: run starts from clean feedback state.
-        self.contention = LinkContentionMonitor()
-        #: Feedback-on memos of static per-candidate terms: the monitor
-        #: key of each backend's operand path, and the uncontended
-        #: flash-channel time of each (backend, op, size, bits)
-        #: execution (0.0 when it moves nothing over the channels).
-        self._movement_paths: Dict[ResourceLike, str] = {}
-        self._execution_channel_ns: Dict[
-            Tuple[ResourceLike, OpType, int, int], float] = {}
+        #: Uncontended latency of moving one page, per (source,
+        #: destination) location pair (Section 4.5's precomputed table).
+        self.move_table = self._build_move_table()
+        #: EWMA monitor of observed movement overrun per operand home
+        #: location (see :mod:`repro.core.contention`); ``None`` unless
+        #: ``config.contention_feedback`` is enabled.  Owned per platform,
+        #: so every run starts from clean feedback state.
+        self.contention: Optional[LinkContentionMonitor] = (
+            LinkContentionMonitor() if self.config.contention_feedback
+            else None)
 
     # ------------------------------------------------------------------------
     # Backend registry (the platform's compute shape, grown from config)
@@ -315,40 +314,15 @@ class SSDPlatform:
                 "prediction)")
         return registry
 
-    def offload_candidates(self) -> Tuple[ResourceLike, ...]:
-        """Identities the SSD offloader may target (registration order)."""
-        return self.backends.offload_candidates()
-
     # ------------------------------------------------------------------------
     # Dataset placement
     # ------------------------------------------------------------------------
-
-    @property
-    def page_size(self) -> int:
-        return self._page_size
 
     def setup_dataset(self, lpas: Iterable[int], *,
                       colocated_groups: Optional[List[List[int]]] = None
                       ) -> None:
         """Place the application dataset on flash (zero-time setup)."""
         self.ssd.populate(lpas, colocated_groups=colocated_groups)
-
-    # ------------------------------------------------------------------------
-    # Operand locations
-    # ------------------------------------------------------------------------
-
-    def location_of(self, lpa: int) -> DataLocation:
-        return self._residence.get(lpa, DataLocation.FLASH)
-
-    @property
-    def residence(self) -> Dict[int, DataLocation]:
-        """Residence index: LPA -> current location (flash if absent).
-
-        Exposed (read-only by convention) so the feature collector can
-        histogram operand runs in a single pass without a method call per
-        page.
-        """
-        return self._residence
 
     # ------------------------------------------------------------------------
     # Precomputed data-movement latency table (Section 4.5)
@@ -360,7 +334,7 @@ class SSDPlatform:
         channels = self.ssd.channels
         dram = self.dram
         nvme = self.ssd.nvme
-        page = self._page_size
+        page = self.page_size
         flash_out = channels.uncontended_read_latency(transfer_out=True)
         flash_program = channels.uncontended_program_latency()
         dram_access = dram.uncontended_access_latency(page)
@@ -385,14 +359,6 @@ class SSDPlatform:
             table[(location, location)] = 0.0
         return table
 
-    def estimate_move_latency(self, source: DataLocation,
-                              destination: DataLocation,
-                              pages: int = 1) -> float:
-        """Uncontended latency to move ``pages`` pages (lookup table)."""
-        if pages < 0:
-            raise SimulationError(f"cannot move {pages} pages")
-        return self._move_table[(source, destination)] * pages
-
     # ------------------------------------------------------------------------
     # Data movement (reserves buses, charges energy)
     # ------------------------------------------------------------------------
@@ -406,7 +372,7 @@ class SSDPlatform:
         do not extend the finish time), and a later page's residence
         reflects an earlier page's evictions.
         """
-        residence = self._residence
+        residence = self.residence
         windows = self._windows
         window = windows.get(destination)
         transfer = self._transfer_page
@@ -444,7 +410,7 @@ class SSDPlatform:
         """
         base, count = run
         actions = self.coherence.on_write_run(base, count, location)
-        residence = self._residence
+        residence = self.residence
         windows = self._windows
         window = windows.get(location)
         flash = DataLocation.FLASH
@@ -464,7 +430,7 @@ class SSDPlatform:
 
     def _evict_page(self, now: float, lpa: int) -> None:
         """Evict a page from a temporary location back to flash."""
-        location = self._residence.get(lpa, DataLocation.FLASH)
+        location = self.residence.get(lpa, DataLocation.FLASH)
         if location is DataLocation.FLASH:
             return
         self.eviction_epoch += 1
@@ -473,22 +439,27 @@ class SSDPlatform:
             # Dirty page: asynchronous write-back consumes flash bandwidth.
             self._transfer_page(now, lpa, location, DataLocation.FLASH,
                                 writeback=True)
-        self._residence[lpa] = DataLocation.FLASH
+        self.residence[lpa] = DataLocation.FLASH
 
     def _dram_address(self, lpa: int) -> int:
         """Spread logical pages across DRAM banks for realistic parallelism."""
-        span = self.config.dram.capacity_bytes - self._page_size
-        return (lpa * self._page_size) % max(self._page_size, span)
+        span = self.config.dram.capacity_bytes - self.page_size
+        return (lpa * self.page_size) % max(self.page_size, span)
 
     def _transfer_page(self, now: float, lpa: int, source: DataLocation,
                        destination: DataLocation, *,
                        writeback: bool = False) -> float:
-        """Reserve the buses needed to move one page; charge energy."""
+        """Reserve the buses needed to move one page; charge energy.
+
+        Host and internal movement time start where a flash read ends, so
+        the Fig. 4 breakdown counts each nanosecond once.
+        """
         stats = self.movement
         energy = self.energy
-        page = self._page_size
+        page = self.page_size
+        start = now
         if source is DataLocation.FLASH:
-            finish = self.ssd.read_page(now, lpa, transfer_out=True)
+            finish = start = self.ssd.read_page(now, lpa, transfer_out=True)
             energy.charge_flash_read()
             energy.charge_channel_dma()
             stats.flash_read_latency_ns += finish - now
@@ -505,7 +476,7 @@ class SSDPlatform:
                 energy.charge_pcie(page)
                 energy.charge_host_dram(page)
                 stats.host_pages += 1
-                stats.host_latency_ns += finish - now
+                stats.host_latency_ns += finish - start
         elif destination is DataLocation.FLASH:
             finish = now
             if source is DataLocation.SSD_DRAM:
@@ -538,58 +509,12 @@ class SSDPlatform:
             energy.charge_dram_access(page)
             stats.sram_to_dram_pages += 1
         if not writeback and DataLocation.HOST not in (source, destination):
-            stats.internal_latency_ns += finish - now
+            stats.internal_latency_ns += finish - start
         return finish
 
     # ------------------------------------------------------------------------
-    # Computation latency / energy / execution
+    # Device lifetime
     # ------------------------------------------------------------------------
-
-    def supports(self, resource: ResourceLike, op: OpType) -> bool:
-        return self.backends[resource].supports(op)
-
-    def compute_latency(self, resource: ResourceLike, op: OpType,
-                        size_bytes: int, element_bits: int) -> float:
-        """Expected computation latency of one instruction on ``resource``."""
-        return self.backends[resource].operation_latency(op, size_bytes,
-                                                         element_bits)
-
-    def record_compute(self, now: float, resource: ResourceLike, op: OpType,
-                       size_bytes: int, element_bits: int) -> None:
-        """Run one operation on the compute backend and charge its energy."""
-        backend = self.backends[resource]
-        backend.execute(now, op, size_bytes, element_bits)
-        self.energy.add_compute(
-            resource, backend.operation_energy(op, size_bytes, element_bits))
-
-    # ------------------------------------------------------------------------
-    # Utilization snapshot (BW-Offloading input)
-    # ------------------------------------------------------------------------
-
-    def bandwidth_utilization(self, resource: ResourceLike,
-                              elapsed: float) -> float:
-        """Approximate bandwidth utilization of a backend's data path."""
-        if elapsed <= 0:
-            return 0.0
-        return self.backends[resource].utilization(elapsed)
-
-    # ------------------------------------------------------------------------
-    # Contention feedback (the cost model's link-utilization input)
-    # ------------------------------------------------------------------------
-
-    def movement_path(self, resource: ResourceLike) -> str:
-        """Monitor key of the operand path feeding one offload candidate.
-
-        Candidates sharing a home location share the shared-bus path
-        (flash channels plus the destination leg: SSD DRAM bus or PCIe),
-        so the overrun observed for one backend's movements reprices every
-        backend on the same path.
-        """
-        path = self._movement_paths.get(resource)
-        if path is None:
-            path = self.backends[resource].home_location.value
-            self._movement_paths[resource] = path
-        return path
 
     def maintenance_stats(self) -> MaintenanceStats:
         """Device-lifetime snapshot of the run (GC/WL pressure and wear).
@@ -629,77 +554,5 @@ class SSDPlatform:
             erase_count_variance=ssd.array.erase_count_variance(),
             wear_imbalance=ssd.wear_leveler.imbalance(),
             write_amplification=amplification,
-            contention_samples=self.contention.samples)
-
-    def observe_movement_contention(self, resource: ResourceLike,
-                                    estimated_ns: float,
-                                    observed_ns: float) -> None:
-        """Feed one completed movement's estimate/actual pair back.
-
-        Called by the offloader's dispatch loop after every operand
-        movement; the overrun versus the uncontended table estimate is the
-        queueing the movement experienced on its path's shared links
-        (:mod:`repro.core.contention`).  A no-op unless
-        ``contention_feedback`` is enabled -- feedback-off runs never
-        touch the monitor and stay bit-exact.
-        """
-        if not self.config.contention_feedback:
-            return
-        self.contention.observe_movement(self.movement_path(resource),
-                                         estimated_ns, observed_ns)
-
-    def contention_penalty_ns(self, resource: ResourceLike, op: OpType,
-                              size_bytes: int, element_bits: int,
-                              movement_ns: float, now: float) -> float:
-        """Expected extra delay from link contention for one candidate.
-
-        Three terms, all exactly ``0.0`` with feedback disabled:
-
-        * ``movement_ns`` (the candidate's uncontended movement estimate)
-          scaled by the EWMA-observed overrun of its operand path, plus
-          the live backlog of any backend-private link on that path (the
-          CXL command link) -- a candidate moving nothing pays neither
-          (its tier's busy-ness is already the queueing-delay feature);
-        * the shared flash-channel occupancy the candidate's *execution*
-          would impose (Ares-Flash partial-product shuttling), priced at
-          the channels' uncontended transfer time.  This traffic never
-          extends the instruction's own latency, so without feedback it
-          is a free externality on every flash-bound movement.
-        """
-        if not self.config.contention_feedback:
-            return 0.0
-        penalty = 0.0
-        if movement_ns > 0.0:
-            # Private-link backlog rides with the movement term: a
-            # zero-movement candidate's busy tier is already priced by
-            # the queueing-delay feature (its execution queue is a
-            # per-candidate cost input), so charging the link again
-            # there double-counts and measurably over-deters.
-            scale = self.contention.scale(self.movement_path(resource))
-            penalty += (movement_ns * (scale - 1.0) +
-                        self.backends[resource].link_backlog_ns(now))
-        if self.contention.samples > 0:
-            # The externality price activates with the feedback loop's
-            # first observation: under provably zero traffic (nothing
-            # moved yet) feedback-on estimates must equal feedback-off.
-            key = (resource, op, size_bytes, element_bits)
-            channel_ns = self._execution_channel_ns.get(key)
-            if channel_ns is None:
-                channel_bytes = self.backends[
-                    resource].execution_channel_bytes(op, size_bytes,
-                                                      element_bits)
-                channel_ns = (
-                    self.ssd.channels.channels.transfer_time(channel_bytes)
-                    if channel_bytes > 0.0 else 0.0)
-                self._execution_channel_ns[key] = channel_ns
-            if channel_ns:
-                penalty += channel_ns
-        return penalty
-
-    # ------------------------------------------------------------------------
-    # Home locations
-    # ------------------------------------------------------------------------
-
-    def home_location(self, resource: ResourceLike) -> DataLocation:
-        """Where operands must reside for ``resource`` to compute."""
-        return self.backends[resource].home_location
+            contention_samples=(self.contention.samples
+                                if self.contention is not None else 0))

@@ -76,9 +76,7 @@ def _result(platform: SSDPlatform, workload: str, policy: str,
     breakdown = ExecutionBreakdown(
         compute_ns=sum(record.compute_ns for record in records),
         host_data_movement_ns=movement.host_latency_ns,
-        internal_data_movement_ns=max(
-            0.0, movement.internal_latency_ns -
-            movement.flash_read_latency_ns),
+        internal_data_movement_ns=movement.internal_latency_ns,
         flash_read_ns=movement.flash_read_latency_ns)
     return ExecutionResult(
         workload=workload, policy=policy, total_time_ns=total_time_ns,

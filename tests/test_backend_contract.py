@@ -64,7 +64,7 @@ class TestBackendContract:
                 backend_roster(shaped_platform.config))
 
     def test_candidates_are_the_offloadable_backends(self, shaped_platform):
-        candidates = shaped_platform.offload_candidates()
+        candidates = shaped_platform.backends.offload_candidates()
         for backend in shaped_platform.backends:
             assert ((backend.resource in candidates) ==
                     backend.offloadable), backend.resource
@@ -123,20 +123,20 @@ class TestDefaultRosterShape:
 
     def test_default_candidates_are_the_paper_trio(self):
         platform = SSDPlatform(_shape_configs()["default"])
-        assert platform.offload_candidates() == SSD_RESOURCES
+        assert platform.backends.offload_candidates() == SSD_RESOURCES
         assert platform.backends.roster() == (
             "isp", "pud-ssd", "ifp", "host-cpu", "host-gpu")
 
     def test_default_homes_match_the_paper(self):
-        platform = SSDPlatform(_shape_configs()["default"])
-        assert platform.home_location(Resource.IFP) is DataLocation.FLASH
-        assert platform.home_location(Resource.ISP) is DataLocation.SSD_DRAM
-        assert platform.home_location(Resource.PUD) is DataLocation.SSD_DRAM
-        assert platform.home_location(Resource.HOST_CPU) is DataLocation.HOST
+        backends = SSDPlatform(_shape_configs()["default"]).backends
+        assert backends[Resource.IFP].home_location is DataLocation.FLASH
+        assert backends[Resource.ISP].home_location is DataLocation.SSD_DRAM
+        assert backends[Resource.PUD].home_location is DataLocation.SSD_DRAM
+        assert backends[Resource.HOST_CPU].home_location is DataLocation.HOST
         # The documentation constant must track the live backends: every
         # canonical identity's backend homes where the paper says it does.
         for resource, home in RESOURCE_HOME_LOCATION.items():
-            assert platform.home_location(resource) is home, resource
+            assert backends[resource].home_location is home, resource
 
     def test_duplicate_registration_rejected(self):
         platform = SSDPlatform(_shape_configs()["default"])

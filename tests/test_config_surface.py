@@ -1,7 +1,8 @@
 """Guard: every settable config knob is read, every behaviour option is
-set, and every counter is read, somewhere in the simulator.
+set, every counter is read, and every platform method is used, somewhere
+in the simulator.
 
-Three checks by name over the source tree under ``src/repro``:
+Four checks by name over the source tree under ``src/repro``:
 
 * **Read** -- walks the dataclass trees of the platform, compiler and
   cost-model configurations and checks that each leaf field name appears
@@ -21,8 +22,13 @@ Three checks by name over the source tree under ``src/repro``:
   ``src``, ``tests``, ``perfbench``, ``examples`` or ``benchmarks``.  A
   counter nothing reads is work on the hot path that reports nothing; it
   should be deleted.
+* **Platform surface** -- every public method or property defined on
+  ``SSDPlatform`` must be loaded as an attribute somewhere under
+  ``src/repro`` outside ``core/platform.py``.  A platform method only
+  tests call is a forwarder or dead code; callers should reach the
+  backend registry, the residence index or the movement table directly.
 
-All three checks are by name, so they cannot prove that a *particular*
+All four checks are by name, so they cannot prove that a *particular*
 config's field is read or set when another object shares the name -- they
 catch knobs and counters that are read or set nowhere at all.
 """
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import typing
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
@@ -39,7 +46,7 @@ import pytest
 
 from repro.core.compiler.vectorizer import VectorizerConfig
 from repro.core.offload.cost_model import CostModelConfig
-from repro.core.platform import PlatformConfig
+from repro.core.platform import PlatformConfig, SSDPlatform
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
@@ -117,6 +124,25 @@ def _loaded_attributes() -> Set[str]:
             and isinstance(node.ctx, ast.Load)}
 
 
+def _platform_surface() -> List[str]:
+    """Public methods and properties ``SSDPlatform`` itself defines."""
+    return sorted(name for name, member in vars(SSDPlatform).items()
+                  if not name.startswith("_")
+                  and (inspect.isfunction(member)
+                       or isinstance(member, property)))
+
+
+def _loaded_outside_platform() -> Set[str]:
+    platform_source = SOURCE_ROOT / "core" / "platform.py"
+    return {node.attr for path in SOURCE_ROOT.rglob("*.py")
+            if path != platform_source
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+PLATFORM_SURFACE = _platform_surface()
+
 LEAVES = sorted({leaf for root in ROOTS for leaf in _leaf_fields(root)})
 
 BEHAVIOUR = sorted({leaf for root in ROOTS
@@ -168,3 +194,20 @@ def test_every_counter_is_read():
     assert not unread, (
         f"counters updated under src/repro but never read: {unread}; "
         f"delete them or report them")
+
+
+def test_platform_surface_walk_finds_the_data_path():
+    assert {"ensure_runs_at", "mark_produced_run",
+            "setup_dataset"} <= set(PLATFORM_SURFACE)
+
+
+@pytest.fixture(scope="module")
+def loaded_outside_platform() -> Set[str]:
+    return _loaded_outside_platform()
+
+
+@pytest.mark.parametrize("name", PLATFORM_SURFACE)
+def test_platform_member_is_used(name, loaded_outside_platform):
+    assert name in loaded_outside_platform, (
+        f"SSDPlatform.{name} is never read under src/repro outside "
+        f"core/platform.py; delete it or call what it wraps directly")

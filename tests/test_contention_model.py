@@ -72,6 +72,14 @@ def make_instruction(uid: int = 0) -> VectorInstruction:
         sources=(ArrayRef("a", 4096, 4096), ArrayRef("b", 0, 4096)))
 
 
+def observe(platform: SSDPlatform, resource, estimated_ns: float,
+            observed_ns: float) -> None:
+    """Report one movement into ``resource``'s home to the monitor."""
+    platform.contention.observe_movement(
+        platform.backends[resource].home_location, estimated_ns,
+        observed_ns)
+
+
 def collector_on(platform: SSDPlatform) -> FeatureCollector:
     layout = ArrayLayout(platform.page_size)
     layout.place(ArraySpec("a", 1 << 20, 32))
@@ -135,6 +143,24 @@ class TestLinkContentionMonitor:
     def test_invalid_alpha_rejected(self, alpha):
         with pytest.raises(SimulationError, match="alpha"):
             LinkContentionMonitor(alpha=alpha)
+
+    def test_penalty_terms(self):
+        class Linked:
+            """A backend whose private link is 50 ns behind."""
+
+            def link_backlog_ns(self, now: float) -> float:
+                return 50.0
+
+        monitor = LinkContentionMonitor(alpha=1.0, gain=1.0)
+        # Nothing observed: the movement term is the link backlog alone
+        # and the execution-channel term is not charged yet.
+        assert monitor.penalty_ns("host", 100.0, Linked(), 0.0, 30.0) == 50.0
+        monitor.observe_movement("ssd-dram", 100.0, 100.0)
+        monitor.observe_movement("host", 100.0, 300.0)
+        assert monitor.penalty_ns("host", 100.0, Linked(), 0.0,
+                                  30.0) == 100.0 * 2.0 + 50.0 + 30.0
+        # A candidate that moves nothing pays only its channel time.
+        assert monitor.penalty_ns("host", 0.0, Linked(), 0.0, 30.0) == 30.0
 
     def test_negative_gain_rejected(self):
         with pytest.raises(SimulationError, match="gain"):
@@ -244,9 +270,9 @@ class TestMonotonicity:
             collector = collector_on(platform)
             # Inject host-path contention: one observed movement that took
             # `observed` ns against a 100 ns uncontended estimate.
-            platform.observe_movement_contention(
-                next(r for r in platform.offload_candidates()
-                     if r.value == "cxl-pud"), 100.0, observed)
+            observe(platform,
+                    next(r for r in platform.backends.offload_candidates()
+                         if r.value == "cxl-pud"), 100.0, observed)
             features = collector.collect(instruction, 0.0, 0.0)
             host_backed = [features.feature(r)
                            for r in features.candidates
@@ -268,9 +294,9 @@ class TestMonotonicity:
         for observed in (1.0, 3.0, 9.0):
             platform = SSDPlatform(base)
             collector = collector_on(platform)
-            cxl = next(r for r in platform.offload_candidates()
+            cxl = next(r for r in platform.backends.offload_candidates()
                        if r.value == "cxl-pud")
-            platform.observe_movement_contention(cxl, 1.0, observed)
+            observe(platform, cxl, 1.0, observed)
             features = collector.collect(instruction, 0.0, 0.0)
             estimate = CostFunction().estimate(features.feature(cxl))
             if previous is not None:
@@ -287,9 +313,9 @@ class TestMonotonicity:
         features_quiet = collector_on(quiet).collect(instruction, 0.0, 0.0)
         noisy = SSDPlatform(base)
         collector = collector_on(noisy)
-        cxl = next(r for r in noisy.offload_candidates()
+        cxl = next(r for r in noisy.backends.offload_candidates()
                    if r.value == "cxl-pud")
-        noisy.observe_movement_contention(cxl, 100.0, 900.0)
+        observe(noisy, cxl, 100.0, 900.0)
         features_noisy = collector.collect(instruction, 0.0, 0.0)
         for resource in features_noisy.candidates:
             if noisy.backends[resource].home_location.value == "host":
@@ -305,12 +331,12 @@ class TestSingleCandidateInvariance:
         platform = SSDPlatform(base)
         collector = collector_on(platform)
         instruction = make_instruction()
-        pud = next(r for r in platform.offload_candidates()
+        pud = next(r for r in platform.backends.offload_candidates()
                    if r.value == "pud-ssd")
         # Saturate the pud path's observed contention, then restrict the
         # candidate set to pud alone: the argmin has no alternative, so
         # the (huge) penalty must not change the selection.
-        platform.observe_movement_contention(pud, 1.0, 1e9)
+        observe(platform, pud, 1.0, 1e9)
         features = collector.collect(instruction, 0.0, 0.0)
         features.per_resource = {pud: features.feature(pud)}
         target, estimates = CostFunction().select(features)
@@ -417,6 +443,11 @@ class TestContentionDecay:
         monitor = SSDPlatform(tiny_platform_config(
             contention_feedback=True)).contention
         assert (monitor.alpha, monitor.gain) == (0.3, 2.0)
+
+    def test_feedback_off_builds_no_monitor(self):
+        assert SSDPlatform(PlatformConfig()).contention is None
+        assert SSDPlatform(
+            tiny_platform_config()).maintenance_stats().contention_samples == 0
 
 
 class TestFeedbackGoldens:

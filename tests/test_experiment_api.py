@@ -478,6 +478,7 @@ class TestCLI:
         ("ssd/lifetime/engine.py", "maintenance"),
         ("ssd/gc.py", "maintenance"), ("ssd/wear_leveling.py", "maintenance"),
         ("ssd/ftl.py", "execute"), ("core/runtime.py", "dispatch"),
+        ("core/contention.py", "collect"),
     ])
     def test_profile_phase_of_source(self, source, phase):
         assert profile_phase(str(SOURCE_ROOT / source)) == phase

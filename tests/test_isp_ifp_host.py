@@ -51,7 +51,10 @@ class TestISP:
             OpType.XOR, 16 * KIB, 8)
         assert energy > 0
         before = platform.energy.compute_nj
-        platform.record_compute(0.0, Resource.ISP, OpType.XOR, 16 * KIB, 8)
+        isp = platform.backends[Resource.ISP]
+        isp.execute(0.0, OpType.XOR, 16 * KIB, 8)
+        platform.energy.add_compute(
+            Resource.ISP, isp.operation_energy(OpType.XOR, 16 * KIB, 8))
         assert platform.energy.compute_nj - before == pytest.approx(energy)
 
 

@@ -7,6 +7,9 @@ import pytest
 from repro.common import (DataLocation, KIB, MIB, OpType, Resource,
                           SimulationError)
 from repro.core.coherence import PageCoherenceState
+from repro.core.compiler.ir import ArrayRef, ArraySpec, VectorInstruction
+from repro.core.layout import ArrayLayout
+from repro.core.offload.features import FeatureCollector
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.dram.cxl import CXLPuDConfig
 from repro.dram.dram import DRAMDevice
@@ -36,18 +39,23 @@ class TestEnergyAccount:
         assert account.compute_nj == pytest.approx(8_000_000.0)
 
 
+def where(platform: SSDPlatform, lpa: int) -> DataLocation:
+    """A page's current location (flash unless the residence says else)."""
+    return platform.residence.get(lpa, DataLocation.FLASH)
+
+
 class TestPlatformLocations:
     def test_dataset_starts_in_flash(self, platform):
         platform.setup_dataset(range(64))
-        assert platform.location_of(3) is DataLocation.FLASH
-        assert {platform.location_of(lpa) for lpa in range(64)} == {
+        assert where(platform, 3) is DataLocation.FLASH
+        assert {where(platform, lpa) for lpa in range(64)} == {
             DataLocation.FLASH}
 
     def test_ensure_runs_at_moves_and_tracks(self, platform):
         platform.setup_dataset(range(16))
         end = platform.ensure_runs_at(0.0, [(0, 2)], DataLocation.SSD_DRAM)
         assert end > 0
-        assert platform.location_of(0) is DataLocation.SSD_DRAM
+        assert where(platform, 0) is DataLocation.SSD_DRAM
         assert platform.movement.flash_to_dram_pages == 2
 
     def test_repeated_ensure_is_free(self, platform):
@@ -65,8 +73,8 @@ class TestPlatformLocations:
         platform.setup_dataset(range(32))
         platform.ensure_runs_at(0.0, [(0, 8)], DataLocation.SSD_DRAM)
         # Window holds 4 pages, so the first pages have been evicted.
-        assert platform.location_of(0) is DataLocation.FLASH
-        assert platform.location_of(7) is DataLocation.SSD_DRAM
+        assert where(platform, 0) is DataLocation.FLASH
+        assert where(platform, 7) is DataLocation.SSD_DRAM
 
     @pytest.mark.parametrize("field", ["dram_compute_window_bytes",
                                        "sram_window_bytes",
@@ -92,7 +100,7 @@ class TestPlatformLocations:
     def test_mark_produced_sets_residence(self, platform):
         platform.setup_dataset(range(8))
         platform.mark_produced_run(0.0, (1, 2), DataLocation.SSD_DRAM)
-        assert platform.location_of(1) is DataLocation.SSD_DRAM
+        assert where(platform, 1) is DataLocation.SSD_DRAM
         assert platform.coherence.entry(2).state is PageCoherenceState.DIRTY
 
     def test_sram_to_dram_page_is_a_dram_write(self, platform):
@@ -105,6 +113,19 @@ class TestPlatformLocations:
         assert dram.bytes_written == written + platform.page_size
         assert dram.bytes_read == read
 
+    @pytest.mark.parametrize("destination", [DataLocation.SSD_DRAM,
+                                             DataLocation.CTRL_SRAM,
+                                             DataLocation.HOST])
+    def test_flash_read_is_booked_once(self, platform, destination):
+        # Fig. 4 breakdown: a page's flash read, and the rest of its trip
+        # after the read, each count in exactly one bucket.
+        platform.setup_dataset(range(4))
+        end = platform.ensure_runs_at(0.0, [(0, 1)], destination)
+        stats = platform.movement
+        assert stats.flash_read_latency_ns > 0.0
+        assert (stats.flash_read_latency_ns + stats.host_latency_ns +
+                stats.internal_latency_ns) == pytest.approx(end)
+
     def test_host_transfers_tracked(self, platform):
         platform.setup_dataset(range(4))
         platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.HOST)
@@ -114,62 +135,74 @@ class TestPlatformLocations:
 
 class TestMoveEstimates:
     def test_same_location_is_free(self, platform):
-        assert platform.estimate_move_latency(DataLocation.FLASH,
-                                              DataLocation.FLASH, 5) == 0.0
+        for location in DataLocation:
+            assert platform.move_table[(location, location)] == 0.0
 
     def test_flash_to_dram_cheaper_than_dram_to_flash(self, platform):
-        to_dram = platform.estimate_move_latency(DataLocation.FLASH,
-                                                 DataLocation.SSD_DRAM, 1)
-        to_flash = platform.estimate_move_latency(DataLocation.SSD_DRAM,
-                                                  DataLocation.FLASH, 1)
+        to_dram = platform.move_table[(DataLocation.FLASH,
+                                       DataLocation.SSD_DRAM)]
+        to_flash = platform.move_table[(DataLocation.SSD_DRAM,
+                                        DataLocation.FLASH)]
         assert to_flash > to_dram  # programming is far slower than reading
 
     def test_estimates_scale_with_page_count(self, platform):
-        one = platform.estimate_move_latency(DataLocation.FLASH,
-                                             DataLocation.SSD_DRAM, 1)
-        four = platform.estimate_move_latency(DataLocation.FLASH,
-                                              DataLocation.SSD_DRAM, 4)
-        assert four == pytest.approx(4 * one)
+        # The feature collector prices an operand run at the per-page
+        # table entry times its page count.
+        layout = ArrayLayout(platform.page_size)
+        layout.place(ArraySpec("a", 1 << 20, 32))
+        platform.setup_dataset(layout.all_lpas())
+        collector = FeatureCollector(platform, layout)
+        per_page = platform.page_size * 8 // 32
 
-    def test_negative_page_count_raises(self, platform):
-        with pytest.raises(SimulationError, match="-1 pages"):
-            platform.estimate_move_latency(DataLocation.FLASH,
-                                           DataLocation.SSD_DRAM, -1)
-        assert platform.estimate_move_latency(
-            DataLocation.FLASH, DataLocation.SSD_DRAM, 0) == 0.0
+        def movement(pages: int) -> float:
+            instruction = VectorInstruction(
+                uid=pages, op=OpType.ADD, dest=None,
+                sources=(ArrayRef("a", 0, pages * per_page),))
+            features = collector.collect(instruction, 0.0, 0.0)
+            return features.feature(Resource.PUD).data_movement_latency_ns
+
+        one = movement(1)
+        assert one == platform.move_table[(DataLocation.FLASH,
+                                           DataLocation.SSD_DRAM)]
+        assert movement(4) == pytest.approx(4 * one)
 
 
 class TestComputeDispatch:
     def test_compute_latency_ordering_for_bitwise(self, platform):
         # For bulk bitwise work, PuD-SSD is fastest, ISP slowest per op.
         size = 16 * KIB
-        pud = platform.compute_latency(Resource.PUD, OpType.AND, size, 8)
-        isp = platform.compute_latency(Resource.ISP, OpType.AND, size, 8)
+        backends = platform.backends
+        pud = backends[Resource.PUD].operation_latency(OpType.AND, size, 8)
+        isp = backends[Resource.ISP].operation_latency(OpType.AND, size, 8)
         assert pud < isp
 
     def test_ifp_multiplication_is_expensive(self, platform):
         size = 16 * KIB
-        ifp_mul = platform.compute_latency(Resource.IFP, OpType.MUL, size, 8)
-        pud_mul = platform.compute_latency(Resource.PUD, OpType.MUL, size, 8)
+        backends = platform.backends
+        ifp_mul = backends[Resource.IFP].operation_latency(OpType.MUL, size, 8)
+        pud_mul = backends[Resource.PUD].operation_latency(OpType.MUL, size, 8)
         assert ifp_mul > pud_mul
 
     def test_unsupported_ops_reported(self, platform):
-        assert not platform.supports(Resource.IFP, OpType.SELECT)
-        assert not platform.supports(Resource.PUD, OpType.GATHER)
-        assert platform.supports(Resource.ISP, OpType.GATHER)
+        backends = platform.backends
+        assert not backends[Resource.IFP].supports(OpType.SELECT)
+        assert not backends[Resource.PUD].supports(OpType.GATHER)
+        assert backends[Resource.ISP].supports(OpType.GATHER)
 
     def test_record_compute_accumulates_energy(self, platform):
         before = platform.energy.compute_nj
-        platform.record_compute(0.0, Resource.PUD, OpType.ADD, 16 * KIB, 8)
+        pud = platform.backends[Resource.PUD]
+        pud.execute(0.0, OpType.ADD, 16 * KIB, 8)
+        platform.energy.add_compute(
+            Resource.PUD, pud.operation_energy(OpType.ADD, 16 * KIB, 8))
         assert platform.energy.compute_nj - before == pytest.approx(
-            platform.backends[Resource.PUD].operation_energy(
-                OpType.ADD, 16 * KIB, 8))
+            pud.operation_energy(OpType.ADD, 16 * KIB, 8))
 
     def test_pud_operation_occupies_the_dram_banks_it_touches(self, platform):
         # 16 KiB spans the first two rows, i.e. banks 0 and 1.
-        latency = platform.compute_latency(Resource.PUD, OpType.MUL,
-                                           16 * KIB, 8)
-        platform.record_compute(0.0, Resource.PUD, OpType.MUL, 16 * KIB, 8)
+        pud = platform.backends[Resource.PUD]
+        latency = pud.operation_latency(OpType.MUL, 16 * KIB, 8)
+        pud.execute(0.0, OpType.MUL, 16 * KIB, 8)
         dram = platform.dram
         mid_op = latency / 2
         last_bank = (dram.config.banks - 1) * dram.config.row_size_bytes
@@ -190,8 +223,7 @@ class TestComputeDispatch:
                    if backend.resource.value == "cxl-pud")
         assert cxl.link_backlog_ns(0.0) == 0.0
         for _ in range(8):
-            platform.record_compute(0.0, cxl.resource, OpType.AND,
-                                    16 * KIB, 8)
+            cxl.execute(0.0, OpType.AND, 16 * KIB, 8)
         assert cxl.link_backlog_ns(0.0) > 0.0
         assert cxl.link_backlog_ns(1e9) == 0.0
         # The burst serializes on the expander's own banks, not the SSD's.
@@ -201,4 +233,4 @@ class TestComputeDispatch:
 
     def test_bandwidth_utilization_zero_before_activity(self, platform):
         for resource in (Resource.ISP, Resource.PUD, Resource.IFP):
-            assert platform.bandwidth_utilization(resource, 1e6) == 0.0
+            assert platform.backends[resource].utilization(1e6) == 0.0

@@ -89,7 +89,7 @@ class TestResourceQueueSet:
     def test_queueing_delays_reports_all_resources(self, platform):
         delays = {resource: queue.queueing_delay(0.0)
                   for resource, queue in platform.queues.items()}
-        assert set(platform.offload_candidates()) <= set(delays)
+        assert set(platform.backends.offload_candidates()) <= set(delays)
         assert not any(delays.values())
 
     def test_busiest_identifies_loaded_resource(self, platform):
