@@ -6,8 +6,8 @@ from repro.core.coherence import (CoherenceDirectory, CoherenceEntry,
                                   SyncAction)
 from repro.core.layout import ArrayLayout, ArrayPlacement
 from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
-                                InstructionRecord, energy_reduction,
-                                geometric_mean, speedup)
+                                InstructionRecord, RecordTable,
+                                energy_reduction, geometric_mean, speedup)
 from repro.core.platform import (DataMovementStats, PlatformConfig,
                                  SSDPlatform, backend_roster)
 from repro.core.runtime import ConduitRuntime, HostRuntime
@@ -17,6 +17,7 @@ __all__ = [
     "CoherenceDirectory", "CoherenceEntry", "CoherencePolicy",
     "PageCoherenceState", "SyncAction", "ArrayLayout", "ArrayPlacement",
     "ExecutionBreakdown", "ExecutionResult", "InstructionRecord",
-    "energy_reduction", "geometric_mean", "speedup", "DataMovementStats",
-    "PlatformConfig", "SSDPlatform", "ConduitRuntime", "HostRuntime",
+    "RecordTable", "energy_reduction", "geometric_mean", "speedup",
+    "DataMovementStats", "PlatformConfig", "SSDPlatform", "ConduitRuntime",
+    "HostRuntime",
 ]

@@ -5,12 +5,23 @@ this module: total execution time and speedups (Fig. 5 / 7a), energy split
 into data movement and computation (Fig. 7b), per-instruction latency
 distributions and tails (Fig. 8), per-resource offloading fractions
 (Fig. 9), and the instruction-to-resource timeline (Fig. 10).
+
+A run's per-instruction records are stored as columns: the dispatch loops
+produce one plain tuple per instruction in :class:`InstructionRecord` field
+order (an :data:`InstructionRow`), and the run's :class:`RecordTable` turns
+them into typed arrays once.  The table reads as a sequence of
+:class:`InstructionRecord`; the metrics here scan its columns directly, and
+it pickles as its columns into the sweep cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from array import array
+from collections import Counter
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -34,15 +45,6 @@ class InstructionRecord:
     data_movement_ns: float
     overhead_ns: float
 
-    def __reduce__(self):
-        # One positional tuple per record: a run pickles thousands of
-        # them into the sweep cache, and the default slot-state dict costs
-        # about three times as much to dump.
-        return (InstructionRecord,
-                (self.uid, self.op, self.resource, self.dispatch_ns,
-                 self.ready_ns, self.start_ns, self.end_ns, self.compute_ns,
-                 self.data_movement_ns, self.overhead_ns))
-
     @property
     def latency_ns(self) -> float:
         """End-to-end latency from dispatch to completion."""
@@ -52,6 +54,107 @@ class InstructionRecord:
     def queue_wait_ns(self) -> float:
         """Time spent waiting for an execution slot once ready."""
         return self.start_ns - self.ready_ns
+
+
+#: :class:`InstructionRecord`'s field names in order: the layout of an
+#: :data:`InstructionRow` and of a :class:`RecordTable`'s columns.
+RECORD_FIELDS: Tuple[str, ...] = tuple(
+    record_field.name for record_field in fields(InstructionRecord))
+
+#: One executed instruction as the dispatch loops produce it: a plain
+#: tuple in :data:`RECORD_FIELDS` order.
+InstructionRow = Tuple[int, OpType, ResourceLike, float, float, float,
+                       float, float, float, float]
+
+#: Position of ``end_ns`` in an :data:`InstructionRow`.
+END_NS = RECORD_FIELDS.index("end_ns")
+
+#: Each column's ``array`` typecode; ``None`` marks a list of references.
+_COLUMN_TYPECODES = ("q", None, None) + ("d",) * (len(RECORD_FIELDS) - 3)
+
+_record_row = attrgetter(*RECORD_FIELDS)
+
+
+class RecordTable(Sequence[InstructionRecord]):
+    """One run's instruction records, stored as columns in issue order.
+
+    ``uid`` is an ``array('q')``, the seven time fields are ``array('d')``
+    and ``op`` / ``resource`` are lists of references.  The table is a
+    read-only sequence of :class:`InstructionRecord` (length, iteration,
+    int index, slice and ``==``) that builds a record only when one is
+    read, and it pickles as its columns.
+    """
+
+    __slots__ = RECORD_FIELDS
+
+    def __init__(self, *columns: Sequence) -> None:
+        # Also the unpickle path: a damaged sweep-cache entry must fail
+        # here (and be recomputed) rather than yield a ragged table.
+        if len(columns) != len(RECORD_FIELDS):
+            raise ValueError(f"a record table has {len(RECORD_FIELDS)} "
+                             f"columns, got {len(columns)}")
+        length = len(columns[0])
+        for name, typecode, column in zip(RECORD_FIELDS, _COLUMN_TYPECODES,
+                                          columns):
+            if typecode is None:
+                expected, typed = "a list", type(column) is list
+            else:
+                expected = f"array({typecode!r})"
+                typed = (type(column) is array
+                         and column.typecode == typecode)
+            if not typed:
+                raise TypeError(f"column {name!r} must be {expected}, got "
+                                f"{type(column).__name__}")
+            if len(column) != length:
+                raise ValueError(f"column {name!r} holds {len(column)} "
+                                 f"values, column 'uid' holds {length}")
+            setattr(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[InstructionRow]) -> "RecordTable":
+        """Turn a run's rows into columns, once."""
+        columns = list(zip(*rows)) if rows else [()] * len(RECORD_FIELDS)
+        return cls(*(list(column) if typecode is None
+                     else array(typecode, column)
+                     for typecode, column in zip(_COLUMN_TYPECODES,
+                                                 columns)))
+
+    @classmethod
+    def from_records(cls, records: Iterable[InstructionRecord]
+                     ) -> "RecordTable":
+        return cls.from_rows([_record_row(record) for record in records])
+
+    def columns(self) -> Tuple[Sequence, ...]:
+        """The columns in :data:`RECORD_FIELDS` order."""
+        return tuple(getattr(self, name) for name in RECORD_FIELDS)
+
+    def latencies_ns(self) -> np.ndarray:
+        """Each record's ``end_ns - dispatch_ns``, elementwise."""
+        return np.subtract(np.frombuffer(self.end_ns),
+                           np.frombuffer(self.dispatch_ns))
+
+    def __len__(self) -> int:
+        return len(self.uid)
+
+    def __iter__(self) -> Iterator[InstructionRecord]:
+        return map(InstructionRecord, *self.columns())
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[InstructionRecord, "RecordTable"]:
+        if isinstance(index, slice):
+            return RecordTable(*(column[index] for column in self.columns()))
+        return InstructionRecord(*(column[index]
+                                   for column in self.columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordTable):
+            return self.columns() == other.columns()
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __reduce__(self):
+        return (RecordTable, self.columns())
 
 
 @dataclass
@@ -85,7 +188,9 @@ class ExecutionResult:
     workload: str
     policy: str
     total_time_ns: float
-    records: List[InstructionRecord]
+    #: Every executed instruction's record, in issue order.  A hand-built
+    #: list of :class:`InstructionRecord` is converted on construction.
+    records: RecordTable
     energy: EnergyBreakdown
     breakdown: ExecutionBreakdown
     offload_overhead_avg_ns: float = 0.0
@@ -94,6 +199,10 @@ class ExecutionResult:
     #: statistics and write amplification.  Every run the runtimes
     #: execute carries one; ``None`` only on results built by hand.
     maintenance: Optional[MaintenanceStats] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, RecordTable):
+            self.records = RecordTable.from_records(self.records)
 
     # -- Derived metrics ----------------------------------------------------------
 
@@ -107,13 +216,13 @@ class ExecutionResult:
 
     def resource_fractions(self) -> Dict[ResourceLike, float]:
         """Fraction of instructions executed on each backend (Fig. 9)."""
-        if not self.records:
+        records = self.records
+        if not records:
             return {}
-        counts: Dict[ResourceLike, int] = {}
-        for record in self.records:
-            counts[record.resource] = counts.get(record.resource, 0) + 1
-        total = len(self.records)
-        return {resource: count / total for resource, count in counts.items()}
+        total = len(records)
+        # Counter keeps first-occurrence order, as the report tables do.
+        return {resource: count / total
+                for resource, count in Counter(records.resource).items()}
 
     def ssd_resource_fractions(self) -> Dict[ResourceLike, float]:
         """Fractions restricted to the in-SSD backends (Fig. 9).
@@ -150,8 +259,7 @@ class ExecutionResult:
         """Per-instruction latency percentile in nanoseconds (Fig. 8)."""
         if not self.records:
             return 0.0
-        latencies = np.array([record.latency_ns for record in self.records])
-        return float(np.percentile(latencies, percentile))
+        return float(np.percentile(self.records.latencies_ns(), percentile))
 
     @property
     def p99_latency_ns(self) -> float:
@@ -164,17 +272,24 @@ class ExecutionResult:
     def mean_latency_ns(self) -> float:
         if not self.records:
             return 0.0
-        return float(np.mean([record.latency_ns for record in self.records]))
+        return float(np.mean(self.records.latencies_ns()))
 
     def timeline(self, limit: Optional[int] = None
                  ) -> List[Dict[str, object]]:
-        """Instruction-to-resource mapping over time (Fig. 10)."""
-        records = self.records[:limit] if limit else self.records
+        """Instruction-to-resource mapping over time (Fig. 10): the first
+        ``limit`` records, or all of them when ``limit`` is ``None``."""
+        records = self.records
+        if limit is None:
+            limit = len(records)
+        elif limit < 0:
+            raise ValueError(f"timeline limit must be >= 0, got {limit}")
         return [
-            {"index": index, "uid": record.uid, "op": record.op.value,
-             "resource": record.resource.value, "start_ns": record.start_ns,
-             "end_ns": record.end_ns}
-            for index, record in enumerate(records)
+            {"index": index, "uid": uid, "op": op.value,
+             "resource": resource.value, "start_ns": start_ns,
+             "end_ns": end_ns}
+            for index, uid, op, resource, start_ns, end_ns in zip(
+                range(limit), records.uid, records.op, records.resource,
+                records.start_ns, records.end_ns)
         ]
 
 

@@ -13,8 +13,9 @@ vector instruction of the downloaded Conduit binary (Section 4.3.2):
    contention feedback on, reports the movement's observed time to the
    platform's link-contention monitor;
 5. dispatches the instruction into the target resource's execution queue,
-   reserves its execution slot and returns the instruction's
-   :class:`~repro.core.metrics.InstructionRecord`.
+   reserves its execution slot and returns the instruction's record as a
+   plain :data:`~repro.core.metrics.InstructionRow` tuple (the runtime
+   turns a run's rows into one :class:`~repro.core.metrics.RecordTable`).
 
 The offloader core itself is a shared resource: its per-instruction serial
 occupancy is the feature-collection plus transformation latency divided by a
@@ -31,7 +32,7 @@ from typing import List, Optional, Tuple
 from repro.common import DataLocation, ResourceLike
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
-from repro.core.metrics import InstructionRecord
+from repro.core.metrics import InstructionRow
 from repro.core.offload.features import (FeatureCollector,
                                          InstructionFeatures, WaveBatch)
 from repro.core.offload.policies import OffloadingPolicy, PolicyContext
@@ -86,8 +87,8 @@ class SSDOffloader:
     # -- Main entry point -------------------------------------------------------------
 
     def offload(self, instruction: VectorInstruction, arrival_ns: float,
-                deps_ready_ns: float, elapsed_ns: float) -> InstructionRecord:
-        """Offload one instruction and return its :class:`InstructionRecord`.
+                deps_ready_ns: float, elapsed_ns: float) -> InstructionRow:
+        """Offload one instruction and return its :data:`InstructionRow`.
 
         ``arrival_ns`` is when the offloader core can start working on the
         instruction (after the previous dispatch), ``deps_ready_ns`` is when
@@ -114,7 +115,7 @@ class SSDOffloader:
     def offload_member(self, batch: WaveBatch, pos: int,
                        instruction: VectorInstruction, arrival_ns: float,
                        deps_ready_ns: float,
-                       elapsed_ns: float) -> InstructionRecord:
+                       elapsed_ns: float) -> InstructionRow:
         """Offload one wave member from its precollected features.
 
         Bit-identical to :meth:`offload`: the member's feature vector is
@@ -151,7 +152,7 @@ class SSDOffloader:
     def _decide_and_dispatch(self, instruction: VectorInstruction,
                              features: InstructionFeatures,
                              arrival_ns: float, deps_ready_ns: float,
-                             elapsed_ns: float) -> InstructionRecord:
+                             elapsed_ns: float) -> InstructionRow:
         """Ask the policy for a target, occupy the dispatch core, execute."""
         context = self._context
         context.now = arrival_ns
@@ -199,7 +200,7 @@ class SSDOffloader:
                        resource: ResourceLike,
                        dispatch_ns: float, issue_ns: float,
                        deps_ready_ns: float, overhead_ns: float,
-                       compute: float) -> InstructionRecord:
+                       compute: float) -> InstructionRow:
         start = issue_ns if issue_ns >= deps_ready_ns else deps_ready_ns
         end = start + compute
         op = instruction.op
@@ -209,9 +210,8 @@ class SSDOffloader:
         backend.execute(start, op, size_bytes, element_bits)
         self.platform.energy.add_compute(
             resource, backend.operation_energy(op, size_bytes, element_bits))
-        return InstructionRecord(instruction.uid, op, resource,
-                                 dispatch_ns, start, start, end, compute,
-                                 0.0, overhead_ns)
+        return (instruction.uid, op, resource, dispatch_ns, start, start,
+                end, compute, 0.0, overhead_ns)
 
     # -- Real execution (moves data, reserves queues) ---------------------------------------
 
@@ -221,7 +221,7 @@ class SSDOffloader:
                       overhead_ns: float,
                       source_runs, dest_run: Optional[Tuple[int, int]],
                       compute: Optional[float],
-                      movement_estimate: float) -> InstructionRecord:
+                      movement_estimate: float) -> InstructionRow:
         platform = self.platform
         backend = platform.backends._backends[resource]
         home = backend.home_location
@@ -284,6 +284,6 @@ class SSDOffloader:
         if dest_run is not None:
             platform.mark_produced_run(end_ns, dest_run, home)
 
-        return InstructionRecord(instruction.uid, op, resource, dispatch_ns,
-                                 ready, reservation.start, end_ns, compute,
-                                 data_movement_ns, overhead_ns)
+        return (instruction.uid, op, resource, dispatch_ns, ready,
+                reservation.start, end_ns, compute, data_movement_ns,
+                overhead_ns)

@@ -26,8 +26,8 @@ from repro.core.compiler.binary import BinaryEncoder, transfer_binary
 from repro.core.compiler.ir import VectorProgram
 from repro.core.compiler.waves import wave_plan
 from repro.core.layout import ArrayLayout
-from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
-                                InstructionRecord)
+from repro.core.metrics import (END_NS, ExecutionBreakdown, ExecutionResult,
+                                InstructionRow, RecordTable)
 from repro.core.offload.offloader import SSDOffloader
 from repro.core.offload.policies import OffloadingPolicy
 from repro.core.platform import PlatformConfig, SSDPlatform
@@ -63,18 +63,20 @@ def _place_program(platform: SSDPlatform, program: VectorProgram, *,
 
 
 def _result(platform: SSDPlatform, workload: str, policy: str,
-            total_time_ns: float, records: List[InstructionRecord]
+            total_time_ns: float, rows: List[InstructionRow]
             ) -> ExecutionResult:
-    """Assemble one run's :class:`ExecutionResult` from its records and the
+    """Assemble one run's :class:`ExecutionResult` from its instruction
+    rows (turned into a :class:`RecordTable` here, once) and the
     platform's energy and data-movement accounting.
 
     The Section 4.5 offload overhead is the average and maximum over the
     records' ``overhead_ns`` (zero on the host path, which has no
     offloader)."""
     movement = platform.movement
-    overheads = [record.overhead_ns for record in records]
+    records = RecordTable.from_rows(rows)
+    overheads = records.overhead_ns
     breakdown = ExecutionBreakdown(
-        compute_ns=sum(record.compute_ns for record in records),
+        compute_ns=sum(records.compute_ns),
         host_data_movement_ns=movement.host_latency_ns,
         internal_data_movement_ns=movement.internal_latency_ns,
         flash_read_ns=movement.flash_read_latency_ns)
@@ -82,7 +84,7 @@ def _result(platform: SSDPlatform, workload: str, policy: str,
         workload=workload, policy=policy, total_time_ns=total_time_ns,
         records=records, energy=platform.energy.breakdown(),
         breakdown=breakdown, maintenance=platform.maintenance_stats(),
-        # sum() over the issue-ordered floats rather than a running +=
+        # sum() over the issue-ordered column rather than a running +=
         # total: CPython 3.12's sum() is compensated, so the two differ.
         offload_overhead_avg_ns=sum(overheads) / len(overheads),
         offload_overhead_max_ns=max(overheads))
@@ -113,13 +115,13 @@ class ConduitRuntime:
         platform.ssd.enter_computation_mode()
 
         offloader = SSDOffloader(platform, layout, policy)
-        records: List[InstructionRecord] = []
+        rows: List[InstructionRow] = []
         if platform.config.batched_offload:
-            makespan = self._drive_waves(program, layout, offloader, records,
+            makespan = self._drive_waves(program, layout, offloader, rows,
                                          start_ns)
         else:
-            makespan = self._drive_instructions(program, offloader,
-                                                records, start_ns)
+            makespan = self._drive_instructions(program, offloader, rows,
+                                                start_ns)
 
         platform.ssd.enter_regular_io_mode()
         energy_config = platform.config.ssd.energy
@@ -128,15 +130,16 @@ class ConduitRuntime:
             energy_config.ssd_active_power_w + energy_config.host_idle_power_w,
             label="system-static")
         return _result(platform, workload_name or program.name, policy.name,
-                       makespan - start_ns, records)
+                       makespan - start_ns, rows)
 
     # -- Dispatch loops ------------------------------------------------------------
 
     def _drive_instructions(self, program: VectorProgram,
                             offloader: SSDOffloader,
-                            records: List[InstructionRecord],
+                            rows: List[InstructionRow],
                             start_ns: float) -> float:
-        """The per-instruction dispatch loop (the default engine)."""
+        """The per-instruction dispatch loop (the default engine); appends
+        one :data:`InstructionRow` per instruction to ``rows``."""
         platform = self.platform
         completion: Dict[int, float] = {}
         outstanding: List[float] = []  # completion times, kept as a heap
@@ -145,7 +148,8 @@ class ConduitRuntime:
         dispatch_core = platform.dispatch_core
         offload = offloader.offload
         heappush, heappop = heapq.heappush, heapq.heappop
-        append_record = records.append
+        append_row = rows.append
+        end_field = END_NS
         for instruction in program.instructions:
             deps_ready = start_ns
             for d in instruction.depends_on:
@@ -163,20 +167,20 @@ class ConduitRuntime:
                 oldest = heappop(outstanding)
                 if oldest > arrival:
                     arrival = oldest
-            record = offload(instruction, arrival_ns=arrival,
-                             deps_ready_ns=deps_ready,
-                             elapsed_ns=makespan if makespan > 1.0 else 1.0)
-            end_ns = record.end_ns
+            row = offload(instruction, arrival_ns=arrival,
+                          deps_ready_ns=deps_ready,
+                          elapsed_ns=makespan if makespan > 1.0 else 1.0)
+            end_ns = row[end_field]
             heappush(outstanding, end_ns)
             completion[instruction.uid] = end_ns
             if end_ns > makespan:
                 makespan = end_ns
-            append_record(record)
+            append_row(row)
         return makespan
 
     def _drive_waves(self, program: VectorProgram, layout: ArrayLayout,
                      offloader: SSDOffloader,
-                     records: List[InstructionRecord],
+                     rows: List[InstructionRow],
                      start_ns: float) -> float:
         """Wave-batched dispatch, opt-in via
         ``PlatformConfig.batched_offload=True``.
@@ -201,7 +205,8 @@ class ConduitRuntime:
         begin_wave = offloader.begin_wave
         offload_member = offloader.offload_member
         heappush, heappop = heapq.heappush, heapq.heappop
-        append_record = records.append
+        append_row = rows.append
+        end_field = END_NS
         wave_sources = plan.wave_sources
         for wave_index, members in enumerate(plan.wave_instructions):
             batch = begin_wave(members, wave_sources[wave_index])
@@ -217,16 +222,16 @@ class ConduitRuntime:
                     oldest = heappop(outstanding)
                     if oldest > arrival:
                         arrival = oldest
-                record = offload_member(
+                row = offload_member(
                     batch, pos, instruction, arrival_ns=arrival,
                     deps_ready_ns=deps_ready,
                     elapsed_ns=makespan if makespan > 1.0 else 1.0)
-                end_ns = record.end_ns
+                end_ns = row[end_field]
                 heappush(outstanding, end_ns)
                 completion[instruction.uid] = end_ns
                 if end_ns > makespan:
                     makespan = end_ns
-                append_record(record)
+                append_row(row)
         return makespan
 
 
@@ -248,7 +253,7 @@ class HostRuntime:
 
         compute_server = Server(f"{device.value}-pipeline")
         completion: Dict[int, float] = {}
-        records: List[InstructionRecord] = []
+        rows: List[InstructionRow] = []
         makespan = 0.0
         run_of = layout.page_run_of
         completion_get = completion.get
@@ -257,7 +262,7 @@ class HostRuntime:
         host = DataLocation.HOST
         mark_produced_run = platform.mark_produced_run
         reserve = compute_server.reserve
-        append_record = records.append
+        append_row = rows.append
         for instruction in program.instructions:
             deps_ready = 0.0
             for d in instruction.depends_on:
@@ -285,14 +290,13 @@ class HostRuntime:
             completion[instruction.uid] = end_ns
             if end_ns > makespan:
                 makespan = end_ns
-            append_record(InstructionRecord(
-                instruction.uid, op, device, deps_ready, dm_end,
-                reservation.start, end_ns, compute, dm_end - deps_ready,
-                0.0))
+            append_row((instruction.uid, op, device, deps_ready, dm_end,
+                        reservation.start, end_ns, compute,
+                        dm_end - deps_ready, 0.0))
 
         platform.energy.charge_static(
             makespan, platform.config.ssd.energy.ssd_active_power_w,
             label="ssd-static")
         name = "CPU" if device is Resource.HOST_CPU else "GPU"
         return _result(platform, workload_name or program.name, name,
-                       makespan, records)
+                       makespan, rows)

@@ -81,7 +81,7 @@ DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 
 #: Bump whenever a cached result could differ from a fresh run of its spec
 #: (simulation semantics or the canonical config encoding changed).
-SWEEP_CACHE_VERSION = 9
+SWEEP_CACHE_VERSION = 10
 
 #: The workload scale experiments (and the CLI's ``--scale``) default to.
 #: The CLI help strings derive from this constant so they can never drift
@@ -321,7 +321,10 @@ class SweepCache:
             with open(self._path(run_spec_key(spec)), "rb") as handle:
                 result = pickle.load(handle)
         except (OSError, EOFError, pickle.UnpicklingError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, ValueError, TypeError):
+            # A damaged entry can fail anywhere in unpickling: a string
+            # that is not UTF-8, a reduce called with the wrong arguments,
+            # a record table whose columns disagree in length.
             self.misses += 1
             return None
         if not isinstance(result, ExecutionResult):

@@ -204,7 +204,7 @@ class TestEveryKnobPerturbsTheKey:
 #: ``.sweep_cache/`` entries; an intentional key change (a
 #: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
 PINNED_FIG7_KEY = (
-    "bd863f25e3ab3eb7d5c4837fa67c6f2fcb974290147645254247c57a75cd3c52")
+    "f656292a826f994dbdb63b9840f5dadf0114a58db51ccc159a80cb1df51b71b5")
 
 
 class TestKeyStability:

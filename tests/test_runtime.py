@@ -253,3 +253,8 @@ class TestMetricsHelpers:
         assert len(timeline) == 10
         assert {"index", "uid", "op", "resource", "start_ns",
                 "end_ns"} <= set(timeline[0])
+        # None means every record, 0 none; a negative limit is an error.
+        assert len(result.timeline()) == result.instructions > 10
+        assert result.timeline(limit=0) == []
+        with pytest.raises(ValueError, match="-1"):
+            result.timeline(limit=-1)

@@ -10,12 +10,14 @@ results, as a serial sweep.
 from __future__ import annotations
 
 import pickle
+from array import array
 from dataclasses import fields, replace
 
 import pytest
 
-from repro.common import MIB
-from repro.core.metrics import InstructionRecord
+from repro.common import MIB, OpType, Resource
+from repro.core.metrics import (RECORD_FIELDS, ExecutionResult,
+                                InstructionRecord, RecordTable)
 from repro.core.platform import PlatformConfig
 from repro.experiments import (DEFAULT_SWEEP_CACHE_DIR, ExperimentConfig,
                                ExperimentRunner, RunSpec, SweepCache,
@@ -165,6 +167,16 @@ class TestParallelSweep:
             workload_by_name("no-such-workload")
 
 
+class _Reduce:
+    """Pickles as the call ``function(*args)``: forges cache payloads."""
+
+    def __init__(self, function, args) -> None:
+        self.function, self.args = function, args
+
+    def __reduce__(self):
+        return self.function, self.args
+
+
 class TestSweepCache:
     def test_second_sweep_is_served_from_cache(self, tiny_config, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -207,6 +219,12 @@ class TestSweepCache:
         if isp_cores > 1:
             assert any(type(record.resource).__name__ == "BackendId"
                        for record in loaded.records)
+        # The columns come back as the same typed arrays.
+        table = loaded.records
+        assert type(table) is RecordTable
+        assert table.uid.typecode == "q"
+        assert {getattr(table, name).typecode
+                for name in RECORD_FIELDS[3:]} == {"d"}
 
     def test_corrupt_entries_are_recomputed(self, tiny_config, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -219,6 +237,25 @@ class TestSweepCache:
         runner.sweep(("Conduit",), workloads, cache_dir=cache_dir)
         assert runner.last_sweep_stats.cache_hits == 0
         assert runner.last_sweep_stats.executed == 1
+
+    @pytest.mark.parametrize("payload", [
+        # A string whose bytes are not UTF-8 (UnicodeDecodeError).
+        b"X\x02\x00\x00\x00\xff\xfe.",
+        # A reduce calling ExecutionResult() without arguments (TypeError).
+        pickle.dumps(_Reduce(ExecutionResult, ())),
+        # A record table whose columns differ in length (ValueError).
+        pickle.dumps(_Reduce(RecordTable, (
+            array("q", [0, 1]), [OpType.ADD], [Resource.ISP],
+            *(array("d", [0.0]) for _ in range(7))))),
+    ], ids=["bad-utf8", "result-without-args", "ragged-table"])
+    def test_damaged_payloads_are_misses(self, tiny_config, tmp_path,
+                                         payload):
+        cache = SweepCache(str(tmp_path))
+        spec = ExperimentRunner(tiny_config).spec_for(
+            Jacobi1DWorkload(scale=TINY_SCALE), "Conduit")
+        (tmp_path / f"{run_spec_key(spec)}.pkl").write_bytes(payload)
+        assert cache.load(spec) is None
+        assert cache.misses == 1
 
     def test_cache_ignores_wrong_payload_type(self, tiny_config, tmp_path):
         cache = SweepCache(str(tmp_path))
