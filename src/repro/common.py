@@ -270,19 +270,10 @@ class DataLocation(enum.Enum):
 
     FLASH = "flash"
     SSD_DRAM = "ssd-dram"
-    CTRL_SRAM = "controller-sram"
     HOST = "host"
 
     __hash__ = object.__hash__
 
-
-#: The resource at which data is considered "local" for each location.
-LOCATION_HOME_RESOURCE = {
-    DataLocation.FLASH: Resource.IFP,
-    DataLocation.SSD_DRAM: Resource.PUD,
-    DataLocation.CTRL_SRAM: Resource.ISP,
-    DataLocation.HOST: Resource.HOST_CPU,
-}
 
 #: The location at which operands must reside for each resource to compute.
 #: The SSD controller cores (ISP) operate on bulk operands staged in the SSD

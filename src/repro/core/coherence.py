@@ -4,8 +4,8 @@ Conduit maintains coherence at logical-page granularity using lightweight
 metadata stored alongside the L2P table in SSD DRAM (Section 4.4).  Each
 logical page has three fields:
 
-* **owner** -- the computation-resource location (flash, SSD DRAM, or
-  controller SRAM) holding the latest version of the page;
+* **owner** -- the operand location (flash, SSD DRAM, or the host)
+  holding the latest version of the page;
 * **state** -- clean or dirty;
 * **version** -- a one-byte monotonically increasing counter used to order
   updates and detect stale copies.

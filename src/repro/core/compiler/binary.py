@@ -5,9 +5,9 @@ SSD through the existing NVMe firmware-update admin commands, extended with
 a flag that marks the payload as a Conduit binary (Section 4.3.1 / 4.4).
 
 This module packages a :class:`VectorProgram` into a byte-level binary image
-(a deterministic, self-describing encoding that round-trips), estimates its
-size the way the runtime-overhead analysis needs, and drives the
-``fw-download`` / ``fw-commit`` transfer against an :class:`NVMeInterface`.
+(a deterministic, self-describing encoding that round-trips) and drives the
+``fw-download`` / ``fw-commit`` transfer of that image's real size against
+an :class:`NVMeInterface`.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ class BinaryEncoder:
 class BinaryDecoder:
     """Decodes a Conduit binary image back into a :class:`VectorProgram`.
 
-    The SSD-side runtime uses this to rebuild the instruction stream after
-    the firmware-download transfer; round-tripping also gives the tests a
-    strong integrity check on the encoding.
+    The simulator never decodes what it ships; this is the round-trip
+    oracle the tests check the encoding against.
     """
 
     def decode(self, binary: ConduitBinary) -> VectorProgram:
@@ -169,18 +168,6 @@ class BinaryDecoder:
             vector_length=vector_length, element_bits=element_bits,
             depends_on=tuple(depends)))
         return cursor
-
-
-def estimate_binary_bytes(program: VectorProgram) -> int:
-    """Closed-form size estimate without building the image."""
-    size = len(_MAGIC) + 8 + 128  # magic + lengths + approximate header
-    for instruction in program.instructions:
-        operands = len(instruction.array_sources)
-        if instruction.dest is not None:
-            operands += 1
-        size += (_INSTRUCTION_HEADER_BYTES + operands * _OPERAND_BYTES +
-                 len(instruction.depends_on) * _DEPENDENCY_BYTES)
-    return size
 
 
 def transfer_binary(nvme: NVMeInterface, binary: ConduitBinary,

@@ -5,8 +5,9 @@ Composes every substrate into the system the paper simulates: the NAND SSD
 capability, the controller cores (ISP), the in-flash processing unit (IFP),
 per-resource execution queues, the host CPU/GPU used by the OSP baselines,
 the energy account, the lazy-coherence directory, and the data-movement
-engine that shuttles logical pages between flash, SSD DRAM, controller SRAM
-and the host.
+engine that shuttles logical pages between the three operand locations:
+flash, SSD DRAM and the host.  ISP computes on operands staged in SSD DRAM,
+like PuD-SSD, so every flash read streams the page out to the controller.
 
 Every array maps to a contiguous LPA run (Section 4.4), so the runtimes
 drive the data path through two run-granular steps:
@@ -66,8 +67,6 @@ class PlatformConfig:
     #: holds FTL metadata and the page cache (Section 2.2).  Dirty operands
     #: are lazily flushed to flash when evicted from this window.
     dram_compute_window_bytes: int = 64 * MIB
-    #: Controller SRAM / register space usable for ISP operands.
-    sram_window_bytes: int = 8 * MIB
     #: Host page-cache budget for SSD-resident data (OSP baselines).
     host_cache_bytes: int = 128 * MIB
 
@@ -163,9 +162,6 @@ class DataMovementStats:
     """Aggregate data-movement accounting used by Fig. 4 and Fig. 7(b)."""
 
     flash_to_dram_pages: int = 0
-    flash_to_sram_pages: int = 0
-    dram_to_sram_pages: int = 0
-    sram_to_dram_pages: int = 0
     writeback_pages: int = 0
     host_pages: int = 0
     internal_latency_ns: float = 0.0
@@ -174,9 +170,7 @@ class DataMovementStats:
 
     @property
     def internal_pages(self) -> int:
-        return (self.flash_to_dram_pages + self.flash_to_sram_pages +
-                self.dram_to_sram_pages + self.sram_to_dram_pages +
-                self.writeback_pages)
+        return self.flash_to_dram_pages + self.writeback_pages
 
 
 def backend_roster(config: PlatformConfig) -> Tuple[str, ...]:
@@ -213,8 +207,7 @@ class SSDPlatform:
             raise SimulationError("PlatformConfig.isp_cores must be >= 1")
         ssd_config = self.config.ssd
         page = ssd_config.nand.page_size_bytes
-        for name in ("dram_compute_window_bytes", "sram_window_bytes",
-                     "host_cache_bytes"):
+        for name in ("dram_compute_window_bytes", "host_cache_bytes"):
             if getattr(self.config, name) < page:
                 raise SimulationError(
                     f"PlatformConfig.{name} must be >= one page "
@@ -241,13 +234,10 @@ class SSDPlatform:
         self.page_size = page
         self._dram_window = _LocationWindow(
             "ssd-dram", self.config.dram_compute_window_bytes // page)
-        self._sram_window = _LocationWindow(
-            "ctrl-sram", self.config.sram_window_bytes // page)
         self._host_window = _LocationWindow(
             "host-cache", self.config.host_cache_bytes // page)
         self._windows: Dict[DataLocation, _LocationWindow] = {
             DataLocation.SSD_DRAM: self._dram_window,
-            DataLocation.CTRL_SRAM: self._sram_window,
             DataLocation.HOST: self._host_window,
         }
         #: Residence index: LPA -> current location (flash if absent).
@@ -335,25 +325,19 @@ class SSDPlatform:
         dram = self.dram
         nvme = self.ssd.nvme
         page = self.page_size
-        flash_out = channels.uncontended_read_latency(transfer_out=True)
+        flash_out = channels.uncontended_read_latency()
         flash_program = channels.uncontended_program_latency()
         dram_access = dram.uncontended_access_latency(page)
         pcie = nvme.host_transfer_latency(page)
         table = {
             (DataLocation.FLASH, DataLocation.SSD_DRAM):
                 flash_out + dram_access,
-            (DataLocation.FLASH, DataLocation.CTRL_SRAM): flash_out,
             (DataLocation.FLASH, DataLocation.HOST): flash_out + pcie,
-            (DataLocation.SSD_DRAM, DataLocation.CTRL_SRAM): dram_access,
-            (DataLocation.CTRL_SRAM, DataLocation.SSD_DRAM): dram_access,
             (DataLocation.SSD_DRAM, DataLocation.FLASH):
                 dram_access + flash_program,
-            (DataLocation.CTRL_SRAM, DataLocation.FLASH): flash_program,
             (DataLocation.SSD_DRAM, DataLocation.HOST): dram_access + pcie,
-            (DataLocation.CTRL_SRAM, DataLocation.HOST): pcie,
             (DataLocation.HOST, DataLocation.FLASH): pcie + flash_program,
             (DataLocation.HOST, DataLocation.SSD_DRAM): pcie + dram_access,
-            (DataLocation.HOST, DataLocation.CTRL_SRAM): pcie,
         }
         for location in DataLocation:
             table[(location, location)] = 0.0
@@ -459,7 +443,7 @@ class SSDPlatform:
         page = self.page_size
         start = now
         if source is DataLocation.FLASH:
-            finish = start = self.ssd.read_page(now, lpa, transfer_out=True)
+            finish = start = self.ssd.read_page(now, lpa)
             energy.charge_flash_read()
             energy.charge_channel_dma()
             stats.flash_read_latency_ns += finish - now
@@ -468,9 +452,7 @@ class SSDPlatform:
                                          page)
                 energy.charge_dram_access(page)
                 stats.flash_to_dram_pages += 1
-            elif destination is DataLocation.CTRL_SRAM:
-                stats.flash_to_sram_pages += 1
-            elif destination is DataLocation.HOST:
+            else:  # flash -> host
                 finish = self.ssd.nvme.host_transfer(finish, page,
                                                      "ssd-to-host")
                 energy.charge_pcie(page)
@@ -478,11 +460,10 @@ class SSDPlatform:
                 stats.host_pages += 1
                 stats.host_latency_ns += finish - start
         elif destination is DataLocation.FLASH:
-            finish = now
             if source is DataLocation.SSD_DRAM:
                 finish = self.dram.read(now, self._dram_address(lpa), page)
                 energy.charge_dram_access(page)
-            elif source is DataLocation.HOST:
+            else:  # host -> flash
                 finish = self.ssd.nvme.host_transfer(now, page,
                                                      "host-to-ssd")
                 energy.charge_pcie(page)
@@ -490,8 +471,8 @@ class SSDPlatform:
             energy.charge_flash_program()
             energy.charge_channel_dma()
             stats.writeback_pages += 1
-        elif DataLocation.HOST in (source, destination):
-            # DRAM/SRAM <-> host transfers go over PCIe.
+        else:
+            # SSD DRAM <-> host transfers go over PCIe.
             finish = self.ssd.nvme.host_transfer(
                 now, page,
                 "ssd-to-host" if destination is DataLocation.HOST
@@ -499,15 +480,6 @@ class SSDPlatform:
             energy.charge_pcie(page)
             stats.host_pages += 1
             stats.host_latency_ns += finish - now
-        elif destination is DataLocation.CTRL_SRAM:
-            # DRAM <-> SRAM transfers go over the SSD DRAM bus.
-            finish = self.dram.read(now, self._dram_address(lpa), page)
-            energy.charge_dram_access(page)
-            stats.dram_to_sram_pages += 1
-        else:
-            finish = self.dram.write(now, self._dram_address(lpa), page)
-            energy.charge_dram_access(page)
-            stats.sram_to_dram_pages += 1
         if not writeback and DataLocation.HOST not in (source, destination):
             stats.internal_latency_ns += finish - start
         return finish

@@ -61,7 +61,6 @@ def experiment_platform_config() -> PlatformConfig:
     """
     return PlatformConfig(
         dram_compute_window_bytes=2 * MIB,
-        sram_window_bytes=512 * 1024,
         host_cache_bytes=2 * MIB,
     )
 

@@ -98,7 +98,7 @@ class NANDConfig:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """SSD controller: embedded cores and SRAM."""
+    """SSD controller: its embedded cores."""
 
     cores: int = 5                      # ARM Cortex-R8 cores
     clock_ghz: float = 1.5

@@ -11,8 +11,8 @@ ISP and PuD-SSD (operands must cross it) and of naive IFP+ISP combinations.
 reservation-based resources and exposes the timing paths the rest of the
 simulator needs:
 
-* ``read_page`` -- sense a page inside the die (tR) and optionally stream it
-  out over the channel (tDMA + transfer).
+* ``read_page`` -- sense a page inside the die (tR) and stream it out over
+  the channel to the controller (tDMA + transfer + ECC).
 * ``program_page`` -- stream a page in and program it (tPROG).
 * ``erase_block`` -- erase inside the die.
 """
@@ -50,9 +50,8 @@ class FlashChannelSubsystem:
 
     # -- Data-path operations -----------------------------------------------
 
-    def read_page(self, now: float, channel: int, die: int, *,
-                  transfer_out: bool = True) -> float:
-        """Sense a page and (optionally) transfer it to the controller."""
+    def read_page(self, now: float, channel: int, die: int) -> float:
+        """Sense a page and transfer it to the controller."""
         self._check_channel(channel)
         config = self.config
         bus = self.channels.buses[channel]
@@ -60,8 +59,6 @@ class FlashChannelSubsystem:
         sensed = self.dies[channel].reserve_on(
             die, bus.transfer(now, self._command_bytes),
             config.read_latency_ns)
-        if not transfer_out:
-            return sensed
         # Page transfer: tDMA plus streaming the page over the channel bus.
         return bus.transfer(sensed + config.dma_latency_ns,
                             config.page_size_bytes) + self.ecc_latency_ns
@@ -85,15 +82,12 @@ class FlashChannelSubsystem:
 
     # -- Estimation helpers (no reservation) ----------------------------------
 
-    def uncontended_read_latency(self, *, transfer_out: bool = True) -> float:
-        latency = (self.config.command_latency_ns +
-                   self.config.read_latency_ns)
-        if transfer_out:
-            latency += (self.config.dma_latency_ns +
-                        self.channels.transfer_time(
-                            self.config.page_size_bytes) +
-                        self.ecc_latency_ns)
-        return latency
+    def uncontended_read_latency(self) -> float:
+        config = self.config
+        sensed = config.command_latency_ns + config.read_latency_ns
+        return sensed + (config.dma_latency_ns +
+                         self.channels.transfer_time(config.page_size_bytes) +
+                         self.ecc_latency_ns)
 
     def uncontended_program_latency(self) -> float:
         return (self.channels.transfer_time(self.config.page_size_bytes) +

@@ -220,8 +220,7 @@ class BackgroundFlashEngine:
         for lpa in block.valid_lpas():
             if relocated >= budget:
                 break
-            read = channels.read_page(t, address.channel, address.die,
-                                      transfer_out=True)
+            read = channels.read_page(t, address.channel, address.die)
             new_ppa = ftl.relocate(lpa, cold=cold)
             t = channels.program_page(read, new_ppa.channel, new_ppa.die)
             relocated += 1

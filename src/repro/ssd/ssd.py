@@ -87,8 +87,7 @@ class SSD:
         """Physical location of a logical page (no latency charged)."""
         return self.ftl.translate(lpa)
 
-    def read_page(self, now: float, lpa: int, *,
-                  transfer_out: bool = True) -> float:
+    def read_page(self, now: float, lpa: int) -> float:
         """Read one logical page from flash (into the flash controller).
 
         Returns the end time: address translation, then the flash read.
@@ -97,7 +96,7 @@ class SSD:
         if ppa is None:
             raise SimulationError(f"read of unmapped logical page {lpa}")
         end = self.channels.read_page(now + translation_ns, ppa.channel,
-                                      ppa.die, transfer_out=transfer_out)
+                                      ppa.die)
         # Background maintenance runs while the device serves reads too
         # (its relocations queue on the same channels/dies); the returned
         # stall is nonzero only under critical free-block pressure, when

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common import KIB, MIB, OpType
+from repro.common import MIB, OpType
 from repro.core.compiler.frontend import (Loop, ScalarProgram,
                                           ScalarStatement)
 from repro.core.compiler.ir import ArrayRef, ArraySpec, VectorInstruction, \
@@ -30,7 +30,6 @@ def platform_config(small_ssd: SSDConfig) -> PlatformConfig:
     """Platform with small capacity windows (forces realistic evictions)."""
     return PlatformConfig(ssd=small_ssd,
                           dram_compute_window_bytes=1 * MIB,
-                          sram_window_bytes=256 * KIB,
                           host_cache_bytes=1 * MIB)
 
 

@@ -42,7 +42,6 @@ ELEMENT_BITS = 32
 def _shape_configs():
     base = dict(ssd=small_ssd_config(),
                 dram_compute_window_bytes=1 * MIB,
-                sram_window_bytes=256 * KIB,
                 host_cache_bytes=1 * MIB)
     return {
         "default": PlatformConfig(**base),

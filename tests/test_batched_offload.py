@@ -32,7 +32,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common import KIB, MIB, OpType
+from repro.common import MIB, OpType
 from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
                                     VectorProgram)
 from repro.core.compiler.waves import wave_plan
@@ -90,7 +90,6 @@ class TestRandomSweepPoints:
 def _small_config(**overrides) -> PlatformConfig:
     return PlatformConfig(ssd=small_ssd_config(),
                           dram_compute_window_bytes=1 * MIB,
-                          sram_window_bytes=256 * KIB,
                           host_cache_bytes=1 * MIB, **overrides)
 
 

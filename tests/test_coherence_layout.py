@@ -196,7 +196,7 @@ class TestCoherence:
         st.integers(min_value=0, max_value=5),
         st.integers(min_value=1, max_value=3),
         st.sampled_from([DataLocation.FLASH, DataLocation.SSD_DRAM,
-                         DataLocation.CTRL_SRAM]),
+                         DataLocation.HOST]),
         st.booleans()), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_single_owner_invariant(self, operations):

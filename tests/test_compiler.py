@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import LatencyClass, OpType, SimulationError
-from repro.core.compiler.binary import (BinaryDecoder, BinaryEncoder,
-                                        estimate_binary_bytes)
+from repro.core.compiler.binary import BinaryDecoder, BinaryEncoder
 from repro.core.compiler.frontend import (Loop, ScalarProgram, ScalarSection,
                                           ScalarStatement)
 from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
@@ -208,11 +207,6 @@ class TestBinary:
             assert original.vector_length == restored.vector_length
             assert original.depends_on == restored.depends_on
             assert original.dest == restored.dest
-
-    def test_size_estimate_close_to_actual(self, tiny_vector_program):
-        binary = BinaryEncoder().encode(tiny_vector_program)
-        estimate = estimate_binary_bytes(tiny_vector_program)
-        assert estimate == pytest.approx(binary.size_bytes, rel=0.25)
 
     def test_checksum_changes_with_content(self, tiny_vector_program,
                                            manual_vector_program):

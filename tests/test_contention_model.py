@@ -62,7 +62,6 @@ FEEDBACK_GOLDEN = {
 def tiny_platform_config(**overrides) -> PlatformConfig:
     return PlatformConfig(ssd=small_ssd_config(),
                           dram_compute_window_bytes=1 * MIB,
-                          sram_window_bytes=256 * 1024,
                           host_cache_bytes=1 * MIB, **overrides)
 
 

@@ -19,7 +19,6 @@ from repro.workloads import AESWorkload, Jacobi1DWorkload
 def tiny_config() -> ExperimentConfig:
     platform = PlatformConfig(ssd=small_ssd_config(),
                               dram_compute_window_bytes=1 * MIB,
-                              sram_window_bytes=256 * 1024,
                               host_cache_bytes=1 * MIB)
     return ExperimentConfig(workload_scale=0.03, platform=platform)
 

@@ -21,24 +21,17 @@ class TestReadPath:
         assert end > config().read_latency_ns + busy
         assert subsystem.dies[0].busy_time == config().read_latency_ns
 
-    def test_read_without_transfer_is_cheaper(self):
-        subsystem = FlashChannelSubsystem(config())
-        with_transfer = subsystem.read_page(0.0, 0, 0, transfer_out=True)
-        subsystem_2 = FlashChannelSubsystem(config())
-        without = subsystem_2.read_page(0.0, 0, 0, transfer_out=False)
-        assert without < with_transfer
-
     def test_reads_on_same_die_serialize(self):
         subsystem = FlashChannelSubsystem(config())
-        first = subsystem.read_page(0.0, 0, 0, transfer_out=False)
-        second = subsystem.read_page(0.0, 0, 0, transfer_out=False)
-        # Without the transfer out, a read ends when its sense does.
+        first = subsystem.read_page(0.0, 0, 0)
+        second = subsystem.read_page(0.0, 0, 0)
+        # The second sense waits for the die, so it ends a tR later.
         assert second >= first + config().read_latency_ns
 
     def test_reads_on_different_channels_overlap(self):
         subsystem = FlashChannelSubsystem(config())
-        first = subsystem.read_page(0.0, 0, 0, transfer_out=False)
-        second = subsystem.read_page(0.0, 1, 0, transfer_out=False)
+        first = subsystem.read_page(0.0, 0, 0)
+        second = subsystem.read_page(0.0, 1, 0)
         # Channel-parallel reads should not be serialized die-to-die.
         assert second < first + config().read_latency_ns
 

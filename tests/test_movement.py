@@ -109,15 +109,11 @@ def run_scenario(config: ExperimentConfig, program, policy_name: str):
         "flash_read_ns": result.breakdown.flash_read_ns,
         "n_records": len(result.records),
         "flash_to_dram_pages": movement.flash_to_dram_pages,
-        "flash_to_sram_pages": movement.flash_to_sram_pages,
-        "dram_to_sram_pages": movement.dram_to_sram_pages,
-        "sram_to_dram_pages": movement.sram_to_dram_pages,
         "writeback_pages": movement.writeback_pages,
         "host_pages": movement.host_pages,
         "internal_latency_ns": movement.internal_latency_ns,
         "host_latency_ns": movement.host_latency_ns,
         "dram_evictions": platform._dram_window.evictions,
-        "sram_evictions": platform._sram_window.evictions,
         "host_evictions": platform._host_window.evictions,
         "coherence_flushes": platform.coherence.flushes,
         "tracked_pages": platform.coherence.tracked_pages(),

@@ -14,6 +14,8 @@ from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.dram.cxl import CXLPuDConfig
 from repro.dram.dram import DRAMDevice
 from repro.energy.model import EnergyAccount
+from repro.experiments.platforms import (available_platform_variants,
+                                         platform_variant)
 from repro.ssd.config import small_ssd_config
 
 
@@ -77,7 +79,6 @@ class TestPlatformLocations:
         assert where(platform, 7) is DataLocation.SSD_DRAM
 
     @pytest.mark.parametrize("field", ["dram_compute_window_bytes",
-                                       "sram_window_bytes",
                                        "host_cache_bytes"])
     @pytest.mark.parametrize("pages_short", ["zero", "negative",
                                              "one-byte-short"])
@@ -94,7 +95,7 @@ class TestPlatformLocations:
         page = small_ssd.nand.page_size_bytes
         platform = SSDPlatform(PlatformConfig(
             ssd=small_ssd, dram_compute_window_bytes=page,
-            sram_window_bytes=page, host_cache_bytes=page))
+            host_cache_bytes=page))
         assert platform._host_window.capacity_pages == 1
 
     def test_mark_produced_sets_residence(self, platform):
@@ -103,18 +104,7 @@ class TestPlatformLocations:
         assert where(platform, 1) is DataLocation.SSD_DRAM
         assert platform.coherence.entry(2).state is PageCoherenceState.DIRTY
 
-    def test_sram_to_dram_page_is_a_dram_write(self, platform):
-        platform.setup_dataset(range(4))
-        platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.CTRL_SRAM)
-        dram = platform.dram
-        read, written = dram.bytes_read, dram.bytes_written
-        platform.ensure_runs_at(0.0, [(0, 1)], DataLocation.SSD_DRAM)
-        assert platform.movement.sram_to_dram_pages == 1
-        assert dram.bytes_written == written + platform.page_size
-        assert dram.bytes_read == read
-
     @pytest.mark.parametrize("destination", [DataLocation.SSD_DRAM,
-                                             DataLocation.CTRL_SRAM,
                                              DataLocation.HOST])
     def test_flash_read_is_booked_once(self, platform, destination):
         # Fig. 4 breakdown: a page's flash read, and the rest of its trip
@@ -165,6 +155,18 @@ class TestMoveEstimates:
         assert one == platform.move_table[(DataLocation.FLASH,
                                            DataLocation.SSD_DRAM)]
         assert movement(4) == pytest.approx(4 * one)
+
+
+@pytest.mark.parametrize("variant", available_platform_variants())
+def test_every_location_is_reachable(variant, platform_config):
+    # A location no backend computes at is one no page ever moves to: the
+    # data path models exactly flash plus the backends' home locations.
+    platform = SSDPlatform(platform_variant(variant, platform_config))
+    homes = {backend.home_location for backend in platform.backends}
+    assert {DataLocation.FLASH} | homes == set(DataLocation)
+    assert set(platform.move_table) == {
+        (source, destination) for source in DataLocation
+        for destination in DataLocation}
 
 
 class TestComputeDispatch:

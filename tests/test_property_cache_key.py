@@ -204,7 +204,7 @@ class TestEveryKnobPerturbsTheKey:
 #: ``.sweep_cache/`` entries; an intentional key change (a
 #: ``SWEEP_CACHE_VERSION`` bump, a new semantic knob) re-pins it.
 PINNED_FIG7_KEY = (
-    "f656292a826f994dbdb63b9840f5dadf0114a58db51ccc159a80cb1df51b71b5")
+    "71d26b1ba674d9bf4c4d0231a5a00c7c1797dab483625033165f82254c2ef8d3")
 
 
 class TestKeyStability:

@@ -35,7 +35,6 @@ TINY_SCALE = 0.03
 def tiny_config() -> ExperimentConfig:
     platform = PlatformConfig(ssd=small_ssd_config(),
                               dram_compute_window_bytes=1 * MIB,
-                              sram_window_bytes=256 * 1024,
                               host_cache_bytes=1 * MIB)
     return ExperimentConfig(workload_scale=TINY_SCALE, platform=platform)
 
