@@ -13,9 +13,10 @@ from repro.core.compiler.vectorizer import (AutoVectorizer, LoopRemark,
                                             VectorizerConfig)
 
 __all__ = [
-    "BinaryDecoder", "BinaryEncoder", "ConduitBinary", "transfer_binary",
-    "Loop", "ScalarProgram", "ScalarSection", "ScalarStatement", "ArrayRef",
-    "ArraySpec", "Immediate", "InstructionMetadata", "VectorInstruction",
-    "VectorProgram", "DEFAULT_ELEMENT_BITS", "DEFAULT_VECTOR_WIDTH",
-    "AutoVectorizer", "LoopRemark", "VectorizationReport", "VectorizerConfig",
+    "BinaryDecoder", "BinaryEncoder", "ConduitBinary",
+    "transfer_binary", "Loop", "ScalarProgram",
+    "ScalarSection", "ScalarStatement", "ArrayRef", "ArraySpec", "Immediate",
+    "InstructionMetadata", "VectorInstruction", "VectorProgram",
+    "DEFAULT_ELEMENT_BITS", "DEFAULT_VECTOR_WIDTH", "AutoVectorizer",
+    "LoopRemark", "VectorizationReport", "VectorizerConfig",
 ]

@@ -7,7 +7,8 @@ per-resource execution queues, the host CPU/GPU used by the OSP baselines,
 the energy account, the lazy-coherence directory, and the data-movement
 engine that shuttles logical pages between the three operand locations:
 flash, SSD DRAM and the host.  ISP computes on operands staged in SSD DRAM,
-like PuD-SSD, so every flash read streams the page out to the controller.
+like PuD-SSD, so a page leaves flash only by a full read that streams it
+out to the controller.
 
 Every array maps to a contiguous LPA run (Section 4.4), so the runtimes
 drive the data path through two run-granular steps:
