@@ -1,8 +1,7 @@
 """Conduit core: compiler, offloading runtime, coherence, platform, metrics."""
 
 from repro.core.backends import BackendRegistry, ComputeBackend
-from repro.core.coherence import (CoherenceDirectory, CoherenceEntry,
-                                  CoherencePolicy, PageCoherenceState,
+from repro.core.coherence import (CoherenceDirectory, CoherencePolicy,
                                   SyncAction)
 from repro.core.layout import ArrayLayout, ArrayPlacement
 from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
@@ -14,8 +13,8 @@ from repro.core.runtime import ConduitRuntime, HostRuntime
 
 __all__ = [
     "BackendRegistry", "ComputeBackend", "backend_roster",
-    "CoherenceDirectory", "CoherenceEntry", "CoherencePolicy",
-    "PageCoherenceState", "SyncAction", "ArrayLayout", "ArrayPlacement",
+    "CoherenceDirectory", "CoherencePolicy", "SyncAction", "ArrayLayout",
+    "ArrayPlacement",
     "ExecutionBreakdown", "ExecutionResult", "InstructionRecord",
     "RecordTable", "energy_reduction", "geometric_mean", "speedup",
     "DataMovementStats", "PlatformConfig", "SSDPlatform", "ConduitRuntime",

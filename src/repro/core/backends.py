@@ -44,7 +44,7 @@ computation resource:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.common import (DataLocation, OpType, Resource, ResourceLike,
                           SimulationError)
@@ -215,11 +215,6 @@ class BackendRegistry:
                                if backend.offloadable)
             self._candidates = candidates
         return candidates
-
-    def backends_of_kind(self, kind: Resource) -> List[ComputeBackend]:
-        """All registered backends of one resource family."""
-        return [backend for backend in self._backends.values()
-                if backend.kind is kind]
 
     def queues(self) -> "Dict[ResourceLike, ExecutionQueue]":
         """Backend identity -> execution queue, in registration order."""

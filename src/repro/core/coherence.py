@@ -10,6 +10,10 @@ logical page has three fields:
 * **version** -- a one-byte monotonically increasing counter used to order
   updates and detect stale copies.
 
+A clean page is always owned by flash at version 0, so only dirty pages
+carry information: the directory stores ``lpa -> (owner, version)`` for
+the dirty pages alone, and a page absent from that map is clean in flash.
+
 Synchronisation is *lazy*: a dirty page is committed to flash only when
 another computation resource (or the host) requests it, when it is evicted
 from a temporary location, when a different resource overwrites it, or
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.common import DataLocation
 
@@ -37,20 +41,21 @@ from repro.common import DataLocation
 VERSION_BITS = 8
 _VERSION_WRAP = 2 ** VERSION_BITS
 
+#: Bytes the coherence fields add to each L2P entry: owner (1) + state (1)
+#: + version (1).
+METADATA_BYTES_PER_PAGE = 3
+
 #: Reason of the commit strict coherence issues after every write.  It is
 #: the only write-time commit the platform performs as a flash write-back
 #: (:meth:`~repro.core.platform.SSDPlatform.mark_produced_run`).
 STRICT_WRITE_THROUGH = "strict coherence write-through"
 
-#: Shared empty action list: returned (and never mutated) by the run-level
-#: hooks when no synchronisation is needed, so clean-path calls allocate
-#: nothing.
+#: Shared empty action list: returned (and never mutated) by the hooks
+#: when no synchronisation is needed, so clean-path calls allocate nothing.
 _NO_ACTIONS: List["SyncAction"] = []
 
-
-class PageCoherenceState(enum.Enum):
-    CLEAN = "clean"
-    DIRTY = "dirty"
+#: (owner, version) of a page absent from the directory: clean in flash.
+_CLEAN = (DataLocation.FLASH, 0)
 
 
 class CoherencePolicy(enum.Enum):
@@ -58,19 +63,6 @@ class CoherencePolicy(enum.Enum):
 
     LAZY = "lazy"
     STRICT = "strict"
-
-
-@dataclass(slots=True)
-class CoherenceEntry:
-    """Owner / state / version triple for one logical page."""
-
-    owner: DataLocation = DataLocation.FLASH
-    state: PageCoherenceState = PageCoherenceState.CLEAN
-    version: int = 0
-
-    #: Bytes this entry adds to the L2P table: owner (1) + state (1) +
-    #: version (1).
-    METADATA_BYTES = 3
 
 
 @dataclass
@@ -83,31 +75,15 @@ class SyncAction:
 
 
 class CoherenceDirectory:
-    """Tracks owner/state/version for every logical page touched by NDP."""
+    """Tracks the owner and version of every dirty logical page."""
 
     def __init__(self, policy: CoherencePolicy = CoherencePolicy.LAZY) -> None:
         self.policy = policy
-        self._entries: Dict[int, CoherenceEntry] = {}
-        #: Logical pages currently in the DIRTY state.  The run-granular
-        #: entry points use this index to skip per-page scans of runs whose
-        #: pages are all clean (the common case on the read path).
-        self._dirty: set = set()
+        #: lpa -> (owner, version) of each dirty page; absent pages are
+        #: clean in flash at version 0.
+        self._dirty: Dict[int, Tuple[DataLocation, int]] = {}
         self.flushes = 0
         self.version_wraps = 0
-
-    # -- Entry access --------------------------------------------------------
-
-    def entry(self, lpa: int) -> CoherenceEntry:
-        if lpa not in self._entries:
-            self._entries[lpa] = CoherenceEntry()
-        return self._entries[lpa]
-
-    def tracked_pages(self) -> int:
-        return len(self._entries)
-
-    def metadata_bytes(self) -> int:
-        """Coherence metadata footprint in SSD DRAM."""
-        return len(self._entries) * CoherenceEntry.METADATA_BYTES
 
     # -- Reads ------------------------------------------------------------------
 
@@ -116,32 +92,29 @@ class CoherenceDirectory:
         """A computation resource (or the host) reads ``[base_lpa, +count)``.
 
         Dirty pages owned elsewhere are committed to flash first, in LPA
-        order (Section 4.4).  Only dirty pages can commit, so the scan
-        consults the dirty index; a clean run only gains tracking entries.
+        order (Section 4.4).  The scan filters the dirty map when it is no
+        larger than the run, and walks the run otherwise.
         """
-        end = base_lpa + count
         dirty = self._dirty
-        entries = self._entries
+        if not dirty:
+            return _NO_ACTIONS
+        end = base_lpa + count
+        if len(dirty) <= count:
+            dirty_in_run = sorted(
+                lpa for lpa in dirty if base_lpa <= lpa < end)
+        else:
+            dirty_in_run = [lpa for lpa in range(base_lpa, end)
+                            if lpa in dirty]
+        # Materialized first: committing mutates the dirty map.
         actions = _NO_ACTIONS
-        if dirty:
-            if len(dirty) <= count:
-                dirty_in_run = sorted(
-                    lpa for lpa in dirty if base_lpa <= lpa < end)
-            else:
-                dirty_in_run = [lpa for lpa in range(base_lpa, end)
-                                if lpa in dirty]
-            # Materialized first: committing mutates the dirty index.
-            for lpa in dirty_in_run:
-                entry = entries[lpa]
-                if entry.owner is not reader_location:
-                    if actions is _NO_ACTIONS:
-                        actions = []
-                    actions.append(SyncAction(
-                        lpa, entry.owner, "remote read of dirty page"))
-                    self._commit(lpa, entry)
-        for lpa in range(base_lpa, end):
-            if lpa not in entries:
-                entries[lpa] = CoherenceEntry()
+        for lpa in dirty_in_run:
+            owner = dirty[lpa][0]
+            if owner is not reader_location:
+                if actions is _NO_ACTIONS:
+                    actions = []
+                actions.append(SyncAction(
+                    lpa, owner, "remote read of dirty page"))
+                self._commit(lpa)
         return actions
 
     # -- Writes -----------------------------------------------------------------
@@ -154,59 +127,51 @@ class CoherenceDirectory:
         the page dirty at the writer, commit before the version counter
         wraps (footnote 4), then commit again under strict coherence.
         """
-        entries = self._entries
-        dirty_add = self._dirty.add
-        dirty_state = PageCoherenceState.DIRTY
+        dirty = self._dirty
+        get = dirty.get
         strict = self.policy is CoherencePolicy.STRICT
         actions = _NO_ACTIONS
         for lpa in range(base_lpa, base_lpa + count):
-            entry = entries.get(lpa)
-            if entry is None:
-                entry = entries[lpa] = CoherenceEntry()
-            if (entry.state is dirty_state
-                    and entry.owner is not writer_location):
-                if actions is _NO_ACTIONS:
-                    actions = []
-                actions.append(SyncAction(lpa, entry.owner,
-                                          "remote write of dirty page"))
-                self._commit(lpa, entry)
-            entry.owner = writer_location
-            entry.state = dirty_state
-            dirty_add(lpa)
-            entry.version += 1
-            if entry.version >= _VERSION_WRAP:
+            owner, version = get(lpa, _CLEAN)
+            if owner is not writer_location:
+                if version:
+                    if actions is _NO_ACTIONS:
+                        actions = []
+                    actions.append(SyncAction(lpa, owner,
+                                              "remote write of dirty page"))
+                    self.flushes += 1
+                version = 0
+            version += 1
+            dirty[lpa] = (writer_location, version)
+            if version >= _VERSION_WRAP:
                 if actions is _NO_ACTIONS:
                     actions = []
                 actions.append(SyncAction(lpa, writer_location,
                                           "version counter wrap"))
-                self._commit(lpa, entry)
+                self._commit(lpa)
                 self.version_wraps += 1
             if strict:
                 if actions is _NO_ACTIONS:
                     actions = []
                 actions.append(SyncAction(lpa, writer_location,
                                           STRICT_WRITE_THROUGH))
-                self._commit(lpa, entry)
+                self._commit(lpa)
         return actions
 
     # -- Evictions -------------------------------------------------------------
 
     def on_evict(self, lpa: int) -> List[SyncAction]:
         """The page's temporary location is being reclaimed."""
-        entry = self.entry(lpa)
-        if entry.state is PageCoherenceState.DIRTY:
-            action = SyncAction(lpa, entry.owner,
-                                "eviction from temporary location")
-            self._commit(lpa, entry)
-            return [action]
-        entry.owner = DataLocation.FLASH
-        return []
+        state = self._dirty.get(lpa)
+        if state is None:
+            return _NO_ACTIONS
+        self._commit(lpa)
+        return [SyncAction(lpa, state[0], "eviction from temporary location")]
 
     # -- Internal ------------------------------------------------------------------------
 
-    def _commit(self, lpa: int, entry: CoherenceEntry) -> None:
-        entry.owner = DataLocation.FLASH
-        entry.state = PageCoherenceState.CLEAN
-        entry.version = 0
-        self._dirty.discard(lpa)
+    def _commit(self, lpa: int) -> None:
+        """Commit the page to flash; a strict commit after a wrap finds it
+        already clean."""
+        self._dirty.pop(lpa, None)
         self.flushes += 1

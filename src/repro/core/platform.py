@@ -110,8 +110,8 @@ class PlatformConfig:
     #: ``isp[0..n)``, each with its own execution queue, so the cost
     #: function sees (and balances) per-core contention.  On a per-core
     #: roster the pooled ``Resource.ISP`` identity is *not* registered --
-    #: identity lookups for it fail loudly; discover the cores via
-    #: ``platform.backends.backends_of_kind(Resource.ISP)``.
+    #: identity lookups for it fail loudly; discover the cores by
+    #: filtering ``platform.backends.offload_candidates()`` on ``.kind``.
     isp_cores: int = 1
 
     #: Opt-in CXL-attached PuD tier with its own latency/energy/bandwidth

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.core.coherence import CoherenceEntry
+from repro.core.coherence import METADATA_BYTES_PER_PAGE
 from repro.core.offload.transform import InstructionTransformer
 from repro.core.platform import SSDPlatform
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
@@ -28,8 +28,7 @@ def _sections(ctx: ExperimentContext, platform_name, grid):
     result = grid[(AESWorkload.name, "Conduit")]
     metrics = {
         "translation_table_bytes": float(transformer.table_bytes()),
-        "coherence_metadata_bytes_per_page": float(
-            CoherenceEntry.METADATA_BYTES),
+        "coherence_metadata_bytes_per_page": float(METADATA_BYTES_PER_PAGE),
         "avg_runtime_overhead_us": result.offload_overhead_avg_ns / 1000.0,
         "max_runtime_overhead_us": result.offload_overhead_max_ns / 1000.0,
         "paper_avg_runtime_overhead_us": 3.77,

@@ -1,5 +1,6 @@
 """Tests for the lazy coherence directory and the array-to-page layout."""
 
+import enum
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -8,9 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.common import DataLocation, SimulationError
 from repro.core.coherence import (STRICT_WRITE_THROUGH, CoherenceDirectory,
-                                  CoherencePolicy, PageCoherenceState)
+                                  CoherencePolicy)
 from repro.core.compiler.ir import ArrayRef, ArraySpec
 from repro.core.layout import ArrayLayout
+
+
+class PageCoherenceState(enum.Enum):
+    CLEAN = "clean"
+    DIRTY = "dirty"
+
 
 DIRTY = PageCoherenceState.DIRTY
 CLEAN = PageCoherenceState.CLEAN
@@ -30,10 +37,11 @@ class _Page:
 class ReferenceDirectory:
     """Page-at-a-time statement of the coherence protocol (Section 4.4).
 
-    The directory under test serves whole LPA runs and skips clean pages
-    through its dirty index; this model visits every page of a run in
-    ascending order with the protocol written out plainly, so the two
-    must agree on every commit, every entry and every counter.
+    The directory under test serves whole LPA runs and stores only dirty
+    pages; this model keeps all three fields of every page it touches and
+    visits every page of a run in ascending order with the protocol
+    written out plainly, so the two must agree on every commit, every
+    dirty page and every counter.
     """
 
     def __init__(self, policy: CoherencePolicy) -> None:
@@ -94,13 +102,10 @@ def _commits(actions) -> List[Commit]:
     return [(a.lpa, a.from_location, a.reason) for a in actions]
 
 
-def assert_dirty_index_consistent(directory: CoherenceDirectory) -> None:
-    """dirty <=> version >= 1 <=> the page is in the dirty index."""
-    for lpa, entry in directory._entries.items():
-        dirty = entry.state is DIRTY
-        assert dirty == (entry.version >= 1) == (lpa in directory._dirty), (
-            lpa, entry)
-    assert directory._dirty <= directory._entries.keys()
+def assert_versions_in_range(directory: CoherenceDirectory) -> None:
+    """Every stored (dirty) page has a version in [1, 255]."""
+    for lpa, (owner, version) in directory._dirty.items():
+        assert 1 <= version < 256, (lpa, owner, version)
 
 
 _LOCATIONS = st.sampled_from(list(DataLocation))
@@ -119,25 +124,21 @@ _OPERATION = st.one_of(
 class TestCoherence:
     def test_pages_start_clean_in_flash(self):
         directory = CoherenceDirectory()
-        entry = directory.entry(0)
-        assert entry.owner is DataLocation.FLASH
-        assert entry.state is PageCoherenceState.CLEAN
-        assert entry.version == 0
+        assert directory._dirty.get(0) is None
+        assert directory.on_read_run(0, 4, DataLocation.HOST) == []
+        assert directory._dirty == {}
 
     def test_write_marks_dirty_and_bumps_version(self):
         directory = CoherenceDirectory()
         directory.on_write_run(1, 1, DataLocation.SSD_DRAM)
-        entry = directory.entry(1)
-        assert entry.owner is DataLocation.SSD_DRAM
-        assert entry.state is PageCoherenceState.DIRTY
-        assert entry.version == 1
+        assert directory._dirty.get(1) == (DataLocation.SSD_DRAM, 1)
 
     def test_same_owner_rewrites_only_bump_version(self):
         directory = CoherenceDirectory()
         directory.on_write_run(1, 1, DataLocation.SSD_DRAM)
         actions = directory.on_write_run(1, 1, DataLocation.SSD_DRAM)
         assert actions == []
-        assert directory.entry(1).version == 2
+        assert directory._dirty.get(1) == (DataLocation.SSD_DRAM, 2)
 
     def test_remote_read_of_dirty_page_commits_to_flash(self):
         directory = CoherenceDirectory()
@@ -145,10 +146,7 @@ class TestCoherence:
         actions = directory.on_read_run(1, 1, DataLocation.FLASH)
         assert len(actions) == 1
         assert actions[0].from_location is DataLocation.SSD_DRAM
-        entry = directory.entry(1)
-        assert entry.owner is DataLocation.FLASH
-        assert entry.state is PageCoherenceState.CLEAN
-        assert entry.version == 0
+        assert directory._dirty.get(1) is None
 
     def test_local_read_needs_no_sync(self):
         directory = CoherenceDirectory()
@@ -160,14 +158,14 @@ class TestCoherence:
         directory.on_write_run(1, 1, DataLocation.SSD_DRAM)
         actions = directory.on_write_run(1, 1, DataLocation.FLASH)
         assert len(actions) == 1
-        assert directory.entry(1).owner is DataLocation.FLASH
+        assert directory._dirty.get(1) == (DataLocation.FLASH, 1)
 
     def test_eviction_flushes_dirty_pages(self):
         directory = CoherenceDirectory()
         directory.on_write_run(2, 1, DataLocation.SSD_DRAM)
         actions = directory.on_evict(2)
         assert len(actions) == 1
-        assert directory.entry(2).state is PageCoherenceState.CLEAN
+        assert directory._dirty.get(2) is None
 
     def test_eviction_of_clean_page_is_free(self):
         directory = CoherenceDirectory()
@@ -179,18 +177,13 @@ class TestCoherence:
         for _ in range(256):
             directory.on_write_run(3, 1, DataLocation.SSD_DRAM)
         assert directory.version_wraps >= 1
-        assert directory.entry(3).version < 256
+        assert directory._dirty.get(3) is None
 
     def test_strict_policy_writes_through(self):
         directory = CoherenceDirectory(CoherencePolicy.STRICT)
         actions = directory.on_write_run(1, 1, DataLocation.SSD_DRAM)
         assert any(a.reason.startswith("strict") for a in actions)
-        assert directory.entry(1).state is PageCoherenceState.CLEAN
-
-    def test_metadata_footprint(self):
-        directory = CoherenceDirectory()
-        directory.on_write_run(0, 10, DataLocation.SSD_DRAM)
-        assert directory.metadata_bytes() == 30
+        assert directory._dirty.get(1) is None
 
     @given(st.lists(st.tuples(
         st.integers(min_value=0, max_value=5),
@@ -200,14 +193,14 @@ class TestCoherence:
         st.booleans()), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_single_owner_invariant(self, operations):
-        """Dirty <=> version >= 1 <=> the page is in the dirty index."""
+        """Every stored page is dirty at one owner, version 1..255."""
         directory = CoherenceDirectory()
         for base, count, location, is_write in operations:
             if is_write:
                 directory.on_write_run(base, count, location)
             else:
                 directory.on_read_run(base, count, location)
-            assert_dirty_index_consistent(directory)
+            assert_versions_in_range(directory)
 
     @pytest.mark.parametrize("policy", list(CoherencePolicy))
     @given(operations=st.lists(_OPERATION, min_size=1, max_size=40))
@@ -237,13 +230,17 @@ class TestCoherence:
                                                            location))
                     expected += reference.write(base, count, location)
             assert got == expected, operation
-            assert {lpa: (e.owner, e.state, e.version)
-                    for lpa, e in directory._entries.items()} == {
-                lpa: (p.owner, p.state, p.version)
-                for lpa, p in reference.pages.items()}
+            assert directory._dirty == {
+                lpa: (p.owner, p.version)
+                for lpa, p in reference.pages.items() if p.state is DIRTY}
+            # A clean page is always (FLASH, 0), which is what lets the
+            # directory leave clean pages out of its map.
+            assert all((p.owner, p.version) == (FLASH, 0)
+                       for p in reference.pages.values()
+                       if p.state is CLEAN)
             assert directory.flushes == reference.flushes
             assert directory.version_wraps == reference.version_wraps
-            assert_dirty_index_consistent(directory)
+            assert_versions_in_range(directory)
 
 
 class TestArrayLayout:

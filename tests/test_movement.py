@@ -116,7 +116,6 @@ def run_scenario(config: ExperimentConfig, program, policy_name: str):
         "dram_evictions": platform._dram_window.evictions,
         "host_evictions": platform._host_window.evictions,
         "coherence_flushes": platform.coherence.flushes,
-        "tracked_pages": platform.coherence.tracked_pages(),
         "l2p_lookups": platform.ssd.ftl.stats.lookups,
         "l2p_hits": platform.ssd.ftl.stats.cache_hits,
     }

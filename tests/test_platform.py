@@ -6,7 +6,7 @@ import pytest
 
 from repro.common import (DataLocation, KIB, MIB, OpType, Resource,
                           SimulationError)
-from repro.core.coherence import PageCoherenceState
+from repro.core.coherence import CoherencePolicy
 from repro.core.compiler.ir import ArrayRef, ArraySpec, VectorInstruction
 from repro.core.layout import ArrayLayout
 from repro.core.offload.features import FeatureCollector
@@ -15,8 +15,11 @@ from repro.dram.cxl import CXLPuDConfig
 from repro.dram.dram import DRAMDevice
 from repro.energy.model import EnergyAccount
 from repro.experiments.platforms import (available_platform_variants,
+                                         experiment_platform_config,
                                          platform_variant)
 from repro.ssd.config import small_ssd_config
+from repro.workloads import workload_by_name
+from tests.test_runtime import run_on
 
 
 class TestEnergyAccount:
@@ -102,7 +105,7 @@ class TestPlatformLocations:
         platform.setup_dataset(range(8))
         platform.mark_produced_run(0.0, (1, 2), DataLocation.SSD_DRAM)
         assert where(platform, 1) is DataLocation.SSD_DRAM
-        assert platform.coherence.entry(2).state is PageCoherenceState.DIRTY
+        assert platform.coherence._dirty.get(2) == (DataLocation.SSD_DRAM, 1)
 
     @pytest.mark.parametrize("destination", [DataLocation.SSD_DRAM,
                                              DataLocation.HOST])
@@ -167,6 +170,33 @@ def test_every_location_is_reachable(variant, platform_config):
     assert set(platform.move_table) == {
         (source, destination) for source in DataLocation
         for destination in DataLocation}
+
+
+@pytest.fixture(scope="module")
+def owner_programs():
+    # Scale 0.25: below it no window fills, so no page is ever evicted.
+    return {name: workload_by_name(name, scale=0.25).vector_program()[0]
+            for name in ("LLM Training", "AES", "XOR Filter")}
+
+
+@pytest.mark.parametrize("coherence", list(CoherencePolicy))
+@pytest.mark.parametrize("variant", ["default", "cxl-pud"])
+@pytest.mark.parametrize("policy", ["Conduit", "PuD-SSD", "Flash-Cosmos",
+                                    "CPU"])
+@pytest.mark.parametrize("workload", ["LLM Training", "AES", "XOR Filter"])
+def test_dirty_page_owner_is_its_residence(owner_programs, workload, policy,
+                                           variant, coherence):
+    # The directory's owner of a dirty page and the platform's residence
+    # are two records of one fact: where the latest copy lives.
+    platform = SSDPlatform(dataclasses.replace(
+        platform_variant(variant, experiment_platform_config()),
+        coherence_policy=coherence))
+    run_on(platform, owner_programs[workload], policy)
+    dirty = platform.coherence._dirty
+    # Strict coherence commits every write, so it ends with no dirty page.
+    assert bool(dirty) is (coherence is CoherencePolicy.LAZY)
+    for lpa, (owner, _) in dirty.items():
+        assert where(platform, lpa) is owner, lpa
 
 
 class TestComputeDispatch:
