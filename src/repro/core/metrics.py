@@ -19,12 +19,11 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-import numpy as np
-
+from repro import stats
 from repro.common import OpType, Resource, ResourceLike, SSD_RESOURCES
 from repro.energy.model import EnergyBreakdown
 from repro.ssd.lifetime.engine import MaintenanceStats
@@ -128,10 +127,9 @@ class RecordTable(Sequence[InstructionRecord]):
         """The columns in :data:`RECORD_FIELDS` order."""
         return tuple(getattr(self, name) for name in RECORD_FIELDS)
 
-    def latencies_ns(self) -> np.ndarray:
+    def latencies_ns(self) -> array:
         """Each record's ``end_ns - dispatch_ns``, elementwise."""
-        return np.subtract(np.frombuffer(self.end_ns),
-                           np.frombuffer(self.dispatch_ns))
+        return array("d", map(sub, self.end_ns, self.dispatch_ns))
 
     def __len__(self) -> int:
         return len(self.uid)
@@ -259,7 +257,7 @@ class ExecutionResult:
         """Per-instruction latency percentile in nanoseconds (Fig. 8)."""
         if not self.records:
             return 0.0
-        return float(np.percentile(self.records.latencies_ns(), percentile))
+        return stats.percentile(self.records.latencies_ns(), percentile)
 
     @property
     def p99_latency_ns(self) -> float:
@@ -272,7 +270,7 @@ class ExecutionResult:
     def mean_latency_ns(self) -> float:
         if not self.records:
             return 0.0
-        return float(np.mean(self.records.latencies_ns()))
+        return stats.mean(self.records.latencies_ns())
 
     def timeline(self, limit: Optional[int] = None
                  ) -> List[Dict[str, object]]:
@@ -325,8 +323,12 @@ def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean used for the GMEAN columns of Fig. 5 / 7.
 
     An empty sequence gives ``0.0``; a non-positive (or NaN) value raises,
-    since dropping it would silently shift the mean.
+    since dropping it would silently shift the mean.  numpy is imported
+    here, not at module level: ``np.exp`` and ``math.exp`` disagree in the
+    last bit on some inputs, and no other statistic needs numpy.
     """
+    import numpy as np
+
     array = np.asarray(values, dtype=float)
     if array.size == 0:
         return 0.0

@@ -40,10 +40,10 @@ import json
 import os
 import pickle
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from functools import partial
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.common import Resource
 from repro.core.compiler.ir import VectorProgram
@@ -203,45 +203,48 @@ _WORKER_PROGRAMS: Dict[Tuple[str, float, Tuple[Tuple[str, str], ...]],
                        VectorProgram] = {}
 
 
-def _execute(program: VectorProgram, spec: RunSpec) -> ExecutionResult:
-    """Run one compiled program under one named policy on a fresh platform.
+def _execute(program_of: Callable[[], VectorProgram],
+             spec: RunSpec) -> ExecutionResult:
+    """Run ``program_of()`` under one named policy on a fresh platform.
 
     Shared by the serial path and the pool workers so both execute exactly
-    the same code.  The cycle collector is paused for the duration of one
-    run: the simulators allocate millions of short-lived records whose
-    lifetimes are reference-counted, so generational scans only add
-    pauses; per-run bookkeeping (records, decisions) is acyclic and freed
-    normally when the result is consumed.
+    the same code.  The cycle collector is paused for the compile (or the
+    program-cache hit) and the run: the compiler and the simulators
+    allocate millions of short-lived objects whose lifetimes are
+    reference-counted, so generational scans only add pauses; per-run
+    bookkeeping (records, decisions) is acyclic and freed normally when
+    the result is consumed.
 
-    A failing run re-raises its own exception (type unchanged) with a note
-    naming the spec; notes survive pickling out of a pool worker.
+    A failing compile or run re-raises its own exception (type unchanged)
+    with a note naming the spec; notes survive pickling out of a pool
+    worker.
     """
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
     try:
+        program = program_of()
         platform = SSDPlatform(spec.platform)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if spec.policy in HOST_POLICIES:
-                device = (Resource.HOST_CPU if spec.policy == "CPU"
-                          else Resource.HOST_GPU)
-                return HostRuntime(platform).execute(program, device,
-                                                     spec.workload)
-            return ConduitRuntime(platform).execute(
-                program, make_policy(spec.policy), spec.workload)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        if spec.policy in HOST_POLICIES:
+            device = (Resource.HOST_CPU if spec.policy == "CPU"
+                      else Resource.HOST_GPU)
+            return HostRuntime(platform).execute(program, device,
+                                                 spec.workload)
+        return ConduitRuntime(platform).execute(
+            program, make_policy(spec.policy), spec.workload)
     except Exception as error:
         error.add_note(
             f"while running workload {spec.workload!r} under policy "
             f"{spec.policy!r} on platform {spec.platform_name!r} "
             f"(run spec {run_spec_key(spec)[:12]})")
         raise
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
-def execute_run_spec(spec: RunSpec) -> ExecutionResult:
-    """Process-pool worker: materialize and execute one :class:`RunSpec`."""
+def _worker_program(spec: RunSpec) -> VectorProgram:
+    """The compiled program of ``spec``'s workload, once per process."""
     cache_key = (spec.workload, spec.scale, spec.workload_params)
     program = _WORKER_PROGRAMS.get(cache_key)
     if program is None:
@@ -259,7 +262,12 @@ def execute_run_spec(spec: RunSpec) -> ExecutionResult:
                 "under a running sweep")
         program = _compile_program(workload)
         _WORKER_PROGRAMS[cache_key] = program
-    return _execute(program, spec)
+    return program
+
+
+def execute_run_spec(spec: RunSpec) -> ExecutionResult:
+    """Process-pool worker: materialize and execute one :class:`RunSpec`."""
+    return _execute(partial(_worker_program, spec), spec)
 
 
 def resolve_sweep_workers(workers: Optional[int] = None) -> int:
@@ -413,7 +421,7 @@ class ExperimentRunner:
 
     def run(self, workload: Workload, policy_name: str) -> ExecutionResult:
         """Run one workload under one policy on a fresh platform."""
-        return _execute(self.program_for(workload),
+        return _execute(partial(self.program_for, workload),
                         self.spec_for(workload, policy_name))
 
     def run_with_policy(self, workload: Workload,
@@ -495,6 +503,7 @@ class ExperimentRunner:
             if stats.workers > 1:
                 # ``Executor.map`` yields results in submission order, so
                 # the grid below is independent of completion order.
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(
                         max_workers=stats.workers) as pool:
                     executed = list(pool.map(execute_run_spec,
@@ -503,7 +512,8 @@ class ExperimentRunner:
                 # In-process: reuse this runner's program cache.
                 by_name = {workload.name: workload for workload in workloads}
                 executed = [
-                    _execute(self.program_for(by_name[spec.workload]), spec)
+                    _execute(partial(self.program_for,
+                                     by_name[spec.workload]), spec)
                     for spec in pending_specs
                 ]
             for index, result in zip(pending, executed):

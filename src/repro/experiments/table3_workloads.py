@@ -16,7 +16,6 @@ policy axis, proving the registry also covers non-sweep experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict
 
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
@@ -34,6 +33,7 @@ def _sections(ctx: ExperimentContext):
     count = min(resolve_sweep_workers(ctx.workers), len(ctx.workloads)) \
         if ctx.parallel else 1
     if count > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=count) as pool:
             rows = list(pool.map(_characterization_row, ctx.workloads))
     else:

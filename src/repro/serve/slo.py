@@ -7,6 +7,9 @@ throughput, rejection counts, and a fairness index over how the fleet's
 capacity was split.  Jain's index is the standard choice: 1.0 means every
 tenant achieved the same fraction of its demand, 1/n means one tenant
 took everything.
+
+The statistics come from :mod:`repro.stats`, which reproduces numpy's
+percentile and pairwise sum bit for bit, so the fleet never imports numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro import stats
 from repro.serve.fleet import FleetOutcome
 
 
@@ -23,13 +25,12 @@ def latency_percentiles_ms(latencies_ns: Sequence[float]
                            ) -> Tuple[float, float, float]:
     """p50/p99/p999 latency in milliseconds (zeros for an empty sample).
 
-    One ``np.percentile`` call over the three percentiles.
+    One sort serves the three percentiles.
     """
     if not latencies_ns:
         return 0.0, 0.0, 0.0
-    p50, p99, p999 = np.percentile(np.asarray(latencies_ns, dtype=float),
-                                   (50.0, 99.0, 99.9))
-    return float(p50) / 1e6, float(p99) / 1e6, float(p999) / 1e6
+    p50, p99, p999 = stats.percentiles(latencies_ns, (50.0, 99.0, 99.9))
+    return p50 / 1e6, p99 / 1e6, p999 / 1e6
 
 
 def jain_fairness(values: Sequence[float]) -> float:
@@ -38,14 +39,14 @@ def jain_fairness(values: Sequence[float]) -> float:
     Defined as ``(sum x)^2 / (n * sum x^2)``; an all-zero sample is
     vacuously fair (nobody got anything, equally).
     """
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
+    values = [float(value) for value in values]
+    if not values:
         return 1.0
-    square_sum = float(np.sum(array * array))
+    square_sum = stats.fsum_pairwise([value * value for value in values])
     if square_sum == 0.0:
         return 1.0
-    total = float(np.sum(array))
-    return total * total / (array.size * square_sum)
+    total = stats.fsum_pairwise(values)
+    return total * total / (len(values) * square_sum)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,7 @@ def tenant_slos(outcome: FleetOutcome) -> List[TenantSLO]:
     slos: List[TenantSLO] = []
     for tenant in outcome.tenants.values():
         latencies = tenant.latencies_ns
-        mean_ms = (float(np.mean(np.asarray(latencies, dtype=float))) / 1e6
-                   if latencies else 0.0)
+        mean_ms = stats.mean(latencies) / 1e6 if latencies else 0.0
         p50_ms, p99_ms, p999_ms = latency_percentiles_ms(latencies)
         slos.append(TenantSLO(
             tenant=tenant.tenant,

@@ -9,6 +9,7 @@ results, as a serial sweep.
 
 from __future__ import annotations
 
+import gc
 import pickle
 from array import array
 from dataclasses import fields, replace
@@ -16,6 +17,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.common import MIB, OpType, Resource
+from repro.core.compiler.binary import BinaryEncoder
 from repro.core.metrics import (RECORD_FIELDS, ExecutionResult,
                                 InstructionRecord, RecordTable)
 from repro.core.platform import PlatformConfig
@@ -26,7 +28,8 @@ from repro.experiments import (DEFAULT_SWEEP_CACHE_DIR, ExperimentConfig,
                                run_spec_key)
 from repro.experiments.runner import SWEEP_CACHE_ENV, SWEEP_WORKERS_ENV
 from repro.ssd.config import small_ssd_config
-from repro.workloads import Jacobi1DWorkload, Workload, workload_by_name
+from repro.workloads import (Jacobi1DWorkload, Workload,
+                             available_workloads, workload_by_name)
 
 TINY_SCALE = 0.03
 
@@ -81,6 +84,32 @@ class TestRunSpec:
         direct = runner.run(workload, "Conduit")
         from_spec = execute_run_spec(runner.spec_for(workload, "Conduit"))
         assert result_fingerprint(direct) == result_fingerprint(from_spec)
+
+    def test_compile_runs_under_the_gc_pause(self, tiny_config):
+        runner = ExperimentRunner(tiny_config)
+        compile_program = runner.program_for
+        collector_on = []
+
+        def spy(workload):
+            collector_on.append(gc.isenabled())
+            return compile_program(workload)
+
+        runner.program_for = spy
+        runner.run(Jacobi1DWorkload(scale=TINY_SCALE), "CPU")
+        runner.sweep(("CPU",), [Jacobi1DWorkload(scale=TINY_SCALE)])
+        assert collector_on == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_paused_compile_keeps_the_binary_image(self, tiny_config, name):
+        # The sweep compiles with the cycle collector paused; the encoded
+        # program must equal one compiled with the collector running.
+        runner = ExperimentRunner(tiny_config)
+        workload = workload_by_name(name, scale=TINY_SCALE)
+        runner.sweep(("CPU",), [workload])
+        paused = BinaryEncoder().encode(runner.program_for(workload))
+        program, _ = workload_by_name(name, scale=TINY_SCALE).vector_program()
+        assert BinaryEncoder().encode(program).image == paused.image
 
 
 class TestParallelSweep:
