@@ -127,9 +127,9 @@ class RecordTable(Sequence[InstructionRecord]):
         """The columns in :data:`RECORD_FIELDS` order."""
         return tuple(getattr(self, name) for name in RECORD_FIELDS)
 
-    def latencies_ns(self) -> array:
+    def latencies_ns(self) -> List[float]:
         """Each record's ``end_ns - dispatch_ns``, elementwise."""
-        return array("d", map(sub, self.end_ns, self.dispatch_ns))
+        return list(map(sub, self.end_ns, self.dispatch_ns))
 
     def __len__(self) -> int:
         return len(self.uid)

@@ -8,9 +8,9 @@ process that only needs them never imports numpy:
 
 * :func:`fsum_pairwise` is ``np.sum``'s pairwise summation: blocks of at
   most 128 values summed in 8 interleaved lanes, longer runs split in two
-  at a multiple of 8.  Each lane is a C-level ``reduce(add, ...)``;
-  ``builtins.sum`` is compensated from CPython 3.12 on, so it would not
-  match.
+  at a multiple of 8.  The lanes are plain float additions in a loop over
+  groups of eight; ``builtins.sum`` is compensated from CPython 3.12 on,
+  so it would not match.
 * :func:`percentiles` is ``np.percentile``'s default ``linear`` method,
   including the branch of numpy's ``_lerp`` that interpolates down from
   the upper neighbour once the weight reaches 0.5.
@@ -29,13 +29,24 @@ _BLOCK = 128
 
 def _pairwise(values: Sequence[float], start: int, count: int) -> float:
     if count < 8:
-        # -0.0 is the identity that keeps a lone -0.0 negative.
         return reduce(add, values[start:start + count], -0.0)
     if count <= _BLOCK:
+        # numpy's unrolled kernel: eight running sums over interleaved
+        # values, then the rest one by one.
         stop = start + count - count % 8
-        r = [reduce(add, values[start + lane:stop:8]) for lane in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[stop:start + count], head)
+        groups = zip(*[iter(values[start:stop])] * 8)
+        r0, r1, r2, r3, r4, r5, r6, r7 = next(groups)
+        for a0, a1, a2, a3, a4, a5, a6, a7 in groups:
+            r0 += a0
+            r1 += a1
+            r2 += a2
+            r3 += a3
+            r4 += a4
+            r5 += a5
+            r6 += a6
+            r7 += a7
+        lanes = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        return reduce(add, values[stop:start + count], lanes)
     half = count // 2
     half -= half % 8
     return (_pairwise(values, start, half) +
@@ -44,7 +55,8 @@ def _pairwise(values: Sequence[float], start: int, count: int) -> float:
 
 def fsum_pairwise(values: Sequence[float]) -> float:
     """``float(np.sum(values))`` for a list or ``array('d')`` of floats."""
-    # np.sum starts the reduction from add's identity, +0.0.
+    # numpy's pairwise kernel starts short runs from -0.0; the reduction
+    # around it starts from add's identity, +0.0, so no total is -0.0.
     return 0.0 + _pairwise(values, 0, len(values))
 
 
