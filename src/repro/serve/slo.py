@@ -42,10 +42,10 @@ def jain_fairness(values: Sequence[float]) -> float:
     values = [float(value) for value in values]
     if not values:
         return 1.0
-    square_sum = stats.fsum_pairwise([value * value for value in values])
+    square_sum = stats.pairwise_sum([value * value for value in values])
     if square_sum == 0.0:
         return 1.0
-    total = stats.fsum_pairwise(values)
+    total = stats.pairwise_sum(values)
     return total * total / (len(values) * square_sum)
 
 

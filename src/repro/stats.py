@@ -6,7 +6,7 @@ reported numbers are pinned.  These helpers repeat numpy's float64
 arithmetic in the same order, so they return the same bits while a
 process that only needs them never imports numpy:
 
-* :func:`fsum_pairwise` is ``np.sum``'s pairwise summation: blocks of at
+* :func:`pairwise_sum` is ``np.sum``'s pairwise summation: blocks of at
   most 128 values summed in 8 interleaved lanes, longer runs split in two
   at a multiple of 8.  The lanes are plain float additions in a loop over
   groups of eight; ``builtins.sum`` is compensated from CPython 3.12 on,
@@ -53,7 +53,7 @@ def _pairwise(values: Sequence[float], start: int, count: int) -> float:
             _pairwise(values, start + half, count - half))
 
 
-def fsum_pairwise(values: Sequence[float]) -> float:
+def pairwise_sum(values: Sequence[float]) -> float:
     """``float(np.sum(values))`` for a list or ``array('d')`` of floats."""
     # numpy's pairwise kernel starts short runs from -0.0; the reduction
     # around it starts from add's identity, +0.0, so no total is -0.0.
@@ -64,7 +64,7 @@ def mean(values: Sequence[float]) -> float:
     """``float(np.mean(values))``; an empty sample raises."""
     if not len(values):
         raise ValueError("mean of an empty sample")
-    return fsum_pairwise(values) / len(values)
+    return pairwise_sum(values) / len(values)
 
 
 def percentiles(values: Iterable[float], qs: Iterable[float]
@@ -86,8 +86,13 @@ def percentiles(values: Iterable[float], qs: Iterable[float]
         if not 0.0 <= quantile <= 1.0:
             raise ValueError(f"percentile must be in [0, 100], got {q!r}")
         virtual = last * quantile
-        below = -1 if virtual >= last else floor(virtual)
-        a, b = ordered[below], ordered[below + 1 if below >= 0 else -1]
+        if virtual >= last:
+            # numpy takes the last value for both neighbours and measures
+            # the weight from index -1.
+            below, a, b = -1, ordered[-1], ordered[-1]
+        else:
+            below = floor(virtual)
+            a, b = ordered[below], ordered[below + 1]
         t = virtual - below
         result.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     return tuple(result)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats import fsum_pairwise, mean, percentile, percentiles
+from repro.stats import pairwise_sum, mean, percentile, percentiles
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -73,8 +73,8 @@ class TestMatchesNumpy:
     @given(samples())
     def test_sum(self, values):
         reference = np.sum(np.asarray(values, dtype=float))
-        assert same_bits(fsum_pairwise(values), reference)
-        assert same_bits(fsum_pairwise(array("d", values)), reference)
+        assert same_bits(pairwise_sum(values), reference)
+        assert same_bits(pairwise_sum(array("d", values)), reference)
 
     @settings(max_examples=300, deadline=None)
     @given(samples(min_size=1))
@@ -99,10 +99,10 @@ class TestMatchesNumpy:
     def test_signed_zeros_sum_like_numpy(self, size):
         for zero in (0.0, -0.0):
             values = [zero] * size
-            assert same_bits(fsum_pairwise(values), np.sum(values))
+            assert same_bits(pairwise_sum(values), np.sum(values))
 
     def test_empty_sum_is_positive_zero(self):
-        assert same_bits(fsum_pairwise([]), np.sum(np.array([])))
+        assert same_bits(pairwise_sum([]), np.sum(np.array([])))
 
 
 class TestInputChecks:
